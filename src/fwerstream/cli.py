@@ -76,7 +76,12 @@ def _iter_records(path: str, fmt: str):
                     raise StreamError(f"line {line_no}: invalid JSON ({exc.msg})") from None
                 if not isinstance(rec, dict) or "p" not in rec:
                     raise StreamError(f"line {line_no}: expected an object with a 'p' field")
-                yield line_no, _parse_p(rec["p"], line_no), rec.get("batch_id"), rec.get("label")
+                p, batch = rec["p"], rec.get("batch_id")
+                if isinstance(p, bool):
+                    raise StreamError(f"line {line_no}: p-value {p!r} is a boolean, not a number")
+                if batch is not None and (isinstance(batch, bool) or not isinstance(batch, (str, int))):
+                    raise StreamError(f"line {line_no}: batch_id {batch!r} must be a string or an integer")
+                yield line_no, _parse_p(p, line_no), batch, rec.get("label")
         else:
             reader = csv.reader(fh)
             header = next(reader, None)

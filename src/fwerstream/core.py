@@ -206,10 +206,6 @@ class OnlineSidak(OnlineProcedure):
 
     kind = "online-sidak"
 
-    def __init__(self, alpha, series, *, k=1):
-        super().__init__(alpha, series, k=k)
-        self._log1m_alpha = math.log1p(-self.budget)
-
     def _step(self, i: int, p: float) -> Decision:
         a = self._finalize(sidak_level(self.budget, self.series.weight(i)))
         return Decision(i, p, a, self._rejects(p, a))
@@ -225,7 +221,7 @@ class FallbackWeights:
         raise NotImplementedError
 
     def row(self, k: int, horizon: int) -> np.ndarray:
-        """w[k, k+1 .. horizon] as an array (used by the vectorized runner)."""
+        """w[k, k+1 .. horizon] as an array (used by every recycling path)."""
         raise NotImplementedError
 
     def config(self) -> dict:
@@ -331,12 +327,69 @@ def weights_from_config(cfg, series) -> FallbackWeights:
     raise ConfigError(f"unknown fallback weights kind {cfg['kind']!r}")
 
 
+class RecycleBuffer:
+    """Recycled level addressed to each later index of one scheduler.
+
+    ``reject(k, a)`` records a rejection at index k with realized level a;
+    ``mass(i)`` returns the sum of w[k, i] * a_k over the rejections k < i.
+    One-step weights keep only the latest rejection as a carry.  Other
+    weights keep a float64 array of the mass addressed to every index below
+    its capacity: a rejection adds its whole weight row in one numpy
+    operation, and doubling the capacity fills the new half from the kept
+    rejections in ascending k before any later rejection adds to it.  Each
+    cell therefore sums its terms in ascending k, the order of the
+    vectorized runners in :mod:`fwerstream.fast`, so both paths stay
+    bit-identical.
+    """
+
+    FIRST_CAPACITY = 1024
+
+    def __init__(self, weights: FallbackWeights):
+        self._weights = weights
+        self._one_step = isinstance(weights, OneStepWeights)
+        self._last = 0  # one-step: index of the latest rejection ...
+        self._carry = 0.0  # ... and its level
+        self._kept: list[tuple[int, float]] = []  # (k, a) of every rejection
+        self._buf = np.zeros(0 if self._one_step else self.FIRST_CAPACITY)
+
+    def mass(self, i: int) -> float:
+        if self._one_step:
+            return self._carry if i == self._last + 1 else 0.0
+        if i >= self._buf.size:
+            self._grow(i)
+        return float(self._buf[i])
+
+    def reject(self, k: int, a: float) -> None:
+        if self._one_step:
+            self._last, self._carry = k, a
+            return
+        if k >= self._buf.size:
+            self._grow(k)
+        self._kept.append((k, a))
+        self._buf[k + 1 :] += a * self._weights.row(k, self._buf.size - 1)
+
+    def _grow(self, i: int) -> None:
+        old = self._buf.size
+        cap = old
+        while cap <= i:
+            cap *= 2
+        buf = np.zeros(cap)
+        buf[:old] = self._buf
+        for k, a in self._kept:
+            buf[old:] += a * self._weights.row(k, cap - 1)[old - k - 1 :]
+        self._buf = buf
+
+
 class OnlineFallback(OnlineProcedure):
     """Alpha-spending plus recycling: a rejected level alpha_k is transferred
     to later tests through the weights w[k, i].
 
     The recycled mass is the full realized level alpha_k, including any
     mass it had itself received, so recycling chains indefinitely.
+
+    Cost: O(1) time per step and O(1) memory with one-step weights; other
+    weights add one vectorized pass over the :class:`RecycleBuffer` per
+    rejection and hold O(stream length) float64.
     """
 
     kind = "online-fallback"
@@ -344,14 +397,11 @@ class OnlineFallback(OnlineProcedure):
     def __init__(self, alpha, series, weights=None, *, k=1):
         super().__init__(alpha, series, k=k)
         self.weights = weights_from_config(weights, self.series)
-        self._ledger: list[tuple[int, float]] = []  # (index, realized level) of rejections
+        self._recycled = RecycleBuffer(self.weights)
 
     def _step(self, i: int, p: float) -> Decision:
-        recycled = 0.0
-        for idx, level in self._ledger:
-            recycled += self.weights.weight(idx, i) * level
-        a = self._finalize(self.budget * self.series.weight(i) + recycled)
+        a = self._finalize(self.budget * self.series.weight(i) + self._recycled.mass(i))
         rejected = self._rejects(p, a)
         if rejected:
-            self._ledger.append((i, a))
+            self._recycled.reject(i, a)
         return Decision(i, p, a, rejected)

@@ -307,11 +307,6 @@ def make_runner(cfg: ProcedureConfig, batch_ids=None):
 
         return run_discard_fallback
 
-    def run_generic(p):  # pragma: no cover - all procedures handled above
-        return from_decisions(cfg, cfg.build(batch_ids=batch_ids).run(_check_p_array(p)))
-
-    return run_generic
-
 
 def run_stream(cfg: ProcedureConfig, p, batch_ids=None) -> StreamResult:
     """One-shot convenience wrapper around :func:`make_runner`."""

@@ -149,9 +149,7 @@ class QSeries(WeightSeries):
             # midpoint upper bound (terms are convex)
             return (m + 0.5) ** (1.0 - q_) / (q_ - 1.0)
 
-        self._z_lo, self._z_hi, self._raw_partial, self._m_cert = _certify(
-            self._unnormalized, tail_lo, tail_hi
-        )
+        self._z_lo, self._z_hi, _, _ = _certify(self._unnormalized, tail_lo, tail_hi)
         self._z = 0.5 * (self._z_lo + self._z_hi)
         self._tail_lo_fn, self._tail_hi_fn = tail_lo, tail_hi
 
@@ -194,9 +192,7 @@ class LogQSeries(WeightSeries):
         def tail_hi(m: int) -> float:
             return math.log(m + 1.5) ** (1.0 - q_) / (q_ - 1.0)
 
-        self._z_lo, self._z_hi, self._raw_partial, self._m_cert = _certify(
-            self._unnormalized, tail_lo, tail_hi
-        )
+        self._z_lo, self._z_hi, _, _ = _certify(self._unnormalized, tail_lo, tail_hi)
         self._z = 0.5 * (self._z_lo + self._z_hi)
         self._tail_lo_fn, self._tail_hi_fn = tail_lo, tail_hi
 

@@ -28,7 +28,7 @@ used even though its budget audit would pass.
 from __future__ import annotations
 
 from .addis import _AdaptiveBase
-from .core import Decision, sidak_level, weights_from_config
+from .core import Decision, RecycleBuffer, sidak_level, weights_from_config
 from .errors import ConfigError
 
 
@@ -116,6 +116,11 @@ class DiscardFallback(_SidakBase):
     tau_i * (alpha * gamma_m + recycled mass addressed to position m);
     rejected levels transfer only to later selected hypotheses, re-indexed
     over the selected subsequence.
+
+    Cost: O(1) time per step and O(1) memory with one-step weights; other
+    weights add one vectorized pass over the
+    :class:`~fwerstream.core.RecycleBuffer` per rejection and hold
+    O(stream length) float64.
     """
 
     kind = "discard-fallback"
@@ -124,21 +129,18 @@ class DiscardFallback(_SidakBase):
         super().__init__(alpha, series, tau, 0.0, k=k)
         self.weights = weights_from_config(weights, self.series)
         self._selected = 0
-        self._ledger: list[tuple[int, float]] = []  # (subsequence position, realized level)
+        self._recycled = RecycleBuffer(self.weights)  # indexed by subsequence position
 
     def _step(self, i: int, p: float) -> Decision:
         tau_i, _ = self._thresholds(i, i - 1)
         if not self._tau.is_constant:
             self._check_tau_floor(tau_i)
         m = 1 + self._selected
-        recycled = 0.0
-        for pos, level in self._ledger:
-            recycled += self.weights.weight(pos, m) * level
-        a = self._finalize(tau_i * (self.budget * self.series.weight(m) + recycled), tau_i)
+        a = self._finalize(tau_i * (self.budget * self.series.weight(m) + self._recycled.mass(m)), tau_i)
         selected = p <= tau_i
         rejected = self._rejects(p, a)
         if rejected:
-            self._ledger.append((m, a))
+            self._recycled.reject(m, a)
         if selected:
             self._selected += 1
         return Decision(i, p, a, rejected, selected=selected, tau=tau_i)

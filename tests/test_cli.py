@@ -80,6 +80,25 @@ class TestRun:
         assert code == 0
         assert len(read_csv(out)) == 3
 
+    @pytest.mark.parametrize("batch_id", [[1], {"b": 1}, 1.5, True])
+    def test_jsonl_batch_id_must_be_string_or_integer(self, tmp_path, capsys, batch_id):
+        inp = tmp_path / "in.jsonl"
+        inp.write_text(json.dumps({"p": 0.3, "batch_id": "a"}) + "\n"
+                       + json.dumps({"p": 0.01, "batch_id": batch_id}) + "\n")
+        code = main(["run", "--input", str(inp), "--out", str(tmp_path / "o.csv"),
+                     "--procedure", "addis-spending-local", "--alpha", "0.2", "--lags", "batch"])
+        assert code == 2
+        assert "line 2: batch_id" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["true", "false"])
+    def test_jsonl_boolean_p_rejected(self, tmp_path, capsys, flag):
+        inp = tmp_path / "in.jsonl"
+        inp.write_text('{"p": 0.3}\n{"p": %s}\n' % flag)
+        code = main(["run", "--input", str(inp), "--out", str(tmp_path / "o.csv"),
+                     "--procedure", "alpha-spending", "--alpha", "0.2"])
+        assert code == 2
+        assert "line 2: p-value" in capsys.readouterr().err
+
     def test_batch_lags_from_column(self, tmp_path):
         inp = tmp_path / "in.csv"
         out = tmp_path / "out.csv"
@@ -256,6 +275,31 @@ class TestRoundTrip:
         rows = read_csv(out)[1:]
         assert [float(r[2]) for r in rows] == res.levels.tolist()
         assert audit_trace(res, cfg).passed
+
+    @pytest.mark.parametrize("name", ["online-fallback", "discard-fallback"])
+    def test_long_all_rejecting_stream(self, tmp_path, name):
+        # every step rejects, so a per-step loop over past rejections would be
+        # quadratic (minutes at this length); the recycling buffer is linear
+        n = 20_000
+        inp = tmp_path / "in.csv"
+        out = tmp_path / "out.csv"
+        write_stream(inp, [0.0] * n)
+        assert main(["run", "--input", str(inp), "--out", str(out),
+                     "--procedure", name, "--alpha", "0.2", "--series", "logq", "--q", "2"]) == 0
+        from fwerstream import ProcedureConfig, run_stream
+
+        res = run_stream(ProcedureConfig(procedure=name, alpha=0.2, series={"kind": "log-q", "q": 2.0}),
+                         np.zeros(n))
+        expected = [[str(i + 1), "0.0", repr(a), str(int(r)), str(int(s)), str(int(c))]
+                    for i, (a, r, s, c) in enumerate(zip(res.levels.tolist(), res.rejected.tolist(),
+                                                         res.selected.tolist(), res.candidate.tolist()))]
+        assert read_csv(out)[1:] == expected
+        assert res.rejected.all()
+
+    def test_package_runs_as_module(self):
+        proc = subprocess.run([sys.executable, "-m", "fwerstream", "--help"], capture_output=True, text=True)
+        assert proc.returncode == 0
+        assert "usage: fwerstream" in proc.stdout
 
     def test_console_entry_point(self, tmp_path):
         proc = subprocess.run(

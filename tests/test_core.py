@@ -18,6 +18,7 @@ from fwerstream import (
     QSeries,
     StreamError,
 )
+from fwerstream.core import RecycleBuffer
 
 Q2 = QSeries(2.0)
 
@@ -123,6 +124,31 @@ class TestFallbackWeights:
         assert w.weight(1, 3) == 0.75
         assert w.weight(2, 3) == 0.0
         assert w.weight(5, 9) == 0.0  # beyond provided rows
+
+
+class TestRecycleBuffer:
+    @pytest.mark.parametrize(
+        "weights",
+        [OneStepWeights(), LaggedSeriesWeights(Q2),
+         ExplicitWeights([[0.5, 0.25], [], [1.0 / 1500] * 1500] * 700)],
+        ids=["one-step", "lagged-gamma", "explicit"],
+    )
+    def test_mass_equals_ledger_loop(self, weights):
+        # the reference is the per-step loop over every past rejection; the
+        # buffer must return the same float through two capacity doublings
+        rng = np.random.default_rng(21)
+        buf = RecycleBuffer(weights)
+        ledger = []
+        for i in range(1, 2 * RecycleBuffer.FIRST_CAPACITY + 300):
+            expected = 0.0
+            for k, a in ledger:
+                expected += weights.weight(k, i) * a
+            assert buf.mass(i) == expected
+            assert buf.mass(i) == expected  # reading twice changes nothing
+            if rng.random() < 0.3:
+                a = float(rng.random()) * 0.1
+                ledger.append((i, a))
+                buf.reject(i, a)
 
 
 class TestOnlineFallback:

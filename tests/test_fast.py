@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from fwerstream import ProcedureConfig, make_runner
+from fwerstream.core import RecycleBuffer
 from fwerstream.fast import from_decisions
 
 CONFIGS = [
@@ -89,3 +90,63 @@ def test_decisions_roundtrip():
     p = np.random.default_rng(1).random(25)
     fast = make_runner(cfg)(p)
     assert from_decisions(cfg, fast.decisions()).levels.tolist() == fast.levels.tolist()
+
+
+GROWTH_CONFIGS = [
+    ProcedureConfig(procedure="online-fallback", alpha=0.2, series={"kind": "log-q", "q": 2.0}),
+    # row 1 spans two capacity doublings; the short rows cross the first boundaries
+    ProcedureConfig(procedure="online-fallback", alpha=0.2, series={"kind": "q", "q": 2.0},
+                    weights={"kind": "explicit", "rows": [[1.0 / 3000] * 3000] + [[0.02] * 40] * 2100}),
+    ProcedureConfig(procedure="online-fallback-1", alpha=0.2, series={"kind": "log-q", "q": 2.0}),
+    ProcedureConfig(procedure="discard-fallback", alpha=0.2, series={"kind": "q", "q": 2.0}, tau=0.5),
+    ProcedureConfig(procedure="discard-fallback", alpha=0.2, series={"kind": "q", "q": 2.0}, tau=0.5,
+                    weights={"kind": "one-step"}),
+]
+FIRST_CAPACITY = RecycleBuffer.FIRST_CAPACITY
+# recycling positions at which runs of near-zero p-values are placed, so
+# rejections fall at cap-1, cap and cap+1 of the first two capacities
+HOT = set(range(1, 6)) | set(range(1016, 1032)) | set(range(2040, 2056))
+
+
+def _growth_stream(n: int, tau: float, seed: int) -> np.ndarray:
+    """p-values that are near zero exactly at the recycling positions in HOT.
+
+    A step's recycling position is 1 + #(earlier p <= tau).  Every step is
+    selected up to position 1100, so short streams reach the first boundary
+    even under discarding; after it every third step is discarded (when
+    tau < 1), so later positions are read more than once.
+    """
+    rng = np.random.default_rng(seed)
+    p = np.empty(n)
+    position = 1
+    for j in range(n):
+        if tau < 1.0 and position > 1100 and j % 3 == 0:
+            p[j] = 0.9
+        elif position in HOT:
+            p[j] = 1e-12
+        else:
+            p[j] = rng.uniform(0.05, 0.5)
+        position += p[j] <= tau
+    return p
+
+
+@pytest.mark.parametrize("cfg", GROWTH_CONFIGS, ids=_ids)
+@pytest.mark.parametrize("length", [1023, 1024, 1025, 3000])
+def test_scalar_equals_runner_across_buffer_growth(cfg, length):
+    tau = 1.0 if cfg.tau is None else cfg.tau
+    p = _growth_stream(length, tau, seed=length)
+    slow = cfg.build().run(p)
+    fast = make_runner(cfg)(p)
+    assert [d.alpha for d in slow] == fast.levels.tolist()
+    assert [d.rejected for d in slow] == fast.rejected.tolist()
+    assert [d.selected for d in slow] == fast.selected.tolist()
+    assert [d.candidate for d in slow] == fast.candidate.tolist()
+    assert [d.tau for d in slow] == fast.tau.tolist()
+    assert [d.lam for d in slow] == fast.lam.tolist()
+    # the stream must really reject at the capacity boundary it reaches
+    positions = 1 + np.concatenate(([0], np.cumsum(fast.selected)))[:length]
+    rejected_at = set(positions[fast.rejected].tolist())
+    reached = {FIRST_CAPACITY - 1, FIRST_CAPACITY, FIRST_CAPACITY + 1} & set(positions.tolist())
+    assert reached <= rejected_at
+    if length == 3000:
+        assert {2 * FIRST_CAPACITY - 1, 2 * FIRST_CAPACITY, 2 * FIRST_CAPACITY + 1} <= rejected_at
