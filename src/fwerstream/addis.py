@@ -19,31 +19,9 @@ from __future__ import annotations
 import dataclasses
 import warnings
 
-from .core import Decision, OnlineProcedure, Schedule
+from .core import OnlineProcedure
 from .errors import ConfigError
-
-DEFAULT_TAU = 0.5
-DEFAULT_LAM = 0.25
-
-# Procedures whose proofs bound the expected number of false rejections
-# (PFER) by the budget; only these admit the k-FWER budget inflation.
-PFER_FAMILY = frozenset(
-    {
-        "alpha-spending",
-        "discard-spending",
-        "adaptive-spending",
-        "addis-spending",
-        "addis-spending-local",
-    }
-)
-
-
-def _tau_schedule(tau) -> Schedule:
-    return Schedule(tau, "tau", 0.0, 1.0, lo_open=True, hi_open=False)
-
-
-def _lam_schedule(lam) -> Schedule:
-    return Schedule(lam, "lambda", 0.0, 1.0, lo_open=False, hi_open=True)
+from .spec import SPECS
 
 
 class LagSchedule:
@@ -59,10 +37,13 @@ class LagSchedule:
     def __init__(self, constant: int | None = None, values: list[int] | None = None):
         self._constant = constant
         self._values = values
+        self._seen: set = set()  # batch ids pushed so far ...
+        self._current = object()  # ... the one of the open run ...
+        self._run = 0  # ... and the length of that run
 
     @classmethod
     def constant(cls, lag: int) -> "LagSchedule":
-        if not (isinstance(lag, int) and lag >= 0):
+        if not (isinstance(lag, int) and not isinstance(lag, bool) and lag >= 0):
             raise ConfigError(f"constant lag must be a nonnegative integer, got {lag!r}")
         return cls(constant=lag)
 
@@ -70,7 +51,7 @@ class LagSchedule:
     def from_list(cls, lags) -> "LagSchedule":
         values = []
         for i, lag in enumerate(lags, start=1):
-            if not (isinstance(lag, int) and lag >= 0):
+            if not (isinstance(lag, int) and not isinstance(lag, bool) and lag >= 0):
                 raise ConfigError(f"lag L_{i} must be a nonnegative integer, got {lag!r}")
             if values and lag > values[-1] + 1:
                 raise ConfigError(
@@ -81,19 +62,20 @@ class LagSchedule:
 
     @classmethod
     def from_batch_ids(cls, batch_ids) -> "LagSchedule":
-        values: list[int] = []
-        seen: set = set()
-        current = object()
-        run = 0
+        lags = cls(values=[])
         for b in batch_ids:
-            if b != current:
-                if b in seen:
-                    raise ConfigError(f"batch id {b!r} appears in two separate runs")
-                seen.add(b)
-                current, run = b, 0
-            values.append(run)
-            run += 1
-        return cls(values=values)
+            lags.push(b)
+        return lags
+
+    def push(self, batch_id) -> None:
+        """Append the lag of one more item, given its batch id."""
+        if batch_id != self._current:
+            if batch_id in self._seen:
+                raise ConfigError(f"batch id {batch_id!r} appears in two separate runs")
+            self._seen.add(batch_id)
+            self._current, self._run = batch_id, 0
+        self._values.append(self._run)
+        self._run += 1
 
     @property
     def is_constant(self) -> bool:
@@ -146,98 +128,39 @@ def lags_from_config(cfg) -> LagSchedule:
     raise ConfigError(f"unknown lags kind {cfg['kind']!r}")
 
 
-class _AdaptiveBase(OnlineProcedure):
-    """Shared plumbing: tau/lambda schedules and visible-prefix handling."""
-
-    def __init__(self, alpha, series, tau, lam, *, k=1):
-        super().__init__(alpha, series, k=k)
-        self._tau = _tau_schedule(tau)
-        self._lam = _lam_schedule(lam)
-        self._needs_prefix = self._tau.needs_prefix() or self._lam.needs_prefix()
-        if self._tau.is_constant and self._lam.is_constant:
-            self._check_pair(self._tau.constant, self._lam.constant)
-
-    def _check_pair(self, tau_i: float, lam_i: float) -> None:
-        if lam_i >= tau_i:
-            raise ConfigError(f"lambda must be < tau, got lambda={lam_i} >= tau={tau_i}")
-
-    def _thresholds(self, i: int, visible: int) -> tuple[float, float]:
-        prefix = tuple(self.trace[:visible]) if self._needs_prefix else None
-        tau_i = self._tau.value(i, prefix)
-        lam_i = self._lam.value(i, prefix)
-        if not (self._tau.is_constant and self._lam.is_constant):
-            self._check_pair(tau_i, lam_i)
-        return tau_i, lam_i
-
-
-class DiscardSpending(_AdaptiveBase):
+class DiscardSpending(OnlineProcedure):
     """Spend alpha * tau_i * gamma_t(i), where t advances only on selected
     (p <= tau_i) hypotheses; discarded ones are never rejected and leave
     the series index untouched."""
 
     kind = "discard-spending"
-    pfer_budgeted = True
 
-    def __init__(self, alpha, series, tau=DEFAULT_TAU, *, k=1):
-        super().__init__(alpha, series, tau, 0.0, k=k)
-        self._selected = 0
-
-    def _step(self, i: int, p: float) -> Decision:
-        tau_i, _ = self._thresholds(i, i - 1)
-        a = self._finalize(self.budget * tau_i * self.series.weight(1 + self._selected), tau_i)
-        selected = p <= tau_i
-        rejected = self._rejects(p, a)
-        if selected:
-            self._selected += 1
-        return Decision(i, p, a, rejected, selected=selected, tau=tau_i)
+    def __init__(self, alpha, series, tau=None, *, k=1):
+        super().__init__(alpha, series, tau, k=k)
 
 
-class AdaptiveSpending(_AdaptiveBase):
+class AdaptiveSpending(OnlineProcedure):
     """Spend alpha * (1 - lambda_i) * gamma_t(i), where candidate steps
     (p <= lambda_i) do not advance the series index: their budget is
     refunded because a candidate cannot be a spent null."""
 
     kind = "adaptive-spending"
-    pfer_budgeted = True
 
-    def __init__(self, alpha, series, lam=0.5, *, k=1):
-        super().__init__(alpha, series, 1.0, lam, k=k)
-        self._candidates = 0
-
-    def _step(self, i: int, p: float) -> Decision:
-        _, lam_i = self._thresholds(i, i - 1)
-        g = self.series.weight(i - self._candidates)
-        a = self._finalize(self.budget * (1.0 - lam_i) * g)
-        candidate = p <= lam_i
-        rejected = self._rejects(p, a)
-        if candidate:
-            self._candidates += 1
-        return Decision(i, p, a, rejected, candidate=candidate, lam=lam_i)
+    def __init__(self, alpha, series, lam=None, *, k=1):
+        super().__init__(alpha, series, lam=lam, k=k)
 
 
-class AddisSpending(_AdaptiveBase):
+class AddisSpending(OnlineProcedure):
     """Adaptive discarding: spend alpha * (tau_i - lambda_i) * gamma_t(i),
     with t advancing on selected non-candidate steps only."""
 
     kind = "addis-spending"
-    pfer_budgeted = True
 
-    def __init__(self, alpha, series, tau=DEFAULT_TAU, lam=DEFAULT_LAM, *, k=1):
+    def __init__(self, alpha, series, tau=None, lam=None, *, k=1):
         super().__init__(alpha, series, tau, lam, k=k)
-        self._net = 0  # running sum of S_j - C_j
-
-    def _step(self, i: int, p: float) -> Decision:
-        tau_i, lam_i = self._thresholds(i, i - 1)
-        g = self.series.weight(1 + self._net)
-        a = self._finalize(self.budget * (tau_i - lam_i) * g, tau_i)
-        selected = p <= tau_i
-        candidate = p <= lam_i
-        rejected = self._rejects(p, a)
-        self._net += int(selected) - int(candidate)
-        return Decision(i, p, a, rejected, selected=selected, candidate=candidate, tau=tau_i, lam=lam_i)
 
 
-class AddisLocalSpending(_AdaptiveBase):
+class AddisLocalSpending(OnlineProcedure):
     """ADDIS altered for local dependence with lags L_i.
 
     The level at step i uses only decisions with index < i - L_i; each of
@@ -247,24 +170,9 @@ class AddisLocalSpending(_AdaptiveBase):
     """
 
     kind = "addis-spending-local"
-    pfer_budgeted = True
 
-    def __init__(self, alpha, series, tau=DEFAULT_TAU, lam=DEFAULT_LAM, lags=None, *, k=1):
-        super().__init__(alpha, series, tau, lam, k=k)
-        self.lags = lags_from_config(lags)
-        self._net_prefix = [0]  # net_prefix[j] = sum of S - C over the first j steps
-
-    def _step(self, i: int, p: float) -> Decision:
-        lag = self.lags.lag(i)
-        visible = max(0, i - 1 - lag)
-        tau_i, lam_i = self._thresholds(i, visible)
-        t = 1 + min(lag, i - 1) + self._net_prefix[visible]
-        a = self._finalize(self.budget * (tau_i - lam_i) * self.series.weight(t), tau_i)
-        selected = p <= tau_i
-        candidate = p <= lam_i
-        rejected = self._rejects(p, a)
-        self._net_prefix.append(self._net_prefix[-1] + int(selected) - int(candidate))
-        return Decision(i, p, a, rejected, selected=selected, candidate=candidate, tau=tau_i, lam=lam_i)
+    def __init__(self, alpha, series, tau=None, lam=None, lags=None, *, k=1):
+        super().__init__(alpha, series, tau, lam, lags=lags_from_config(lags), k=k)
 
 
 def kfwer_wrap(config, k: int):
@@ -276,7 +184,7 @@ def kfwer_wrap(config, k: int):
     """
     if not (isinstance(k, int) and k >= 1):
         raise ConfigError(f"k must be a positive integer, got {k!r}")
-    if config.procedure not in PFER_FAMILY:
+    if not SPECS[config.procedure].pfer:
         raise ConfigError(
             f"k-FWER wrapping requires a PFER-controlling procedure, got {config.procedure!r}"
         )

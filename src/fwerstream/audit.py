@@ -1,27 +1,23 @@
 """Prefix budget audits for completed decision traces.
 
-``audit_trace`` replays the budget accounting of each procedure as pure
+``audit_trace`` replays the budget accounting of a procedure as pure
 arithmetic on the trace columns and reports the first index (if any) at
-which a prefix constraint fails.  The constraints are:
+which a prefix constraint fails.  The constraint is derived from the
+procedure's row in :data:`fwerstream.spec.SPECS`: with tau = 1 on rows that
+do not discard and lambda = 0 on rows that do not adapt, it is the prefix
+sum, over the steps that advance the series index (selected and not
+candidates), of
 
-* alpha-spending:        sum of levels                              <= k*alpha
-* online-sidak:          product of (1 - level)                     >= 1 - alpha  (1e-12 relative)
-* online-fallback(-1):   sum of non-rejected levels                 <= k*alpha
-* discard-spending:      sum over selected of level/tau             <= k*alpha
-* adaptive-spending:     sum over non-candidates of level/(1-lam)   <= k*alpha
-* addis-spending(-local): sum over selected non-candidates of
-                          level/(tau-lam)                           <= k*alpha
-* discard-sidak:         sum over selected of beta                  <= 1
-* adaptive-sidak:        sum over non-candidates of beta/(1-lam)    <= 1
-* addis-sidak:           sum over selected non-candidates of
-                          beta*tau/(tau-lam)                        <= 1
-                          (and the milder beta/(1-lam) form)
-* discard-fallback:      sum over selected non-rejected of level/tau <= k*alpha
+* spending rows:  level/(tau-lambda)          <= k*alpha
+* sidak rows:     beta/((tau-lambda)/tau)     <= 1
+* fallback rows:  level/tau, rejected steps
+                  left out                    <= k*alpha
 
 where beta is recovered from the level by inverting
-level = tau * (1 - (1-alpha)^beta).  Every trace is additionally checked
-for level sanity: levels < min(tau, 1), and rejections only at p <= level
-on selected steps.
+level = tau * (1 - (1-k*alpha)^beta).  The slack is 1e-9 absolute, and
+1e-12 for online-sidak, whose levels are exact Sidak levels.  Every trace
+is additionally checked for level sanity: levels < min(tau, 1), and
+rejections only at p <= level on selected steps.
 """
 
 from __future__ import annotations
@@ -33,11 +29,7 @@ import numpy as np
 from .config import ProcedureConfig
 from .errors import AuditError
 from .fast import StreamResult, from_decisions
-
-# Absolute slack for sums of <= millions of float64 terms; genuine budget
-# violations are many orders of magnitude larger.
-_SUM_TOL = 1e-9
-_SIDAK_RTOL = 1e-12
+from .spec import SPECS
 
 
 @dataclass(frozen=True)
@@ -86,73 +78,28 @@ def _as_result(trace, config: ProcedureConfig | None) -> StreamResult:
 def audit_trace(trace, config: ProcedureConfig | None = None) -> AuditReport:
     """Audit a completed trace (a StreamResult or a list of Decisions)."""
     r = _as_result(trace, config)
-    name = r.procedure
-    budget = r.budget
-    levels, tau, lam = r.levels, r.tau, r.lam
-    sel, cand, rej = r.selected, r.candidate, r.rejected
-    checks: list[AuditCheck] = []
+    spec = SPECS[r.procedure]
+    levels, rej, n = r.levels, r.rejected, len(r)
+    checks = [
+        AuditCheck("levels below min(tau, 1)", *_ok(levels < np.minimum(r.tau, 1.0))),
+        AuditCheck("rejections at p <= level", *_ok(~rej | (r.p <= levels))),
+        AuditCheck("rejections only on selected steps", *_ok(~rej | r.selected)),
+    ]
 
-    cap = np.minimum(tau, 1.0)
-    checks.append(AuditCheck("levels below min(tau, 1)", *_ok(levels < cap)))
-    checks.append(AuditCheck("rejections at p <= level", *_ok(~rej | (r.p <= levels))))
-    checks.append(AuditCheck("rejections only on selected steps", *_ok(~rej | sel)))
-
-    if name == "alpha-spending":
-        checks.append(_prefix_check("sum of levels <= k*alpha", levels, budget, _SUM_TOL))
-    elif name == "online-sidak":
-        log_terms = np.log1p(-levels)
-        floor = np.log1p(-budget)
-        prefix = np.cumsum(log_terms)
-        bad = _first_bad(prefix < floor * (1.0 + _SIDAK_RTOL) - 1e-15)
-        checks.append(AuditCheck("product of (1-level) >= 1-alpha", bad is None, bad))
-    elif name in ("online-fallback", "online-fallback-1"):
-        checks.append(
-            _prefix_check("sum of non-rejected levels <= k*alpha", np.where(rej, 0.0, levels), budget, _SUM_TOL)
-        )
-    elif name == "discard-spending":
-        contrib = np.where(sel, levels / tau, 0.0)
-        checks.append(_prefix_check("sum over selected of level/tau <= k*alpha", contrib, budget, _SUM_TOL))
-    elif name == "adaptive-spending":
-        contrib = np.where(cand, 0.0, levels / (1.0 - lam))
-        checks.append(_prefix_check("sum over non-candidates of level/(1-lambda) <= k*alpha", contrib, budget, _SUM_TOL))
-    elif name in ("addis-spending", "addis-spending-local"):
-        contrib = np.where(sel & ~cand, levels / (tau - lam), 0.0)
-        checks.append(
-            _prefix_check("sum over selected non-candidates of level/(tau-lambda) <= k*alpha", contrib, budget, _SUM_TOL)
-        )
-    elif name in ("discard-sidak", "adaptive-sidak", "addis-sidak"):
-        beta = np.log1p(-np.minimum(levels / tau, 1.0 - 1e-300)) / np.log1p(-budget)
-        if name == "discard-sidak":
-            contrib = np.where(sel, beta, 0.0)
-            checks.append(_prefix_check("sum over selected of beta <= 1", contrib, 1.0, _SUM_TOL))
-        elif name == "adaptive-sidak":
-            contrib = np.where(cand, 0.0, beta / (1.0 - lam))
-            checks.append(
-                _prefix_check("sum over non-candidates of beta/(1-lambda) <= 1", contrib, 1.0, _SUM_TOL)
-            )
-        else:
-            budgeted = sel & ~cand
-            tight = np.where(budgeted, beta * tau / (tau - lam), 0.0)
-            checks.append(
-                _prefix_check(
-                    "sum over selected non-candidates of beta*tau/(tau-lambda) <= 1", tight, 1.0, _SUM_TOL
-                )
-            )
-            mild = np.where(budgeted, beta / (1.0 - lam), 0.0)
-            checks.append(
-                _prefix_check(
-                    "sum over selected non-candidates of beta/(1-lambda) <= 1", mild, 1.0, _SUM_TOL
-                )
-            )
-    elif name == "discard-fallback":
-        contrib = np.where(sel & ~rej, levels / tau, 0.0)
-        checks.append(
-            _prefix_check("sum over selected non-rejected of level/tau <= k*alpha", contrib, budget, _SUM_TOL)
-        )
-    else:  # pragma: no cover
-        raise AuditError(f"no audit rule for procedure {name!r}")
-
-    return AuditReport(name, all(c.passed for c in checks), tuple(checks))
+    tau, selected = (r.tau, r.selected) if spec.discards else (1.0, np.ones(n, dtype=bool))
+    lam, candidate = (r.lam, r.candidate) if spec.adapts else (0.0, np.zeros(n, dtype=bool))
+    counted = selected & ~candidate
+    if spec.family == "spending":
+        name, contrib, cap = "level/(tau-lambda) <= k*alpha", levels / (tau - lam), r.budget
+    elif spec.family == "sidak":
+        beta = np.log1p(-np.minimum(levels / tau, 1.0 - 1e-300)) / np.log1p(-r.budget)
+        name, contrib, cap = "beta/((tau-lambda)/tau) <= 1", beta / ((tau - lam) / tau), 1.0
+    else:
+        name, contrib, cap = "non-rejected level/tau <= k*alpha", levels / tau, r.budget
+        counted &= ~rej
+    checks.append(_prefix_check(f"sum over counted steps of {name}", np.where(counted, contrib, 0.0),
+                                cap, spec.audit_tol))
+    return AuditReport(r.procedure, all(c.passed for c in checks), tuple(checks))
 
 
 def _ok(good: np.ndarray) -> tuple[bool, int | None]:

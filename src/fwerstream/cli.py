@@ -26,6 +26,7 @@ from .errors import AuditError, BudgetError, ConfigError, StreamError
 from .power import GaussianMixModel, cstar_threshold, expected_true_discoveries, optimal_gamma_varying, optimal_q
 from .series import series_from_config
 from .sim import SimConfig, fig1_cells, fig2_cells, run_cells
+from .spec import SPECS
 
 RESULT_COLUMNS = ("procedure", "pi_A", "mu_A", "mu_N", "T", "alpha",
                   "fwer", "fwer_se", "pfer", "power", "power_se", "fdr")
@@ -40,28 +41,6 @@ def _fmt(x) -> str:
 # ----------------------------------------------------------------------
 # run
 # ----------------------------------------------------------------------
-
-class _StreamingBatchLags(LagSchedule):
-    """Lag schedule grown record by record from a batch_id column."""
-
-    def __init__(self):
-        super().__init__(values=[])
-        self._seen = set()
-        self._current = object()
-        self._run = 0
-
-    def push(self, batch_id, line_no: int) -> None:
-        if batch_id != self._current:
-            if batch_id in self._seen:
-                raise StreamError(
-                    f"line {line_no}: batch id {batch_id!r} is not contiguous with its earlier run"
-                )
-            self._seen.add(batch_id)
-            self._current = batch_id
-            self._run = 0
-        self._values.append(self._run)
-        self._run += 1
-
 
 def _iter_records(path: str, fmt: str):
     """Yield (line_no, p, batch_id, label) tuples; validates as it goes."""
@@ -180,12 +159,10 @@ def cmd_run(args) -> int:
     cfg = _procedure_from_args(args)
     fmt = args.format or ("jsonl" if args.input.endswith((".jsonl", ".json")) else "csv")
     lags = None
-    if cfg.wants_batch_lags() and cfg.procedure == "addis-spending-local":
-        lags = _StreamingBatchLags()
-        scheduler = cfg.build(batch_ids=[])
-        scheduler.lags = lags
-    else:
-        scheduler = cfg.build(batch_ids=[])
+    if cfg.wants_batch_lags() and SPECS[cfg.procedure].lagged:
+        lags = LagSchedule(values=[])  # grown record by record from the batch_id column
+        cfg = dataclasses.replace(cfg, lags=lags)
+    scheduler = cfg.build(batch_ids=[])
     out = open(args.out, "w", newline="", encoding="utf-8") if args.out else sys.stdout
     try:
         writer = csv.writer(out)
@@ -194,7 +171,10 @@ def cmd_run(args) -> int:
             if lags is not None:
                 if batch_id is None:
                     raise StreamError(f"line {line_no}: --lags batch needs a batch_id column")
-                lags.push(batch_id, line_no)
+                try:
+                    lags.push(batch_id)
+                except ConfigError as exc:
+                    raise StreamError(f"line {line_no}: {exc}") from None
             d = scheduler.step(p)
             writer.writerow([d.index, _fmt(d.p), _fmt(d.alpha), int(d.rejected),
                              int(d.selected), int(d.candidate)])

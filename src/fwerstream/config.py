@@ -1,26 +1,24 @@
 """Procedure configuration: a plain, serializable description of a scheduler.
 
 A :class:`ProcedureConfig` mirrors the CLI flags / JSON config keys and
-knows how to build the concrete scheduler.  Canonical procedure names:
-
-    alpha-spending, online-sidak, online-fallback, online-fallback-1,
-    discard-spending, adaptive-spending, addis-spending,
-    addis-spending-local, discard-sidak, adaptive-sidak, addis-sidak,
-    discard-fallback
-
-with the short aliases discard, adaptive, addis, addis-local.
+knows how to build the concrete scheduler.  Canonical procedure names are
+the rows of :data:`fwerstream.spec.SPECS`, with the short aliases below.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
-from . import addis as _addis
-from . import variants as _variants
-from .addis import LagSchedule, lags_from_config
-from .core import AlphaSpending, OnlineFallback, OnlineSidak, OneStepWeights, weights_from_config
+from .addis import AdaptiveSpending, AddisLocalSpending, AddisSpending, DiscardSpending, LagSchedule, lags_from_config
+from .core import AlphaSpending, OnlineFallback, OnlineFallback1, OnlineSidak
 from .errors import ConfigError
 from .series import series_from_config
+from .spec import PROCEDURES, SPECS
+from .variants import AdaptiveSidak, AddisSidak, DiscardFallback, DiscardSidak
+
+_SCHEDULERS = {cls.kind: cls for cls in (
+    AlphaSpending, OnlineSidak, OnlineFallback, OnlineFallback1, DiscardSpending, AdaptiveSpending, AddisSpending,
+    AddisLocalSpending, DiscardSidak, AdaptiveSidak, AddisSidak, DiscardFallback)}
 
 _ALIASES = {
     "discard": "discard-spending",
@@ -32,21 +30,6 @@ _ALIASES = {
     "sidak": "online-sidak",
     "spending": "alpha-spending",
 }
-
-PROCEDURES = (
-    "alpha-spending",
-    "online-sidak",
-    "online-fallback",
-    "online-fallback-1",
-    "discard-spending",
-    "adaptive-spending",
-    "addis-spending",
-    "addis-spending-local",
-    "discard-sidak",
-    "adaptive-sidak",
-    "addis-sidak",
-    "discard-fallback",
-)
 
 
 def canonical_name(name: str) -> str:
@@ -79,37 +62,17 @@ class ProcedureConfig:
 
     def build(self, batch_ids=None):
         """Instantiate the scheduler; ``batch_ids`` resolves stream-derived lags."""
-        name = self.procedure
-        series = series_from_config(self.series)
-        tau = _addis.DEFAULT_TAU if self.tau is None else self.tau
-        lam = _addis.DEFAULT_LAM if self.lam is None else self.lam
-        if name == "alpha-spending":
-            return AlphaSpending(self.alpha, series, k=self.k)
-        if name == "online-sidak":
-            return OnlineSidak(self.alpha, series, k=self.k)
-        if name == "online-fallback":
-            return OnlineFallback(self.alpha, series, weights_from_config(self.weights, series), k=self.k)
-        if name == "online-fallback-1":
-            if self.weights is not None:
-                raise ConfigError("online-fallback-1 fixes one-step weights; do not pass 'weights'")
-            return OnlineFallback(self.alpha, series, OneStepWeights(), k=self.k)
-        if name == "discard-spending":
-            return _addis.DiscardSpending(self.alpha, series, tau, k=self.k)
-        if name == "adaptive-spending":
-            return _addis.AdaptiveSpending(self.alpha, series, 0.5 if self.lam is None else self.lam, k=self.k)
-        if name == "addis-spending":
-            return _addis.AddisSpending(self.alpha, series, tau, lam, k=self.k)
-        if name == "addis-spending-local":
-            return _addis.AddisLocalSpending(self.alpha, series, tau, lam, self._resolve_lags(batch_ids), k=self.k)
-        if name == "discard-sidak":
-            return _variants.DiscardSidak(self.alpha, series, tau, k=self.k)
-        if name == "adaptive-sidak":
-            return _variants.AdaptiveSidak(self.alpha, series, 0.5 if self.lam is None else self.lam, k=self.k)
-        if name == "addis-sidak":
-            return _variants.AddisSidak(self.alpha, series, tau, lam, k=self.k)
-        if name == "discard-fallback":
-            return _variants.DiscardFallback(self.alpha, series, tau, weights_from_config(self.weights, series), k=self.k)
-        raise ConfigError(f"unknown procedure {name!r}")  # unreachable
+        spec = SPECS[self.procedure]
+        options = {"k": self.k}
+        if spec.discards:
+            options["tau"] = self.tau
+        if spec.adapts:
+            options["lam"] = self.lam
+        if spec.lagged:
+            options["lags"] = self._resolve_lags(batch_ids)
+        if spec.family == "fallback":
+            options["weights"] = self.weights
+        return _SCHEDULERS[self.procedure](self.alpha, series_from_config(self.series), **options)
 
     def _resolve_lags(self, batch_ids) -> LagSchedule:
         cfg = self.lags

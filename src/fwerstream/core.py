@@ -1,8 +1,10 @@
-"""Non-adaptive online FWER schedulers: alpha-spending, online Sidak, online fallback.
+"""The online FWER scheduler, its per-step schedules and its recycling weights.
 
-Each procedure is a stateful scheduler: feed p-values one at a time via
-``step`` and receive one :class:`Decision` per hypothesis.  The level
-assigned at step i depends only on the trace strictly before i, so the
+:class:`OnlineProcedure` steps every row of :data:`fwerstream.spec.SPECS`;
+the public classes (alpha-spending, online Sidak and online fallback here,
+the others in :mod:`fwerstream.addis` and :mod:`fwerstream.variants`) only
+name their row.  Feed p-values one at a time via ``step`` and receive one
+:class:`Decision` per hypothesis.  The level assigned at step i depends only on the trace strictly before i, so the
 decision stream is a valid online procedure by construction.
 
 A scheduler is strictly sequential (step t must complete before t+1);
@@ -19,8 +21,7 @@ import numpy as np
 
 from .errors import BudgetError, ConfigError, StreamError
 from .series import WeightSeries, series_from_config
-
-_JUST_BELOW_ONE = math.nextafter(1.0, 0.0)
+from .spec import DEFAULT_TAU, SPECS
 
 
 @dataclass(frozen=True, slots=True)
@@ -85,14 +86,17 @@ class Schedule:
         self._const = self._seq = self._fn = None
         if callable(spec):
             self._fn = spec
-        elif isinstance(spec, (int, float)):
+        elif isinstance(spec, (int, float)) and not isinstance(spec, bool):
             self._const = self._validate(float(spec))
         else:
             try:
-                values = [float(v) for v in spec]
-            except TypeError:
+                values = list(spec)
+                if isinstance(spec, str) or any(isinstance(v, bool) for v in values):
+                    raise TypeError
+                values = [float(v) for v in values]
+            except (TypeError, ValueError):
                 raise ConfigError(
-                    f"{name} must be a number, a sequence, or a callable, got {spec!r}"
+                    f"{name} must be a number, a sequence of numbers, or a callable, got {spec!r}"
                 ) from None
             self._seq = [self._validate(v) for v in values]
 
@@ -126,18 +130,38 @@ class Schedule:
         return self._validate(float(self._fn(visible_prefix)))
 
 
+def _level_map(family: str, budget: float, weight, recycled):
+    """The family's level as a function of (t, tau, lambda); see :mod:`fwerstream.spec`.
+
+    The closure holds no reference to the scheduler, so a finished scheduler
+    and its trace are freed as soon as the last caller drops it.
+    """
+    if family == "spending":
+        return lambda t, tau, lam: budget * (tau - lam) * weight(t)
+    if family == "sidak":
+        return lambda t, tau, lam: tau * sidak_level(budget, (tau - lam) / tau * weight(t))
+    mass = recycled.mass
+    return lambda t, tau, lam: tau * (budget * weight(t) + mass(t))
+
+
 class OnlineProcedure:
-    """Base scheduler: level budget, weight series, append-only trace."""
+    """Scheduler for the row of :data:`fwerstream.spec.SPECS` named by ``kind``.
+
+    Holds the level budget, the weight series, the tau/lambda schedules, the
+    index counter (a prefix list when the row is lagged), the recycling
+    buffer of fallback rows, and the append-only trace.  Subclasses only fix
+    ``kind`` and a public constructor signature.
+    """
 
     kind = "base"
-    pfer_budgeted = False  # spending-family procedures may be k-FWER wrapped
 
-    def __init__(self, alpha: float, series, *, k: int = 1):
+    def __init__(self, alpha: float, series, tau=None, lam=None, *, lags=None, weights=None, k: int = 1):
+        self.spec = spec = SPECS[self.kind]
         if not (isinstance(alpha, (int, float)) and 0.0 < alpha < 1.0):
             raise ConfigError(f"alpha must lie in (0, 1), got {alpha!r}")
         if not (isinstance(k, int) and k >= 1):
             raise ConfigError(f"k must be a positive integer, got {k!r}")
-        if k > 1 and not self.pfer_budgeted:
+        if k > 1 and not spec.pfer:
             raise ConfigError(
                 f"{self.kind} does not control PFER; k-FWER wrapping is only valid "
                 "for spending-family procedures"
@@ -155,6 +179,42 @@ class OnlineProcedure:
         self.series: WeightSeries = series_from_config(series)
         self.trace: list[Decision] = []
 
+        tau = (DEFAULT_TAU if tau is None else tau) if spec.discards else 1.0
+        lam = (spec.lam if lam is None else lam) if spec.adapts else 0.0
+        self._tau = Schedule(tau, "tau", 0.0, 1.0, lo_open=True, hi_open=False)
+        self._lam = Schedule(lam, "lambda", 0.0, 1.0, lo_open=False, hi_open=True)
+        self._needs_prefix = self._tau.needs_prefix() or self._lam.needs_prefix()
+        self.thresholds = None  # (tau, lambda) when both are constant
+        if self._tau.is_constant and self._lam.is_constant:
+            self.thresholds = self._check(self._tau.constant, self._lam.constant)
+        elif self._tau.is_constant:
+            self._check(self._tau.constant)
+
+        self.lags = lags if spec.lagged else None
+        self._counted = 0  # counted steps so far (rows without lags)
+        self._prefix = [0]  # _prefix[j] = counted steps among the first j (lagged rows)
+        self.weights = self._recycled = None
+        if spec.family == "fallback":
+            if spec.one_step:
+                if weights is not None:
+                    raise ConfigError(f"{self.kind} fixes one-step weights; do not pass 'weights'")
+                weights = OneStepWeights()
+            self.weights = weights_from_config(weights, self.series)
+            self._recycled = RecycleBuffer(self.weights)  # indexed by t
+        self._level = _level_map(spec.family, self.budget, self.series.weight, self._recycled)
+        self._adapts = spec.adapts
+
+    def _check(self, tau: float, lam: float = 0.0) -> tuple[float, float]:
+        if lam >= tau:
+            raise ConfigError(f"lambda must be < tau, got lambda={lam} >= tau={tau}")
+        if self.spec.family != "spending" and tau < self.alpha:
+            raise ConfigError(f"{self.kind} requires tau >= alpha, got tau={tau} < alpha={self.alpha}")
+        return tau, lam
+
+    def _thresholds(self, i: int, visible: int) -> tuple[float, float]:
+        prefix = tuple(self.trace[:visible]) if self._needs_prefix else None
+        return self._check(self._tau.value(i, prefix), self._lam.value(i, prefix))
+
     @property
     def t(self) -> int:
         """Number of hypotheses processed so far."""
@@ -170,7 +230,28 @@ class OnlineProcedure:
         return [self.step(p) for p in pvalues]
 
     def _step(self, i: int, p: float) -> Decision:
-        raise NotImplementedError
+        lags = self.lags
+        if lags is None:
+            visible = i - 1
+            t = 1 + self._counted
+        else:
+            lag = lags.lag(i)
+            visible = max(0, i - 1 - lag)
+            t = 1 + min(lag, i - 1) + self._prefix[visible]
+        tau, lam = self.thresholds or self._thresholds(i, visible)
+        a = self._level(t, tau, lam)
+        if a >= tau or a >= 1.0:
+            a = self._finalize(a, tau)
+        selected = p <= tau
+        candidate = self._adapts and p <= lam
+        rejected = p <= a and a > 0.0
+        if rejected and self._recycled is not None:
+            self._recycled.reject(t, a)
+        if lags is None:
+            self._counted += selected and not candidate
+        else:
+            self._prefix.append(self._prefix[-1] + (selected and not candidate))
+        return Decision(i, p, a, rejected, selected, candidate, tau, lam)
 
     def _finalize(self, a: float, tau: float = 1.0) -> float:
         # levels must stay strictly below min(tau, 1); only a saturating
@@ -185,20 +266,14 @@ class OnlineProcedure:
             "the schedule violates alpha_i < tau_i"
         )
 
-    @staticmethod
-    def _rejects(p: float, a: float) -> bool:
-        return p <= a and a > 0.0
-
 
 class AlphaSpending(OnlineProcedure):
     """Online Bonferroni: test H_i at level alpha * gamma_i."""
 
     kind = "alpha-spending"
-    pfer_budgeted = True
 
-    def _step(self, i: int, p: float) -> Decision:
-        a = self._finalize(self.budget * self.series.weight(i))
-        return Decision(i, p, a, self._rejects(p, a))
+    def __init__(self, alpha, series, *, k=1):
+        super().__init__(alpha, series, k=k)
 
 
 class OnlineSidak(OnlineProcedure):
@@ -206,9 +281,8 @@ class OnlineSidak(OnlineProcedure):
 
     kind = "online-sidak"
 
-    def _step(self, i: int, p: float) -> Decision:
-        a = self._finalize(sidak_level(self.budget, self.series.weight(i)))
-        return Decision(i, p, a, self._rejects(p, a))
+    def __init__(self, alpha, series, *, k=1):
+        super().__init__(alpha, series, k=k)
 
 
 class FallbackWeights:
@@ -220,9 +294,17 @@ class FallbackWeights:
     def weight(self, k: int, i: int) -> float:
         raise NotImplementedError
 
-    def row(self, k: int, horizon: int) -> np.ndarray:
-        """w[k, k+1 .. horizon] as an array (used by every recycling path)."""
+    def span(self, k: int, horizon: int) -> np.ndarray:
+        """w[k, k+1 ..] up to the last possibly nonzero entry, capped at the
+        horizon: the slice every recycling path adds a rejected level to."""
         raise NotImplementedError
+
+    def row(self, k: int, horizon: int) -> np.ndarray:
+        """w[k, k+1 .. horizon] as an array, zero-padded past :meth:`span`."""
+        out = np.zeros(max(horizon - k, 0), dtype=np.float64)
+        head = self.span(k, horizon)
+        out[: head.size] = head
+        return out
 
     def config(self) -> dict:
         raise NotImplementedError
@@ -232,15 +314,13 @@ class OneStepWeights(FallbackWeights):
     """w[k, i] = 1 if i == k+1 else 0: recycle everything to the next test."""
 
     kind = "one-step"
+    _ONE = np.ones(1)
 
     def weight(self, k: int, i: int) -> float:
         return 1.0 if i == k + 1 else 0.0
 
-    def row(self, k: int, horizon: int) -> np.ndarray:
-        out = np.zeros(max(horizon - k, 0), dtype=np.float64)
-        if out.size:
-            out[0] = 1.0
-        return out
+    def span(self, k: int, horizon: int) -> np.ndarray:
+        return self._ONE[: max(horizon - k, 0)]
 
     def config(self) -> dict:
         return {"kind": "one-step"}
@@ -257,7 +337,7 @@ class LaggedSeriesWeights(FallbackWeights):
     def weight(self, k: int, i: int) -> float:
         return self.series.weight(i - k)
 
-    def row(self, k: int, horizon: int) -> np.ndarray:
+    def span(self, k: int, horizon: int) -> np.ndarray:
         return self.series.weights_upto(max(horizon - k, 0))
 
     def config(self) -> dict:
@@ -272,6 +352,7 @@ class ExplicitWeights(FallbackWeights):
     """
 
     kind = "explicit"
+    _EMPTY = np.empty(0)
 
     def __init__(self, rows):
         self._rows = []
@@ -295,13 +376,10 @@ class ExplicitWeights(FallbackWeights):
                 return float(row[j])
         return 0.0
 
-    def row(self, k: int, horizon: int) -> np.ndarray:
-        out = np.zeros(max(horizon - k, 0), dtype=np.float64)
+    def span(self, k: int, horizon: int) -> np.ndarray:
         if 1 <= k <= len(self._rows):
-            row = self._rows[k - 1]
-            n = min(row.size, out.size)
-            out[:n] = row[:n]
-        return out
+            return self._rows[k - 1][: max(horizon - k, 0)]
+        return self._EMPTY
 
     def config(self) -> dict:
         return {"kind": "explicit", "rows": [[float(x) for x in r] for r in self._rows]}
@@ -334,12 +412,12 @@ class RecycleBuffer:
     ``mass(i)`` returns the sum of w[k, i] * a_k over the rejections k < i.
     One-step weights keep only the latest rejection as a carry.  Other
     weights keep a float64 array of the mass addressed to every index below
-    its capacity: a rejection adds its whole weight row in one numpy
-    operation, and doubling the capacity fills the new half from the kept
-    rejections in ascending k before any later rejection adds to it.  Each
-    cell therefore sums its terms in ascending k, the order of the
-    vectorized runners in :mod:`fwerstream.fast`, so both paths stay
-    bit-identical.
+    its capacity: a rejection adds its weight span in one numpy operation,
+    and doubling the capacity fills the new half from the rejections whose
+    span reached the old capacity, in ascending k, before any later
+    rejection adds to it.  Each cell therefore sums its terms in ascending
+    k, the order of the vectorized runners in :mod:`fwerstream.fast`, so
+    both paths stay bit-identical.
     """
 
     FIRST_CAPACITY = 1024
@@ -349,7 +427,7 @@ class RecycleBuffer:
         self._one_step = isinstance(weights, OneStepWeights)
         self._last = 0  # one-step: index of the latest rejection ...
         self._carry = 0.0  # ... and its level
-        self._kept: list[tuple[int, float]] = []  # (k, a) of every rejection
+        self._kept: list[tuple[int, float]] = []  # (k, a) of rejections reaching the capacity
         self._buf = np.zeros(0 if self._one_step else self.FIRST_CAPACITY)
 
     def mass(self, i: int) -> float:
@@ -365,8 +443,10 @@ class RecycleBuffer:
             return
         if k >= self._buf.size:
             self._grow(k)
-        self._kept.append((k, a))
-        self._buf[k + 1 :] += a * self._weights.row(k, self._buf.size - 1)
+        span = self._weights.span(k, self._buf.size - 1)
+        self._buf[k + 1 : k + 1 + span.size] += a * span
+        if k + 1 + span.size == self._buf.size:  # the row may reach past the capacity
+            self._kept.append((k, a))
 
     def _grow(self, i: int) -> None:
         old = self._buf.size
@@ -375,9 +455,13 @@ class RecycleBuffer:
             cap *= 2
         buf = np.zeros(cap)
         buf[:old] = self._buf
+        kept = []
         for k, a in self._kept:
-            buf[old:] += a * self._weights.row(k, cap - 1)[old - k - 1 :]
-        self._buf = buf
+            span = self._weights.span(k, cap - 1)[old - k - 1 :]
+            buf[old : old + span.size] += a * span
+            if old + span.size == cap:
+                kept.append((k, a))
+        self._buf, self._kept = buf, kept
 
 
 class OnlineFallback(OnlineProcedure):
@@ -388,20 +472,18 @@ class OnlineFallback(OnlineProcedure):
     mass it had itself received, so recycling chains indefinitely.
 
     Cost: O(1) time per step and O(1) memory with one-step weights; other
-    weights add one vectorized pass over the :class:`RecycleBuffer` per
-    rejection and hold O(stream length) float64.
+    weights add one vectorized pass over the weight span of each rejection
+    in the :class:`RecycleBuffer`, which holds O(stream length) float64.
     """
 
     kind = "online-fallback"
 
     def __init__(self, alpha, series, weights=None, *, k=1):
-        super().__init__(alpha, series, k=k)
-        self.weights = weights_from_config(weights, self.series)
-        self._recycled = RecycleBuffer(self.weights)
+        super().__init__(alpha, series, weights=weights, k=k)
 
-    def _step(self, i: int, p: float) -> Decision:
-        a = self._finalize(self.budget * self.series.weight(i) + self._recycled.mass(i))
-        rejected = self._rejects(p, a)
-        if rejected:
-            self._recycled.reject(i, a)
-        return Decision(i, p, a, rejected)
+
+class OnlineFallback1(OnlineFallback):
+    """online-fallback with its weights fixed to one-step recycling."""
+
+    kind = "online-fallback-1"
+

@@ -122,7 +122,6 @@ class MetricsReport:
     fdr: float
     fdr_se: float
     mean_rejections: float
-    mean_false_rejections: float
     per_trial: dict = field(default_factory=dict, repr=False)
 
 
@@ -157,7 +156,6 @@ def _summarize(cfg: ProcedureConfig, sim: SimConfig, v, d, n_nonnull, n_rej, kee
         fdr=float(np.mean(fdr_trials)),
         fdr_se=_se(fdr_trials),
         mean_rejections=float(np.mean(n_rej)),
-        mean_false_rejections=float(np.mean(v)),
     )
     if keep_trials:
         report.per_trial = {"v": v, "d": d, "n_nonnull": n_nonnull, "n_rejections": n_rej, "power": power_trials}

@@ -234,6 +234,21 @@ class TestValidate:
         assert main(["validate", "--config", str(cfg)]) == 3
         assert "inadmissible" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("key,value", [
+        ("tau", True), ("lambda", False), ("tau", [0.5, True]), ("lambda", [False]),
+        ("lags", True), ("lags", [0, True]), ("lags", {"kind": "constant", "value": True}),
+        ("tau", "0.5"), ("lambda", [0.1, "x"]),
+    ])
+    def test_non_number_where_a_number_is_wanted(self, tmp_path, capsys, key, value):
+        cfg = tmp_path / "bool.json"
+        cfg.write_text(json.dumps({"procedure": "addis-spending-local", "alpha": 0.2, key: value}))
+        assert main(["validate", "--config", str(cfg)]) == 3
+        assert "FAIL" in capsys.readouterr().out
+        inp = tmp_path / "in.csv"
+        write_stream(inp, [0.3, 0.6])
+        assert main(["run", "--input", str(inp), "--out", str(tmp_path / "o.csv"), "--config", str(cfg)]) == 3
+        assert "config error" in capsys.readouterr().err
+
     def test_fallback_row_sums_checked(self, tmp_path):
         cfg = tmp_path / "w.json"
         cfg.write_text(json.dumps({"procedure": "online-fallback", "alpha": 0.2,

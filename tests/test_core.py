@@ -1,6 +1,8 @@
 """Alpha-spending, online Sidak, and online fallback schedulers."""
 
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -15,6 +17,8 @@ from fwerstream import (
     OneStepWeights,
     OnlineFallback,
     OnlineSidak,
+    PROCEDURES,
+    ProcedureConfig,
     QSeries,
     StreamError,
 )
@@ -124,6 +128,19 @@ class TestFallbackWeights:
         assert w.weight(1, 3) == 0.75
         assert w.weight(2, 3) == 0.0
         assert w.weight(5, 9) == 0.0  # beyond provided rows
+
+    def test_span_is_no_longer_than_the_nonzero_row(self):
+        # recycling adds a rejected level to the span only, so a short row
+        # costs O(its length) however far away the horizon is
+        w = ExplicitWeights([[0.5, 0.5], [], [0.25] * 4])
+        assert w.span(1, 10**6).tolist() == [0.5, 0.5]
+        assert w.span(2, 10**6).size == 0
+        assert w.span(3, 10**6).size <= 4
+        assert w.span(9, 10**6).size == 0  # beyond provided rows
+        assert w.span(1, 2).tolist() == [0.5]  # capped at the horizon
+        assert OneStepWeights().span(3, 10**6).tolist() == [1.0]
+        assert OneStepWeights().span(3, 3).size == 0
+        assert w.row(1, 5).tolist() == [0.5, 0.5, 0.0, 0.0]  # rows still pad to the horizon
 
 
 class TestRecycleBuffer:
@@ -250,3 +267,18 @@ class TestKfwerOnSchedulers:
 
         with pytest.raises(BudgetError):
             Rigged(0.2, Q2).step(0.5)
+
+
+@pytest.mark.parametrize("name", PROCEDURES)
+def test_finished_scheduler_freed_without_the_cycle_collector(name):
+    # a trace may hold millions of decisions; a reference cycle through the
+    # scheduler would keep it alive until the cyclic collector happens to run
+    gc.disable()
+    try:
+        scheduler = ProcedureConfig(procedure=name, alpha=0.2).build()
+        scheduler.run([0.01, 0.6, 0.3])
+        ref = weakref.ref(scheduler)
+        del scheduler
+        assert ref() is None
+    finally:
+        gc.enable()

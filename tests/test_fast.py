@@ -38,6 +38,15 @@ CONFIGS = [
     ProcedureConfig(procedure="discard-fallback", alpha=0.2, series={"kind": "q", "q": 2.0}, tau=0.5),
     ProcedureConfig(procedure="discard-fallback", alpha=0.2, series={"kind": "log-q", "q": 2.0},
                     tau=0.6, weights={"kind": "one-step"}),
+    # lam=None pins the default lambda of the procedure table; the "logq"
+    # spelling of the series kind keeps these test ids apart from the rows above
+    ProcedureConfig(procedure="adaptive-spending", alpha=0.2, series={"kind": "logq", "q": 2.0}, lam=None),
+    ProcedureConfig(procedure="adaptive-sidak", alpha=0.2, series={"kind": "logq", "q": 2.0}, lam=None),
+    ProcedureConfig(procedure="discard-fallback", alpha=0.2, series={"kind": "q", "q": 2.0}, tau=0.5,
+                    weights={"kind": "explicit", "rows": [[0.5, 0.5], [1.0], [], [0.25] * 4] * 100}),
+    ProcedureConfig(procedure="addis-sidak", alpha=0.2, series={"kind": "q", "q": 2.0}, tau=0.7, lam=0.1),
+    ProcedureConfig(procedure="addis-spending-local", alpha=0.2, series={"kind": "log-q", "q": 2.0},
+                    lags={"kind": "list", "values": [0, 1, 2, 3, 0, 1, 0, 0, 1, 2] * 40}),
 ]
 
 
