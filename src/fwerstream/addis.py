@@ -17,11 +17,13 @@ lagged position).
 from __future__ import annotations
 
 import dataclasses
-import warnings
 
 from .core import OnlineProcedure
 from .errors import ConfigError
-from .spec import SPECS
+from .spec import level_budget
+
+
+BATCH_KINDS = ("from-batch-ids", "batch")  # lags kinds read from the stream's batch ids
 
 
 class LagSchedule:
@@ -77,14 +79,6 @@ class LagSchedule:
         self._values.append(self._run)
         self._run += 1
 
-    @property
-    def is_constant(self) -> bool:
-        return self._constant is not None
-
-    @property
-    def horizon(self) -> int | None:
-        return None if self._constant is not None else len(self._values)
-
     def lag(self, i: int) -> int:
         if self._constant is not None:
             return self._constant
@@ -105,7 +99,9 @@ class LagSchedule:
         return {"kind": "list", "values": list(self._values)}
 
 
-def lags_from_config(cfg) -> LagSchedule:
+def lags_from_config(cfg, batch_ids=None) -> LagSchedule:
+    """Build a lag schedule; the from-batch-ids kind (alias ``batch``) takes
+    the config's own ``batch_ids``, else the stream's ``batch_ids``."""
     if isinstance(cfg, LagSchedule):
         return cfg
     if cfg is None:
@@ -121,10 +117,11 @@ def lags_from_config(cfg) -> LagSchedule:
         return LagSchedule.constant(cfg.get("value", 0))
     if kind == "list":
         return LagSchedule.from_list(cfg.get("values", []))
-    if kind in ("from-batch-ids", "batch"):
-        if "batch_ids" not in cfg:
-            raise ConfigError("lags kind 'from-batch-ids' resolves against a stream; no batch_ids given")
-        return LagSchedule.from_batch_ids(cfg["batch_ids"])
+    if kind in BATCH_KINDS:
+        batch_ids = cfg.get("batch_ids", batch_ids)
+        if batch_ids is None:
+            raise ConfigError("lags kind 'from-batch-ids' needs batch ids: a batch_id column, or block_size > 1")
+        return LagSchedule.from_batch_ids(batch_ids)
     raise ConfigError(f"unknown lags kind {cfg['kind']!r}")
 
 
@@ -182,16 +179,5 @@ def kfwer_wrap(config, k: int):
     by Markov's inequality on the PFER, so only spending-family procedures
     qualify.  k = 1 is the identity.
     """
-    if not (isinstance(k, int) and k >= 1):
-        raise ConfigError(f"k must be a positive integer, got {k!r}")
-    if not SPECS[config.procedure].pfer:
-        raise ConfigError(
-            f"k-FWER wrapping requires a PFER-controlling procedure, got {config.procedure!r}"
-        )
-    if k * config.alpha >= 1.0:
-        warnings.warn(
-            f"k*alpha = {k * config.alpha} >= 1: test levels may saturate and will be "
-            "clamped below tau_i and 1",
-            stacklevel=2,
-        )
+    level_budget(config.procedure, config.alpha, k)
     return dataclasses.replace(config, k=k)

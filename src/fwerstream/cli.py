@@ -19,14 +19,12 @@ import json
 import math
 import sys
 
-from .addis import LagSchedule
 from .audit import audit_trace
 from .config import ProcedureConfig
 from .errors import AuditError, BudgetError, ConfigError, StreamError
 from .power import GaussianMixModel, cstar_threshold, expected_true_discoveries, optimal_gamma_varying, optimal_q
 from .series import series_from_config
 from .sim import SimConfig, fig1_cells, fig2_cells, run_cells
-from .spec import SPECS
 
 RESULT_COLUMNS = ("procedure", "pi_A", "mu_A", "mu_N", "T", "alpha",
                   "fwer", "fwer_se", "pfer", "power", "power_se", "fdr")
@@ -43,7 +41,7 @@ def _fmt(x) -> str:
 # ----------------------------------------------------------------------
 
 def _iter_records(path: str, fmt: str):
-    """Yield (line_no, p, batch_id, label) tuples; validates as it goes."""
+    """Yield (line_no, raw p, batch_id) tuples; ``scheduler.step`` checks the p-value."""
     with open(path, "r", encoding="utf-8") as fh:
         if fmt == "jsonl":
             for line_no, line in enumerate(fh, start=1):
@@ -60,7 +58,7 @@ def _iter_records(path: str, fmt: str):
                     raise StreamError(f"line {line_no}: p-value {p!r} is a boolean, not a number")
                 if batch is not None and (isinstance(batch, bool) or not isinstance(batch, (str, int))):
                     raise StreamError(f"line {line_no}: batch_id {batch!r} must be a string or an integer")
-                yield line_no, _parse_p(p, line_no), batch, rec.get("label")
+                yield line_no, p, batch
         else:
             reader = csv.reader(fh)
             header = next(reader, None)
@@ -71,25 +69,13 @@ def _iter_records(path: str, fmt: str):
                 raise StreamError("line 1: CSV header must contain a 'p' column")
             p_at = cols.index("p")
             batch_at = cols.index("batch_id") if "batch_id" in cols else None
-            label_at = cols.index("label") if "label" in cols else None
             for line_no, row in enumerate(reader, start=2):
                 if not row or all(not c.strip() for c in row):
                     continue
                 if len(row) <= p_at:
                     raise StreamError(f"line {line_no}: missing 'p' value")
                 batch = row[batch_at].strip() if batch_at is not None and len(row) > batch_at else None
-                label = row[label_at].strip() if label_at is not None and len(row) > label_at else None
-                yield line_no, _parse_p(row[p_at], line_no), batch or None, label or None
-
-
-def _parse_p(raw, line_no: int) -> float:
-    try:
-        p = float(raw)
-    except (TypeError, ValueError):
-        raise StreamError(f"line {line_no}: p-value {raw!r} is not a number") from None
-    if math.isnan(p) or p < 0.0 or p > 1.0:
-        raise StreamError(f"line {line_no}: p-value {p} outside [0, 1]")
-    return p
+                yield line_no, row[p_at], batch or None
 
 
 def _load_json(path: str):
@@ -158,16 +144,14 @@ def _procedure_from_args(args) -> ProcedureConfig:
 def cmd_run(args) -> int:
     cfg = _procedure_from_args(args)
     fmt = args.format or ("jsonl" if args.input.endswith((".jsonl", ".json")) else "csv")
-    lags = None
-    if cfg.wants_batch_lags() and SPECS[cfg.procedure].lagged:
-        lags = LagSchedule(values=[])  # grown record by record from the batch_id column
-        cfg = dataclasses.replace(cfg, lags=lags)
     scheduler = cfg.build(batch_ids=[])
+    # batch lags start empty and grow record by record from the batch_id column
+    lags = scheduler.lags if cfg.wants_batch_lags() else None
     out = open(args.out, "w", newline="", encoding="utf-8") if args.out else sys.stdout
     try:
         writer = csv.writer(out)
         writer.writerow(["index", "p", "alpha_i", "rejected", "selected", "candidate"])
-        for line_no, p, batch_id, _label in _iter_records(args.input, fmt):
+        for line_no, p, batch_id in _iter_records(args.input, fmt):
             if lags is not None:
                 if batch_id is None:
                     raise StreamError(f"line {line_no}: --lags batch needs a batch_id column")
@@ -175,7 +159,10 @@ def cmd_run(args) -> int:
                     lags.push(batch_id)
                 except ConfigError as exc:
                     raise StreamError(f"line {line_no}: {exc}") from None
-            d = scheduler.step(p)
+            try:
+                d = scheduler.step(p)
+            except StreamError as exc:
+                raise StreamError(f"line {line_no}: {exc}") from None
             writer.writerow([d.index, _fmt(d.p), _fmt(d.alpha), int(d.rejected),
                              int(d.selected), int(d.candidate)])
         out.flush()

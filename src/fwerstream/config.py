@@ -7,9 +7,9 @@ the rows of :data:`fwerstream.spec.SPECS`, with the short aliases below.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
-from .addis import AdaptiveSpending, AddisLocalSpending, AddisSpending, DiscardSpending, LagSchedule, lags_from_config
+from .addis import BATCH_KINDS, AdaptiveSpending, AddisLocalSpending, AddisSpending, DiscardSpending, lags_from_config
 from .core import AlphaSpending, OnlineFallback, OnlineFallback1, OnlineSidak
 from .errors import ConfigError
 from .series import series_from_config
@@ -61,7 +61,10 @@ class ProcedureConfig:
         object.__setattr__(self, "procedure", canonical_name(self.procedure))
 
     def build(self, batch_ids=None):
-        """Instantiate the scheduler; ``batch_ids`` resolves stream-derived lags."""
+        """Instantiate the scheduler; ``batch_ids`` resolves stream-derived lags.
+
+        Options the procedure's row does not use are ignored.
+        """
         spec = SPECS[self.procedure]
         options = {"k": self.k}
         if spec.discards:
@@ -69,28 +72,15 @@ class ProcedureConfig:
         if spec.adapts:
             options["lam"] = self.lam
         if spec.lagged:
-            options["lags"] = self._resolve_lags(batch_ids)
+            options["lags"] = lags_from_config(self.lags, batch_ids)
         if spec.family == "fallback":
             options["weights"] = self.weights
         return _SCHEDULERS[self.procedure](self.alpha, series_from_config(self.series), **options)
 
-    def _resolve_lags(self, batch_ids) -> LagSchedule:
-        cfg = self.lags
-        if isinstance(cfg, dict) and str(cfg.get("kind", "")).lower() in ("from-batch-ids", "batch"):
-            if "batch_ids" in cfg:
-                return LagSchedule.from_batch_ids(cfg["batch_ids"])
-            if batch_ids is None:
-                raise ConfigError("lags kind 'from-batch-ids' needs a stream with a batch_id column")
-            return LagSchedule.from_batch_ids(batch_ids)
-        return lags_from_config(cfg)
-
     def wants_batch_lags(self) -> bool:
+        """True when the lags come from the stream's batch ids, not the config's."""
         cfg = self.lags
-        return (
-            isinstance(cfg, dict)
-            and str(cfg.get("kind", "")).lower() in ("from-batch-ids", "batch")
-            and "batch_ids" not in cfg
-        )
+        return isinstance(cfg, dict) and str(cfg.get("kind", "")).lower() in BATCH_KINDS and "batch_ids" not in cfg
 
     def validate(self) -> list[str]:
         """Return a list of human-readable findings; empty means valid."""
@@ -103,10 +93,7 @@ class ProcedureConfig:
         except (ConfigError, ValueError) as exc:
             findings.append(f"series: {exc}")
         try:
-            if not self.wants_batch_lags():
-                self.build()
-            else:
-                replace(self, lags=None).build()
+            self.build(batch_ids=[])
         except (ConfigError, ValueError) as exc:
             findings.append(str(exc))
         return findings

@@ -14,14 +14,14 @@ distinct scheduler instances are independent and can run in parallel.
 from __future__ import annotations
 
 import math
-import warnings
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import BudgetError, ConfigError, StreamError
-from .series import WeightSeries, series_from_config
-from .spec import DEFAULT_TAU, SPECS
+from .series import WeightSeries, series_from_config, weight_vector
+from .spec import DEFAULT_TAU, SPECS, level_budget, sidak_levels
 
 
 @dataclass(frozen=True, slots=True)
@@ -56,25 +56,33 @@ def _check_p(p) -> float:
     return p
 
 
-def sidak_level(budget: float, g: float) -> float:
-    """1 - (1-budget)^g, stable for g as small as ~1e-300.
+class TracePrefix(Sequence):
+    """Read-only view of the first ``n`` decisions of an append-only trace.
 
-    Evaluated in the log domain so tiny exponents do not round the level
-    to zero.  The endpoints g=0 and g=1 are returned exactly.
+    Indices, negative ones and slices included, stay inside the view, so a
+    kept view reads the same decisions however far the trace grows.
     """
-    if g <= 0.0:
-        return 0.0
-    if g >= 1.0:
-        return budget
-    return -math.expm1(g * math.log1p(-budget))
+
+    __slots__ = ("_trace", "_n")
+
+    def __init__(self, trace: list, n: int):
+        self._trace, self._n = trace, n
+
+    def __len__(self) -> int:
+        return self._n
+
+    def __getitem__(self, j):
+        if isinstance(j, slice):
+            return tuple(self._trace[m] for m in range(self._n)[j])
+        return self._trace[range(self._n)[j]]
 
 
 class Schedule:
     """A per-step hyperparameter: constant, explicit sequence, or callable.
 
     Callables receive only the visible trace prefix (decisions the current
-    step is allowed to depend on), which enforces predictability by
-    construction rather than trust.
+    step is allowed to depend on) as a :class:`TracePrefix`, which enforces
+    predictability by construction rather than trust.
     """
 
     __slots__ = ("name", "_const", "_seq", "_fn", "_lo", "_hi", "_lo_open", "_hi_open")
@@ -139,7 +147,7 @@ def _level_map(family: str, budget: float, weight, recycled):
     if family == "spending":
         return lambda t, tau, lam: budget * (tau - lam) * weight(t)
     if family == "sidak":
-        return lambda t, tau, lam: tau * sidak_level(budget, (tau - lam) / tau * weight(t))
+        return lambda t, tau, lam: tau * sidak_levels(budget, ((tau - lam) / tau * weight(t),))[0]
     mass = recycled.mass
     return lambda t, tau, lam: tau * (budget * weight(t) + mass(t))
 
@@ -159,23 +167,10 @@ class OnlineProcedure:
         self.spec = spec = SPECS[self.kind]
         if not (isinstance(alpha, (int, float)) and 0.0 < alpha < 1.0):
             raise ConfigError(f"alpha must lie in (0, 1), got {alpha!r}")
-        if not (isinstance(k, int) and k >= 1):
-            raise ConfigError(f"k must be a positive integer, got {k!r}")
-        if k > 1 and not spec.pfer:
-            raise ConfigError(
-                f"{self.kind} does not control PFER; k-FWER wrapping is only valid "
-                "for spending-family procedures"
-            )
         self.alpha = float(alpha)
-        self.k = int(k)
-        self.budget = self.k * self.alpha
+        self.budget = level_budget(self.kind, self.alpha, k)
+        self.k = k
         self._saturating = self.budget >= 1.0
-        if self._saturating:
-            warnings.warn(
-                f"k*alpha = {self.budget} >= 1: test levels may saturate and will be "
-                "clamped below tau_i and 1",
-                stacklevel=2,
-            )
         self.series: WeightSeries = series_from_config(series)
         self.trace: list[Decision] = []
 
@@ -212,7 +207,7 @@ class OnlineProcedure:
         return tau, lam
 
     def _thresholds(self, i: int, visible: int) -> tuple[float, float]:
-        prefix = tuple(self.trace[:visible]) if self._needs_prefix else None
+        prefix = TracePrefix(self.trace, visible) if self._needs_prefix else None
         return self._check(self._tau.value(i, prefix), self._lam.value(i, prefix))
 
     @property
@@ -355,18 +350,7 @@ class ExplicitWeights(FallbackWeights):
     _EMPTY = np.empty(0)
 
     def __init__(self, rows):
-        self._rows = []
-        for k, row in enumerate(rows, start=1):
-            arr = np.asarray(list(row), dtype=np.float64)
-            if arr.ndim != 1:
-                raise ConfigError("each fallback weight row must be a flat list")
-            if arr.size and (not np.all(np.isfinite(arr)) or np.any(arr < 0.0)):
-                raise ConfigError(f"fallback weight row {k} has negative or non-finite entries")
-            total = math.fsum(arr.tolist())
-            if total > 1.0 + 1e-12:
-                raise ConfigError(f"fallback weight row {k} sums to {total} > 1")
-            arr.flags.writeable = False
-            self._rows.append(arr)
+        self._rows = [weight_vector(row, f"fallback weight row {k}")[0] for k, row in enumerate(rows, start=1)]
 
     def weight(self, k: int, i: int) -> float:
         if 1 <= k <= len(self._rows):
@@ -399,8 +383,8 @@ def weights_from_config(cfg, series) -> FallbackWeights:
     if kind in ("lagged-gamma", "lagged"):
         return LaggedSeriesWeights(series)
     if kind == "explicit":
-        if "rows" not in cfg:
-            raise ConfigError("explicit fallback weights config needs 'rows'")
+        if not isinstance(cfg.get("rows"), list):
+            raise ConfigError("explicit fallback weights config needs a list of 'rows'")
         return ExplicitWeights(cfg["rows"])
     raise ConfigError(f"unknown fallback weights kind {cfg['kind']!r}")
 

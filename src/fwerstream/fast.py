@@ -19,6 +19,7 @@ from .config import ProcedureConfig
 from .core import Decision, OneStepWeights
 from .errors import StreamError
 from .series import series_from_config
+from .spec import sidak_levels
 
 
 @dataclass
@@ -64,20 +65,6 @@ def _check_p_array(p) -> np.ndarray:
         bad = int(np.flatnonzero(np.isnan(arr) | (arr < 0.0) | (arr > 1.0))[0])
         raise StreamError(f"p-value out of [0, 1] at position {bad + 1}: {arr[bad]}")
     return arr
-
-
-def _sidak_levels(budget: float, beta: np.ndarray) -> np.ndarray:
-    # elementwise math.expm1 keeps the scalar and vector paths bit-identical
-    log1m = math.log1p(-budget)
-    out = np.empty(beta.size)
-    for j, b in enumerate(beta.tolist()):
-        if b <= 0.0:
-            out[j] = 0.0
-        elif b >= 1.0:
-            out[j] = budget
-        else:
-            out[j] = -math.expm1(b * log1m)
-    return out
 
 
 def _clamp_saturated(levels: np.ndarray, cap: float) -> np.ndarray:
@@ -126,7 +113,7 @@ def make_runner(cfg: ProcedureConfig, batch_ids=None):
         if spec.family == "spending":
             levels = budget * (tau - lam) * gam
         elif spec.family == "sidak":
-            levels = tau * _sidak_levels(budget, (tau - lam) / tau * gam)
+            levels = tau * np.array(sidak_levels(budget, ((tau - lam) / tau * gam).tolist()))
         else:
             levels, rejected = _recycle(p, t, tau, budget * gam, weights)
         if spec.family != "fallback":

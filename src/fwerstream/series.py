@@ -30,19 +30,6 @@ from .errors import ConfigError
 # Relative half-width demanded of the normalizer bracket.
 NORMALIZER_RTOL = 1e-12
 
-_CHUNK = 1 << 20
-
-
-def _chunked_sum(term_fn, n: int) -> float:
-    """Sum term_fn over integer indices 1..n in chunks (vectorized)."""
-    total = 0.0
-    lo = 1
-    while lo <= n:
-        hi = min(lo + _CHUNK - 1, n)
-        total += float(np.sum(term_fn(np.arange(lo, hi + 1, dtype=np.float64))))
-        lo = hi + 1
-    return total
-
 
 class WeightSeries:
     """Base class: a nonnegative weight sequence with certified sum <= 1.
@@ -107,54 +94,35 @@ class WeightSeries:
         raise NotImplementedError
 
 
-def _certify(term_fn, tail_lo_fn, tail_hi_fn) -> tuple[float, float, float, int]:
-    """Double M until [S_M + tail_lo(M), S_M + tail_hi(M)] is 1e-12-tight.
+class PowerLawSeries(WeightSeries):
+    """gamma_i = u_i / Z for convex decreasing terms u_i with exponent q > 1.
 
-    Returns (z_lo, z_hi, partial_sum_at_M, M).  A small floating-point
-    slack proportional to machine epsilon is folded into the bracket.
+    Subclasses give ``_unnormalized`` and the trapezoid (``_tail_lo``) and
+    midpoint (``_tail_hi``) bounds on the tail sum_{i>m} u_i.
     """
-    m = 1 << 10
-    s = _chunked_sum(term_fn, m)
-    while True:
-        lo = tail_lo_fn(m)
-        hi = tail_hi_fn(m)
-        fp_slack = 64.0 * np.finfo(float).eps * s
-        z_lo = s + lo - fp_slack
-        z_hi = s + hi + fp_slack
-        if z_hi - z_lo <= 2.0 * NORMALIZER_RTOL * z_lo:
-            return z_lo, z_hi, s, m
-        if m >= (1 << 34):
-            raise RuntimeError("normalizer bracket failed to converge")
-        s += float(np.sum(term_fn(np.arange(m + 1, 2 * m + 1, dtype=np.float64))))
-        m *= 2
-
-
-class QSeries(WeightSeries):
-    """gamma_i = i^(-q) / Z(q) with Z(q) = sum_{i>=1} i^(-q), q > 1."""
-
-    kind = "q"
 
     def __init__(self, q: float):
         if not (isinstance(q, (int, float)) and math.isfinite(q) and q > 1.0):
-            raise ConfigError(f"q-series requires q > 1, got {q!r}")
+            raise ConfigError(f"{self.kind}-series requires q > 1, got {q!r}")
         super().__init__()
         self.q = float(q)
-        q_ = self.q
-
-        def tail_lo(m: int) -> float:
-            # trapezoid lower bound on sum_{i>m} i^-q
-            return (m + 1.0) ** (1.0 - q_) / (q_ - 1.0) + 0.5 * (m + 1.0) ** (-q_)
-
-        def tail_hi(m: int) -> float:
-            # midpoint upper bound (terms are convex)
-            return (m + 0.5) ** (1.0 - q_) / (q_ - 1.0)
-
-        self._z_lo, self._z_hi, _, _ = _certify(self._unnormalized, tail_lo, tail_hi)
+        self._z_lo, self._z_hi = self._certify()
         self._z = 0.5 * (self._z_lo + self._z_hi)
-        self._tail_lo_fn, self._tail_hi_fn = tail_lo, tail_hi
 
-    def _unnormalized(self, idx: np.ndarray) -> np.ndarray:
-        return idx ** (-self.q)
+    def _certify(self) -> tuple[float, float]:
+        """Double M from 1024 until [S_M + tail_lo(M), S_M + tail_hi(M)],
+        widened by 64 ulps of S_M, is 1e-12-tight."""
+        s, lo, m = 0.0, 1, 1 << 10
+        while True:
+            s += float(np.sum(self._unnormalized(np.arange(lo, m + 1, dtype=np.float64))))
+            fp_slack = 64.0 * np.finfo(float).eps * s
+            z_lo = s + self._tail_lo(m) - fp_slack
+            z_hi = s + self._tail_hi(m) + fp_slack
+            if z_hi - z_lo <= 2.0 * NORMALIZER_RTOL * z_lo:
+                return z_lo, z_hi
+            if m >= (1 << 34):
+                raise RuntimeError("normalizer bracket failed to converge")
+            lo, m = m + 1, 2 * m
 
     @property
     def normalizer(self) -> float:
@@ -164,54 +132,66 @@ class QSeries(WeightSeries):
         return self._z_lo, self._z_hi
 
     def tail_sum_bracket(self, n: int) -> tuple[float, float]:
-        return self._tail_lo_fn(n) / self._z_hi, self._tail_hi_fn(n) / self._z_lo
+        return self._tail_lo(n) / self._z_hi, self._tail_hi(n) / self._z_lo
 
     def config(self) -> dict:
-        return {"kind": "q", "q": self.q}
+        return {"kind": self.kind, "q": self.q}
 
 
-class LogQSeries(WeightSeries):
+class QSeries(PowerLawSeries):
+    """gamma_i = i^(-q) / Z(q) with Z(q) = sum_{i>=1} i^(-q), q > 1."""
+
+    kind = "q"
+
+    def _unnormalized(self, idx: np.ndarray) -> np.ndarray:
+        return idx ** (-self.q)
+
+    def _tail_lo(self, m: int) -> float:
+        # trapezoid lower bound on sum_{i>m} i^-q
+        return (m + 1.0) ** (1.0 - self.q) / (self.q - 1.0) + 0.5 * (m + 1.0) ** (-self.q)
+
+    def _tail_hi(self, m: int) -> float:
+        # midpoint upper bound (terms are convex)
+        return (m + 0.5) ** (1.0 - self.q) / (self.q - 1.0)
+
+
+class LogQSeries(PowerLawSeries):
     """gamma_i = u_i / Z with u_i = 1 / ((i+1) * log(i+1)^q), q > 1."""
 
     kind = "log-q"
-
-    def __init__(self, q: float):
-        if not (isinstance(q, (int, float)) and math.isfinite(q) and q > 1.0):
-            raise ConfigError(f"log-q-series requires q > 1, got {q!r}")
-        super().__init__()
-        self.q = float(q)
-        q_ = self.q
-
-        def u(y: float) -> float:
-            return 1.0 / (y * math.log(y) ** q_)
-
-        def tail_lo(m: int) -> float:
-            # i > m maps to y = i+1 >= m+2
-            return math.log(m + 2.0) ** (1.0 - q_) / (q_ - 1.0) + 0.5 * u(m + 2.0)
-
-        def tail_hi(m: int) -> float:
-            return math.log(m + 1.5) ** (1.0 - q_) / (q_ - 1.0)
-
-        self._z_lo, self._z_hi, _, _ = _certify(self._unnormalized, tail_lo, tail_hi)
-        self._z = 0.5 * (self._z_lo + self._z_hi)
-        self._tail_lo_fn, self._tail_hi_fn = tail_lo, tail_hi
 
     def _unnormalized(self, idx: np.ndarray) -> np.ndarray:
         y = idx + 1.0
         return 1.0 / (y * np.log(y) ** self.q)
 
-    @property
-    def normalizer(self) -> float:
-        return self._z
+    def _tail_lo(self, m: int) -> float:
+        # i > m maps to y = i+1 >= m+2
+        y = m + 2.0
+        return math.log(y) ** (1.0 - self.q) / (self.q - 1.0) + 0.5 * (1.0 / (y * math.log(y) ** self.q))
 
-    def normalizer_bracket(self) -> tuple[float, float]:
-        return self._z_lo, self._z_hi
+    def _tail_hi(self, m: int) -> float:
+        return math.log(m + 1.5) ** (1.0 - self.q) / (self.q - 1.0)
 
-    def tail_sum_bracket(self, n: int) -> tuple[float, float]:
-        return self._tail_lo_fn(n) / self._z_hi, self._tail_hi_fn(n) / self._z_lo
 
-    def config(self) -> dict:
-        return {"kind": "log-q", "q": self.q}
+def weight_vector(values, name: str) -> tuple[np.ndarray, float]:
+    """``values`` as a read-only flat float64 array of finite entries >= 0
+    summing to at most one (1e-12 slack), with its ``math.fsum`` total.
+
+    The one check behind explicit series and explicit fallback weight rows.
+    """
+    try:
+        w = np.asarray(list(values), dtype=np.float64)
+        if w.ndim != 1:
+            raise ValueError
+    except (TypeError, ValueError):
+        raise ConfigError(f"{name} must be a flat list of numbers") from None
+    if not np.all(np.isfinite(w)) or np.any(w < 0.0):
+        raise ConfigError(f"{name} has negative or non-finite entries")
+    total = math.fsum(w.tolist())
+    if total > 1.0 + 1e-12:
+        raise ConfigError(f"{name} sums to {total} > 1")
+    w.flags.writeable = False
+    return w, total
 
 
 class ExplicitSeries(WeightSeries):
@@ -225,15 +205,9 @@ class ExplicitSeries(WeightSeries):
 
     def __init__(self, weights):
         super().__init__()
-        w = np.asarray(list(weights), dtype=np.float64)
-        if w.ndim != 1 or w.size == 0:
-            raise ConfigError("explicit series needs a nonempty 1-d weight list")
-        if not np.all(np.isfinite(w)) or np.any(w < 0.0):
-            raise ConfigError("explicit series weights must be finite and >= 0")
-        total = math.fsum(w.tolist())
-        if total > 1.0 + 1e-12:
-            raise ConfigError(f"explicit series weights sum to {total} > 1")
-        w.flags.writeable = False
+        w, total = weight_vector(weights, "explicit series")
+        if w.size == 0:
+            raise ConfigError("explicit series needs a nonempty weight list")
         self._w = w
         self._total = min(total, 1.0)
 

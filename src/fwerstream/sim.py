@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import ndtr
 
-from .addis import LagSchedule
 from .config import ProcedureConfig
 from .errors import ConfigError
 from .fast import StreamResult, make_runner
@@ -55,12 +54,6 @@ class SimConfig:
         if self.block_size == 1:
             return None
         return np.arange(self.horizon) // self.block_size
-
-    def lags(self) -> LagSchedule:
-        """Lag schedule matching the block structure (zero lags if independent)."""
-        if self.block_size == 1:
-            return LagSchedule.constant(0)
-        return LagSchedule.from_batch_ids(self.batch_ids.tolist())
 
 
 @dataclass(frozen=True)
@@ -175,13 +168,7 @@ def estimate_metrics_many(
     """
     batch_ids = sim.batch_ids
     batch_list = batch_ids.tolist() if batch_ids is not None else None
-    runners = {}
-    for label, cfg in procedures.items():
-        if cfg.wants_batch_lags() and batch_list is None:
-            raise ConfigError(
-                f"{label}: lags derive from batch ids but the simulation has block_size=1"
-            )
-        runners[label] = make_runner(cfg, batch_ids=batch_list)
+    runners = {label: make_runner(cfg, batch_ids=batch_list) for label, cfg in procedures.items()}
     tallies = {label: ([], [], [], []) for label in procedures}
     for trial in range(sim.trials):
         stream = gen_stream(sim, trial)

@@ -12,7 +12,7 @@ not discard and lambda = 0 on rows that do not adapt, all rows share
 
   ==========  ==============================================================
   spending    ``k*alpha * (tau - lam) * gamma_t``
-  sidak       ``tau * sidak_level(k*alpha, ((tau - lam) / tau) * gamma_t)``
+  sidak       ``tau * sidak_levels(k*alpha, [((tau - lam) / tau) * gamma_t])``
   fallback    ``tau * (k*alpha * gamma_t + recycled(t))``
   ==========  ==============================================================
 
@@ -26,13 +26,18 @@ The scalar step (:class:`fwerstream.core.OnlineProcedure`), the batch runner
 (:func:`fwerstream.fast.make_runner`), the audit
 (:func:`fwerstream.audit.audit_trace`) and
 :meth:`fwerstream.config.ProcedureConfig.build` all read their rules from
-this table.  Only spending rows bound the PFER, so only they admit k-FWER
-budget inflation.
+this table.  :func:`sidak_levels` is the one Sidak kernel: the step calls
+it with one exponent, the runner once per stream.  Only spending rows bound
+the PFER, so only they admit k-FWER budget inflation (:func:`level_budget`).
 """
 
 from __future__ import annotations
 
+import math
+import warnings
 from dataclasses import dataclass
+
+from .errors import ConfigError
 
 DEFAULT_TAU = 0.5
 
@@ -73,3 +78,33 @@ SPECS = {
 }
 
 PROCEDURES = tuple(SPECS)
+
+
+def level_budget(kind: str, alpha: float, k) -> float:
+    """The level budget k * alpha of procedure ``kind``.
+
+    k must be a positive integer (not a boolean), and k > 1 only on rows
+    that bound the PFER.  A budget of at least one warns that levels will be
+    clamped; the warning names the frame that called the caller.
+    """
+    if isinstance(k, bool) or not (isinstance(k, int) and k >= 1):
+        raise ConfigError(f"k must be a positive integer, got {k!r}")
+    if k > 1 and not SPECS[kind].pfer:
+        raise ConfigError(f"k-FWER wrapping requires a PFER-controlling procedure, got {kind!r}")
+    budget = k * alpha
+    if budget >= 1.0:
+        warnings.warn(f"k*alpha = {budget} >= 1: test levels may saturate and will be clamped below tau_i and 1",
+                      stacklevel=3)
+    return budget
+
+
+def sidak_levels(budget: float, exponents) -> list[float]:
+    """1 - (1-budget)^g for each exponent g, stable for g as small as ~1e-300.
+
+    Evaluated in the log domain with ``math.expm1`` so tiny exponents do
+    not round the level to zero; g <= 0 and g >= 1 give 0 and ``budget``
+    exactly.  ``np.expm1`` differs from ``math.expm1`` in the last place on
+    some inputs, so every path calls this one kernel.
+    """
+    log1m = math.log1p(-budget)
+    return [0.0 if g <= 0.0 else budget if g >= 1.0 else -math.expm1(g * log1m) for g in exponents]

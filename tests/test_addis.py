@@ -142,6 +142,29 @@ class TestAddisSpending:
         proc.run([0.3, 0.6, 0.9])
         assert seen == [0, 1, 2]
 
+        # with lag 2 step i sees max(0, i-3) decisions; a kept prefix is a
+        # view that keeps reading the same decisions as the trace grows
+        kept = []
+
+        def keep_fn(prefix):
+            kept.append(prefix)
+            return 0.5
+
+        proc = AddisLocalSpending(0.2, Q2, tau=keep_fn, lam=0.25, lags=LagSchedule.constant(2))
+        proc.run([0.3, 0.01, 0.9, 0.2, 0.6, 0.1, 0.4])
+        assert [len(v) for v in kept] == [max(0, i - 3) for i in range(1, 8)]
+        for view in kept:
+            n = len(view)
+            assert list(view) == proc.trace[:n]
+            assert view[::-1] == tuple(proc.trace[:n][::-1])
+            assert view[1:] == tuple(proc.trace[1:n])
+            if n:
+                assert view[-1] is proc.trace[n - 1]
+            with pytest.raises(IndexError):
+                view[n]
+            with pytest.raises(IndexError):
+                view[-n - 1]
+
 
 class TestAddisLocal:
     def test_zero_lags_equal_addis(self):
@@ -217,3 +240,10 @@ class TestKfwerWrap:
     def test_saturation_warning(self):
         with pytest.warns(UserWarning):
             kfwer_wrap(ProcedureConfig(procedure="alpha-spending", alpha=0.3), 4)
+
+    def test_boolean_k_refused(self):
+        # k = True would pass an isinstance(k, int) check and mean k = 1
+        with pytest.raises(ConfigError):
+            kfwer_wrap(ProcedureConfig(procedure="alpha-spending", alpha=0.2), True)
+        with pytest.raises(ConfigError):
+            AlphaSpending(0.2, Q2, k=True)

@@ -237,7 +237,7 @@ class TestValidate:
     @pytest.mark.parametrize("key,value", [
         ("tau", True), ("lambda", False), ("tau", [0.5, True]), ("lambda", [False]),
         ("lags", True), ("lags", [0, True]), ("lags", {"kind": "constant", "value": True}),
-        ("tau", "0.5"), ("lambda", [0.1, "x"]),
+        ("tau", "0.5"), ("lambda", [0.1, "x"]), ("series", {"kind": "explicit", "weights": ["x"]}),
     ])
     def test_non_number_where_a_number_is_wanted(self, tmp_path, capsys, key, value):
         cfg = tmp_path / "bool.json"
@@ -254,6 +254,14 @@ class TestValidate:
         cfg.write_text(json.dumps({"procedure": "online-fallback", "alpha": 0.2,
                                    "weights": {"kind": "explicit", "rows": [[0.9, 0.9]]}}))
         assert main(["validate", "--config", str(cfg)]) == 3
+        # rows or entries that are not numbers are config errors too, in validate and in run
+        inp = tmp_path / "in.csv"
+        write_stream(inp, [0.3])
+        for rows in ([["x"]], 5):
+            cfg.write_text(json.dumps({"procedure": "online-fallback", "alpha": 0.2,
+                                       "weights": {"kind": "explicit", "rows": rows}}))
+            assert main(["validate", "--config", str(cfg)]) == 3
+            assert main(["run", "--input", str(inp), "--out", str(tmp_path / "o.csv"), "--config", str(cfg)]) == 3
 
 
 class TestRoundTrip:
