@@ -78,6 +78,8 @@ def _as_result(trace, config: ProcedureConfig | None) -> StreamResult:
 def audit_trace(trace, config: ProcedureConfig | None = None) -> AuditReport:
     """Audit a completed trace (a StreamResult or a list of Decisions)."""
     r = _as_result(trace, config)
+    if r.levels.ndim != 1:
+        raise AuditError("audit one stream at a time, not a block of streams")
     spec = SPECS[r.procedure]
     levels, rej, n = r.levels, r.rejected, len(r)
     checks = [

@@ -7,7 +7,7 @@ the rows of :data:`fwerstream.spec.SPECS`, with the short aliases below.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .addis import BATCH_KINDS, AdaptiveSpending, AddisLocalSpending, AddisSpending, DiscardSpending, lags_from_config
 from .core import AlphaSpending, OnlineFallback, OnlineFallback1, OnlineSidak
@@ -92,8 +92,9 @@ class ProcedureConfig:
                 findings.append(f"series normalizer bracket too wide: [{z_lo}, {z_hi}]")
         except (ConfigError, ValueError) as exc:
             findings.append(f"series: {exc}")
+            series = _default_series()  # reported once; check the other options against a valid series
         try:
-            self.build(batch_ids=[])
+            replace(self, series=series).build(batch_ids=[])
         except (ConfigError, ValueError) as exc:
             findings.append(str(exc))
         return findings

@@ -1,11 +1,22 @@
 """Whole-stream runners for the simulation harness.
 
 ``make_runner`` compiles a :class:`ProcedureConfig` into a function that
-maps a p-value vector to a :class:`StreamResult` (columnar trace).  For
-constant tau and lambda the runner computes the index rule and level map
-of the procedure's row in :data:`fwerstream.spec.SPECS` with the same
+maps one p-value stream of shape (T,), or a block of streams of shape
+(rows, T), to a :class:`StreamResult` (columnar trace of the same shape).
+For constant tau and lambda the runner computes the index rule and level
+map of the procedure's row in :data:`fwerstream.spec.SPECS` with the same
 float operations as the step scheduler, so both give bit-identical traces;
-anything fancier falls back to the step-by-step scheduler.
+anything fancier falls back to the step-by-step scheduler, row by row.
+
+Spending and Sidak levels depend on the series index t alone, so each
+runner evaluates its level map once per t into a memoized table and
+gathers ``table[t-1]``.  Fallback levels carry recycled mass, so
+:func:`_recycle` loops over counted positions m = 1, 2, ... (the series
+index of the selected steps) with every row of the block at the same m:
+a row that rejects at m adds ``a * weights.span(m, .)`` to its own
+positions m+1, ....  Each position therefore sums its terms in ascending
+m, the order in which :class:`fwerstream.core.RecycleBuffer` adds them, and
+the block rows stay bit-identical to the step scheduler.
 """
 
 from __future__ import annotations
@@ -16,15 +27,20 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .config import ProcedureConfig
-from .core import Decision, OneStepWeights
+from .core import Decision
 from .errors import StreamError
 from .series import series_from_config
 from .spec import sidak_levels
 
 
+_COLUMNS = ("p", "levels", "rejected", "selected", "candidate", "tau", "lam")
+
+
 @dataclass
 class StreamResult:
-    """Columnar decision trace for one run of one procedure."""
+    """Columnar decision trace of one procedure on one stream, or on a block
+    of streams with one row each; ``tau`` and ``lam`` may be read-only
+    broadcast views."""
 
     procedure: str
     alpha: float
@@ -45,8 +61,10 @@ class StreamResult:
         return self.k * self.alpha
 
     def decisions(self) -> list[Decision]:
-        columns = (self.p, self.levels, self.rejected, self.selected, self.candidate, self.tau, self.lam)
-        return [Decision(i, *row) for i, row in enumerate(zip(*(c.tolist() for c in columns)), start=1)]
+        if self.p.ndim != 1:
+            raise StreamError("decisions() lists one stream; take a row of the block first")
+        columns = (getattr(self, c).tolist() for c in _COLUMNS)
+        return [Decision(i, *row) for i, row in enumerate(zip(*columns), start=1)]
 
 
 def from_decisions(cfg: ProcedureConfig, decisions) -> StreamResult:
@@ -59,30 +77,30 @@ def from_decisions(cfg: ProcedureConfig, decisions) -> StreamResult:
 
 def _check_p_array(p) -> np.ndarray:
     arr = np.asarray(p, dtype=np.float64)
-    if arr.ndim != 1:
-        raise StreamError("p-values must form a 1-d sequence")
-    if arr.size and (np.any(np.isnan(arr)) or arr.min() < 0.0 or arr.max() > 1.0):
-        bad = int(np.flatnonzero(np.isnan(arr) | (arr < 0.0) | (arr > 1.0))[0])
-        raise StreamError(f"p-value out of [0, 1] at position {bad + 1}: {arr[bad]}")
+    if arr.ndim not in (1, 2):
+        raise StreamError("p-values must form a 1-d stream or a 2-d block of streams")
+    bad = np.isnan(arr) | (arr < 0.0) | (arr > 1.0)
+    if np.any(bad):
+        at = np.argwhere(bad)[0]
+        where = f"row {at[0] + 1}, position {at[1] + 1}" if arr.ndim == 2 else f"position {at[0] + 1}"
+        raise StreamError(f"p-value out of [0, 1] at {where}: {arr[tuple(at)]}")
     return arr
 
 
-def _clamp_saturated(levels: np.ndarray, cap: float) -> np.ndarray:
-    hot = levels >= cap
-    if np.any(hot):
-        levels = levels.copy()
-        levels[hot] = math.nextafter(cap, 0.0)
-    return levels
-
-
 def make_runner(cfg: ProcedureConfig, batch_ids=None):
-    """Compile ``cfg`` into a reusable ``run(p) -> StreamResult`` function."""
+    """Compile ``cfg`` into a reusable ``run(p) -> StreamResult`` function.
+
+    ``p`` is one stream of shape (T,) or a block of streams of shape
+    (rows, T), and every column of the result takes its shape.
+    """
     cfg = replace(cfg, series=series_from_config(cfg.series))
     probe = cfg.build(batch_ids=batch_ids)  # full validation + k*alpha warning happen once
     if probe.thresholds is None:  # tau or lambda vary by step
 
         def run_slow(p):
-            return from_decisions(cfg, cfg.build(batch_ids=batch_ids).run(_check_p_array(p)))
+            p = _check_p_array(p)
+            res = from_decisions(cfg, [d for row in np.atleast_2d(p) for d in cfg.build(batch_ids=batch_ids).run(row)])
+            return replace(res, **{c: getattr(res, c).reshape(p.shape) for c in _COLUMNS})
 
         return run_slow
 
@@ -92,77 +110,78 @@ def make_runner(cfg: ProcedureConfig, batch_ids=None):
     budget = probe.budget
     lags = probe.lags
     weights = probe.weights
+    table = np.empty(0)
+
+    def level_table(n):  # the level (fallback: base level) by series index t, for t <= n at least
+        nonlocal table
+        if table.size < n:
+            gam = series.weights_upto(1 << max(10, (n - 1).bit_length()))
+            if spec.family == "spending":
+                table = budget * (tau - lam) * gam
+            elif spec.family == "sidak":
+                table = tau * np.array(sidak_levels(budget, ((tau - lam) / tau * gam).tolist()))
+            else:
+                table = budget * gam
+            if budget >= 1.0:  # a saturating k-FWER budget clamps levels below min(tau, 1)
+                table = np.minimum(table, math.nextafter(min(tau, 1.0), 0.0))
+        return table
 
     def run(p):
         p = _check_p_array(p)
-        n = p.size
-        selected = p <= tau if spec.discards else np.ones(n, dtype=bool)
-        candidate = p <= lam if spec.adapts else np.zeros(n, dtype=bool)
+        block = np.atleast_2d(p)  # a single stream is a block of one row
+        n = block.shape[1]
+        selected = block <= tau if spec.discards else np.ones(block.shape, dtype=bool)
+        candidate = block <= lam if spec.adapts else np.zeros(block.shape, dtype=bool)
         if lags is None and not (spec.discards or spec.adapts):  # every step is counted
-            t = np.arange(1, n + 1)
-            gam = series.weights_upto(n)
+            t0 = np.broadcast_to(np.arange(n), block.shape)  # series index t - 1
         else:
-            counted = np.concatenate(([0], np.cumsum(selected & ~candidate)))
+            counted = np.zeros((block.shape[0], n + 1), dtype=np.intp)
+            np.cumsum(selected & ~candidate, axis=1, out=counted[:, 1:])
             if lags is None:
-                t = 1 + counted[:n]
+                t0 = counted[:, :n]
             else:
-                lag = np.asarray(lags.values_upto(n), dtype=np.int64)
-                idx = np.arange(n, dtype=np.int64)
-                t = 1 + np.minimum(lag, idx) + counted[np.maximum(0, idx - lag)]
-            gam = series.weights_upto(n)[t - 1]
-        if spec.family == "spending":
-            levels = budget * (tau - lam) * gam
-        elif spec.family == "sidak":
-            levels = tau * np.array(sidak_levels(budget, ((tau - lam) / tau * gam).tolist()))
+                lag = np.asarray(lags.values_upto(n), dtype=np.intp)
+                idx = np.arange(n, dtype=np.intp)
+                t0 = counted[:, np.maximum(0, idx - lag)]
+                t0 += np.minimum(lag, idx)
+        if spec.family == "fallback":
+            levels = _recycle(block, selected, t0, tau, level_table(n), weights)
         else:
-            levels, rejected = _recycle(p, t, tau, budget * gam, weights)
-        if spec.family != "fallback":
-            if budget >= 1.0:
-                levels = _clamp_saturated(levels, min(tau, 1.0))
-            rejected = (p <= levels) & (levels > 0.0)
-        return StreamResult(cfg.procedure, cfg.alpha, cfg.k, p, levels, rejected, selected, candidate,
-                            np.full(n, tau), np.full(n, lam))
+            levels = level_table(n)[t0]
+        rejected = (block <= levels) & (levels > 0.0)
+        return StreamResult(cfg.procedure, cfg.alpha, cfg.k, p, levels.reshape(p.shape),
+                            rejected.reshape(p.shape), selected.reshape(p.shape), candidate.reshape(p.shape),
+                            np.broadcast_to(tau, p.shape), np.broadcast_to(lam, p.shape))
 
     return run
 
 
-def _recycle(p, t, tau, base, weights):
-    """Levels tau * (base_i + recycled(t_i)) and rejections, step by step.
-
-    ``base`` holds k*alpha*gamma_t per step.  A rejection at position t
-    hands its level on through ``weights``; with one-step weights the whole
-    level waits in a carry for the next selected step.  Additions to each
-    position happen in ascending t, the order of
-    :class:`fwerstream.core.RecycleBuffer`.
+def _recycle(p, selected, t0, tau, base, weights):
+    """Fallback levels tau * (base_t + recycled(t)) of a block of streams, by
+    counted position (see the module docstring); ``base`` and ``t0`` are 0-based
+    in t.  Column m-1 of ``pc`` holds each row's p-value at its m-th selected
+    step; a non-selected step reads the level of the position it waits at.
     """
-    n = p.size
-    levels = np.empty(n)
-    rejected = np.zeros(n, dtype=bool)
-    p_list = p.tolist()
-    base = base.tolist()
-    if isinstance(weights, OneStepWeights):
-        carry = 0.0
-        for i in range(n):
-            a = tau * (base[i] + carry)
-            levels[i] = a
-            pi = p_list[i]
-            if pi <= a and a > 0.0:
-                rejected[i] = True
-                carry = a
-            elif pi <= tau:  # selected without rejecting: the next position gets nothing
-                carry = 0.0
-    else:
-        t = t.tolist()
-        extra = np.zeros(n + 2)  # recycled mass by position
-        for i in range(n):
-            m = t[i]
-            a = tau * (base[i] + extra.item(m))
-            levels[i] = a
-            if p_list[i] <= a and a > 0.0:
-                rejected[i] = True
-                span = weights.span(m, n)
-                extra[m + 1 : m + 1 + span.size] += a * span
-    return levels, rejected
+    rows, n = p.shape
+    if tau < 1.0:
+        counts = selected.sum(axis=1)
+        width = min(int(counts.max(initial=0)) + 1, n)
+        pc = np.full((rows, width), np.inf)
+        pc[np.arange(width) < counts[:, None]] = p[selected]
+    else:  # every step is selected: positions are steps
+        pc, width = p, n
+    out = np.zeros((rows, width))  # recycled mass by position, turned into the level once reached
+    base = base[:width].tolist()
+    for j in range(width):
+        a = out[:, j]
+        a += base[j]
+        if tau != 1.0:
+            a *= tau
+        r = (pc[:, j] <= a).nonzero()[0]  # a level of zero may "reject" here: it adds zeros
+        if r.size:
+            span = weights.span(j + 1, width)
+            out[r, j + 1 : j + 1 + span.size] += a[r, None] * span
+    return out if tau == 1.0 else np.take_along_axis(out, t0, axis=1)
 
 
 def run_stream(cfg: ProcedureConfig, p, batch_ids=None) -> StreamResult:

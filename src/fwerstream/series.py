@@ -180,7 +180,10 @@ def weight_vector(values, name: str) -> tuple[np.ndarray, float]:
     The one check behind explicit series and explicit fallback weight rows.
     """
     try:
-        w = np.asarray(list(values), dtype=np.float64)
+        values = list(values)
+        if any(isinstance(v, (bool, np.bool_, str, bytes)) for v in values):
+            raise TypeError
+        w = np.asarray(values, dtype=np.float64)
         if w.ndim != 1:
             raise ValueError
     except (TypeError, ValueError):

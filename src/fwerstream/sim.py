@@ -19,8 +19,13 @@ from scipy.special import ndtr
 
 from .config import ProcedureConfig
 from .errors import ConfigError
-from .fast import StreamResult, make_runner
+from .fast import make_runner
 from .power import GaussianMixModel
+
+# Stream elements (trials x horizon) simulated and run per block of trials:
+# large enough that per-call overhead is amortized, small enough that the
+# block's temporaries stay a few hundred kilobytes.
+TRIAL_BLOCK_ELEMENTS = 32_768
 
 
 @dataclass(frozen=True)
@@ -165,27 +170,32 @@ def estimate_metrics_many(
 
     Sharing streams across procedures gives paired comparisons and is how
     the power curves behind the standard experiment grids are produced.
+    Trials are simulated into blocks of rows and every runner takes a whole
+    block per call.
     """
     batch_ids = sim.batch_ids
     batch_list = batch_ids.tolist() if batch_ids is not None else None
     runners = {label: make_runner(cfg, batch_ids=batch_list) for label, cfg in procedures.items()}
-    tallies = {label: ([], [], [], []) for label in procedures}
-    for trial in range(sim.trials):
-        stream = gen_stream(sim, trial)
-        nulls = ~stream.labels
-        n_nonnull = int(stream.labels.sum())
+    n, horizon = sim.trials, sim.horizon
+    tallies = {label: np.zeros((3, n), dtype=np.int64) for label in procedures}  # V, D, R by trial
+    n_nonnull = np.zeros(n, dtype=np.int64)
+    rows = max(1, min(n, TRIAL_BLOCK_ELEMENTS // horizon))
+    p = np.empty((rows, horizon))
+    labels = np.empty((rows, horizon), dtype=bool)
+    for start in range(0, n, rows):
+        stop = min(start + rows, n)
+        for r, trial in enumerate(range(start, stop)):
+            stream = gen_stream(sim, trial)
+            p[r], labels[r] = stream.p, stream.labels
+        block, signal = p[: stop - start], labels[: stop - start]
+        nulls = ~signal
+        n_nonnull[start:stop] = signal.sum(axis=1)
         for label, run in runners.items():
-            res: StreamResult = run(stream.p)
-            rej = res.rejected
-            v_t, d_t = (int(np.sum(rej & nulls)), int(np.sum(rej & stream.labels)))
-            acc = tallies[label]
-            acc[0].append(v_t)
-            acc[1].append(d_t)
-            acc[2].append(n_nonnull)
-            acc[3].append(int(rej.sum()))
+            rej = run(block).rejected
+            tallies[label][:, start:stop] = (rej & nulls).sum(axis=1), (rej & signal).sum(axis=1), rej.sum(axis=1)
     return {
-        label: _summarize(procedures[label], sim, *tallies[label], keep_trials)
-        for label in procedures
+        label: _summarize(procedures[label], sim, v, d, n_nonnull.copy(), n_rej, keep_trials)
+        for label, (v, d, n_rej) in tallies.items()
     }
 
 

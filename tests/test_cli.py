@@ -238,6 +238,8 @@ class TestValidate:
         ("tau", True), ("lambda", False), ("tau", [0.5, True]), ("lambda", [False]),
         ("lags", True), ("lags", [0, True]), ("lags", {"kind": "constant", "value": True}),
         ("tau", "0.5"), ("lambda", [0.1, "x"]), ("series", {"kind": "explicit", "weights": ["x"]}),
+        ("series", {"kind": "explicit", "weights": ["0.5", True]}),
+        ("series", {"kind": "explicit", "weights": [True]}),
     ])
     def test_non_number_where_a_number_is_wanted(self, tmp_path, capsys, key, value):
         cfg = tmp_path / "bool.json"
@@ -249,6 +251,14 @@ class TestValidate:
         assert main(["run", "--input", str(inp), "--out", str(tmp_path / "o.csv"), "--config", str(cfg)]) == 3
         assert "config error" in capsys.readouterr().err
 
+    def test_bad_series_reported_once(self, tmp_path, capsys):
+        cfg = tmp_path / "series.json"
+        cfg.write_text(json.dumps({"procedure": "alpha-spending", "alpha": 0.2,
+                                   "series": {"kind": "explicit", "weights": ["x"]}}))
+        assert main(["validate", "--config", str(cfg)]) == 3
+        out = capsys.readouterr().out
+        assert out == "FAIL alpha-spending: series: explicit series must be a flat list of numbers\n"
+
     def test_fallback_row_sums_checked(self, tmp_path):
         cfg = tmp_path / "w.json"
         cfg.write_text(json.dumps({"procedure": "online-fallback", "alpha": 0.2,
@@ -257,7 +267,7 @@ class TestValidate:
         # rows or entries that are not numbers are config errors too, in validate and in run
         inp = tmp_path / "in.csv"
         write_stream(inp, [0.3])
-        for rows in ([["x"]], 5):
+        for rows in ([["x"]], 5, [[True]], [["0.5"]], [[0.5, False]]):
             cfg.write_text(json.dumps({"procedure": "online-fallback", "alpha": 0.2,
                                        "weights": {"kind": "explicit", "rows": rows}}))
             assert main(["validate", "--config", str(cfg)]) == 3

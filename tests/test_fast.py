@@ -5,6 +5,7 @@ import pytest
 
 from fwerstream import ProcedureConfig, make_runner
 from fwerstream.core import RecycleBuffer
+from fwerstream.errors import StreamError
 from fwerstream.fast import from_decisions
 
 CONFIGS = [
@@ -101,6 +102,12 @@ def test_decisions_roundtrip():
     assert from_decisions(cfg, fast.decisions()).levels.tolist() == fast.levels.tolist()
 
 
+def test_decisions_take_one_stream():
+    res = make_runner(CONFIGS[0])(np.full((2, 5), 0.5))
+    with pytest.raises(StreamError, match="one stream"):
+        res.decisions()
+
+
 GROWTH_CONFIGS = [
     ProcedureConfig(procedure="online-fallback", alpha=0.2, series={"kind": "log-q", "q": 2.0}),
     # row 1 spans two capacity doublings; the short rows cross the first boundaries
@@ -159,3 +166,71 @@ def test_scalar_equals_runner_across_buffer_growth(cfg, length):
     assert reached <= rejected_at
     if length == 3000:
         assert {2 * FIRST_CAPACITY - 1, 2 * FIRST_CAPACITY, 2 * FIRST_CAPACITY + 1} <= rejected_at
+
+
+CALLABLE_TAU = ProcedureConfig(procedure="addis-spending", alpha=0.2, series={"kind": "q", "q": 2.0},
+                               tau=lambda prefix: 0.5, lam=0.25)
+# base levels of zero after the second index: only recycled levels can reject there
+ZERO_BASE = [
+    ProcedureConfig(procedure="online-fallback", alpha=0.2, series={"kind": "explicit", "weights": [0.5, 0.3]},
+                    weights={"kind": "one-step"}),
+    ProcedureConfig(procedure="discard-fallback", alpha=0.2, series={"kind": "explicit", "weights": [0.5, 0.3]},
+                    tau=0.5),
+]
+
+
+def _block(n: int, rows: int, seed: int) -> np.ndarray:
+    """Rows from dense (every step near zero) to sparse (uniform), one above every
+    tau in the tests, and one with exact zeros, so discarding rows count
+    different numbers of selected steps."""
+    rng = np.random.default_rng(seed)
+    block = rng.random((rows, n)) * np.array([0.02, 0.3, 1.0, 1.0, 0.05, 1.0])[:rows, None]
+    block[rows - 1] = 0.95
+    block[2, ::17] = 0.0
+    return block
+
+
+def _assert_rows_match(cfg, res, block, runner, batch_ids):
+    columns = (("levels", "alpha"), ("rejected", "rejected"), ("selected", "selected"),
+               ("candidate", "candidate"), ("tau", "tau"), ("lam", "lam"))
+    for col, _ in columns + (("p", "p"),):
+        assert getattr(res, col).shape == block.shape
+    for r, row in enumerate(block):
+        one = runner(row)
+        steps = cfg.build(batch_ids=batch_ids).run(row)
+        for col, field in columns:
+            assert getattr(res, col)[r].tolist() == getattr(one, col).tolist() == [getattr(d, field) for d in steps]
+
+
+@pytest.mark.parametrize("cfg", CONFIGS + [CALLABLE_TAU] + ZERO_BASE, ids=_ids)
+def test_block_rows_equal_single_streams_and_step(cfg):
+    n = 400
+    batch_ids = [i // 7 for i in range(n)] if cfg.wants_batch_lags() else None
+    runner = make_runner(cfg, batch_ids=batch_ids)
+    block = _block(n, 6, seed=5)
+    _assert_rows_match(cfg, runner(block), block, runner, batch_ids)
+    _assert_rows_match(cfg, runner(block[1:2]), block[1:2], runner, batch_ids)  # shape (1, n)
+    empty = runner(block[:, :0])  # shape (rows, 0)
+    assert empty.levels.shape == empty.rejected.shape == empty.tau.shape == (6, 0)
+    single = runner(block[0])  # a 1-d stream keeps its shape
+    assert single.levels.shape == single.rejected.shape == single.lam.shape == (n,)
+
+
+@pytest.mark.parametrize("cfg", GROWTH_CONFIGS, ids=_ids)
+def test_block_rows_equal_single_streams_across_buffer_growth(cfg):
+    tau = 1.0 if cfg.tau is None else cfg.tau
+    block = _block(1100, 4, seed=6)
+    block[0] = _growth_stream(1100, tau, seed=1)
+    _assert_rows_match(cfg, make_runner(cfg)(block), block, make_runner(cfg), None)
+
+
+def test_bad_p_value_names_its_row_and_position():
+    runner = make_runner(CONFIGS[0])
+    block = np.full((3, 5), 0.5)
+    block[1, 3] = 1.5
+    with pytest.raises(StreamError, match=r"row 2, position 4: 1\.5"):
+        runner(block)
+    with pytest.raises(StreamError, match=r"at position 4: 1\.5"):
+        runner(block[1])
+    with pytest.raises(StreamError, match="2-d block"):
+        runner(block[None])

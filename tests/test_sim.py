@@ -7,6 +7,7 @@ import pytest
 from scipy import stats
 
 from fwerstream import (
+    PROCEDURES,
     ConfigError,
     GaussianMixModel,
     ProcedureConfig,
@@ -17,8 +18,10 @@ from fwerstream import (
     estimate_metrics_many,
     gen_stream,
     make_runner,
+    run_stream,
 )
 from fwerstream.errors import AuditError
+from fwerstream.sim import TRIAL_BLOCK_ELEMENTS
 
 LOG2 = {"kind": "log-q", "q": 2.0}
 
@@ -142,6 +145,27 @@ class TestEstimateMetrics:
         rep = estimate_metrics(kfwer_wrap(base, 2), cfg, keep_trials=True)
         assert rep.fwer == np.mean(rep.per_trial["v"] >= 2)
 
+    def test_trial_blocks_match_a_per_trial_loop(self):
+        # three rows per block: two full blocks and a remainder of two trials
+        horizon = TRIAL_BLOCK_ELEMENTS // 3
+        assert TRIAL_BLOCK_ELEMENTS // horizon == 3
+        cfg = sim(pi=0.3, mu_n=-0.5, horizon=horizon, trials=8, block_size=3)
+        procs = {name: ProcedureConfig(procedure=name, alpha=0.2, series=LOG2,
+                                       lags={"kind": "from-batch-ids"} if name == "addis-spending-local" else None)
+                 for name in PROCEDURES}
+        reports = estimate_metrics_many(procs, cfg, keep_trials=True)
+        for name, proc in procs.items():
+            want = {"v": [], "d": [], "n_nonnull": [], "n_rejections": []}
+            for trial in range(cfg.trials):
+                stream = gen_stream(cfg, trial)
+                rej = run_stream(proc, stream.p, batch_ids=stream.batch_ids.tolist()).rejected
+                want["v"].append(int(np.sum(rej & ~stream.labels)))
+                want["d"].append(int(np.sum(rej & stream.labels)))
+                want["n_nonnull"].append(int(stream.labels.sum()))
+                want["n_rejections"].append(int(rej.sum()))
+            got = reports[name].per_trial
+            assert {key: got[key].tolist() for key in want} == want, name
+
 
 class TestAuditTrace:
     def _trace(self, name, seed=0, n=400, **cfg_kw):
@@ -191,6 +215,11 @@ class TestAuditTrace:
         scheduler = cfg.build()
         scheduler.run(np.random.default_rng(2).random(100))
         assert audit_trace(scheduler.trace, cfg).passed
+
+    def test_block_of_streams_is_refused(self):
+        cfg = ProcedureConfig(procedure="alpha-spending", alpha=0.2, series=LOG2)
+        with pytest.raises(AuditError, match="one stream at a time"):
+            audit_trace(make_runner(cfg)(np.full((2, 10), 0.5)), cfg)
 
     def test_sidak_product_honors_tolerance(self):
         result, cfg = self._trace("online-sidak", n=3000)
