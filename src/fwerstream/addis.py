@@ -86,12 +86,13 @@ class LagSchedule:
             raise ConfigError(f"lag schedule has {len(self._values)} entries; step {i} requested")
         return self._values[i - 1]
 
-    def values_upto(self, n: int) -> list[int]:
+    def values(self, start: int, stop: int) -> list[int]:
+        """The lags L_{start+1}, ..., L_stop."""
         if self._constant is not None:
-            return [self._constant] * n
-        if n > len(self._values):
-            raise ConfigError(f"lag schedule has {len(self._values)} entries; {n} requested")
-        return self._values[:n]
+            return [self._constant] * (stop - start)
+        if stop > len(self._values):
+            raise ConfigError(f"lag schedule has {len(self._values)} entries; {stop} requested")
+        return self._values[start:stop]
 
     def config(self) -> dict:
         if self._constant is not None:

@@ -50,21 +50,20 @@ class AuditReport:
     passed: bool
     checks: tuple[AuditCheck, ...]
 
+    @property
+    def first_bad_index(self) -> int | None:
+        """The first index (1-based) at which any check fails, or None."""
+        return min((c.first_bad_index for c in self.checks if not c.passed), default=None)
+
     def raise_if_failed(self) -> None:
         if not self.passed:
             bad = "; ".join(str(c) for c in self.checks if not c.passed)
             raise AuditError(f"{self.procedure}: {bad}")
 
 
-def _first_bad(mask: np.ndarray) -> int | None:
+def _first_bad(mask: np.ndarray, start: int = 0) -> int | None:
     idx = np.flatnonzero(mask)
-    return int(idx[0]) + 1 if idx.size else None
-
-
-def _prefix_check(name: str, contributions: np.ndarray, cap: float, tol: float) -> AuditCheck:
-    prefix = np.cumsum(contributions)
-    bad = _first_bad(prefix > cap + tol)
-    return AuditCheck(name, bad is None, bad)
+    return start + int(idx[0]) + 1 if idx.size else None
 
 
 def _as_result(trace, config: ProcedureConfig | None) -> StreamResult:
@@ -75,17 +74,24 @@ def _as_result(trace, config: ProcedureConfig | None) -> StreamResult:
     return from_decisions(config, trace)
 
 
-def audit_trace(trace, config: ProcedureConfig | None = None) -> AuditReport:
-    """Audit a completed trace (a StreamResult or a list of Decisions)."""
+def audit_trace(trace, config: ProcedureConfig | None = None, state=None) -> AuditReport:
+    """Audit a completed trace (a StreamResult or a list of Decisions).
+
+    With the carried :class:`~fwerstream.core.StreamState` of a stream,
+    ``trace`` is the chunk of that stream which ends at step ``state.i``:
+    indices count from the start of the stream, the budget's prefix sum
+    starts from ``state.audit_sum``, and a passing audit carries the sum on.
+    """
     r = _as_result(trace, config)
     if r.levels.ndim != 1:
         raise AuditError("audit one stream at a time, not a block of streams")
     spec = SPECS[r.procedure]
     levels, rej, n = r.levels, r.rejected, len(r)
+    start, carry = (0, 0.0) if state is None else (state.i - n, state.audit_sum)
     checks = [
-        AuditCheck("levels below min(tau, 1)", *_ok(levels < np.minimum(r.tau, 1.0))),
-        AuditCheck("rejections at p <= level", *_ok(~rej | (r.p <= levels))),
-        AuditCheck("rejections only on selected steps", *_ok(~rej | r.selected)),
+        AuditCheck("levels below min(tau, 1)", *_ok(levels < np.minimum(r.tau, 1.0), start)),
+        AuditCheck("rejections at p <= level", *_ok(~rej | (r.p <= levels), start)),
+        AuditCheck("rejections only on selected steps", *_ok(~rej | r.selected, start)),
     ]
 
     tau, selected = (r.tau, r.selected) if spec.discards else (1.0, np.ones(n, dtype=bool))
@@ -99,11 +105,19 @@ def audit_trace(trace, config: ProcedureConfig | None = None) -> AuditReport:
     else:
         name, contrib, cap = "non-rejected level/tau <= k*alpha", levels / tau, r.budget
         counted &= ~rej
-    checks.append(_prefix_check(f"sum over counted steps of {name}", np.where(counted, contrib, 0.0),
-                                cap, spec.audit_tol))
-    return AuditReport(r.procedure, all(c.passed for c in checks), tuple(checks))
+    # the carry seeds the running sum, so every prefix sums its terms in stream order
+    prefix = np.empty(n + 1)
+    prefix[0] = carry
+    prefix[1:] = np.where(counted, contrib, 0.0)
+    np.cumsum(prefix, out=prefix)
+    bad = _first_bad(prefix[1:] > cap + spec.audit_tol, start)
+    checks.append(AuditCheck(f"sum over counted steps of {name}", bad is None, bad))
+    report = AuditReport(r.procedure, all(c.passed for c in checks), tuple(checks))
+    if state is not None and report.passed:
+        state.audit_sum = float(prefix[-1])
+    return report
 
 
-def _ok(good: np.ndarray) -> tuple[bool, int | None]:
-    bad = _first_bad(~good)
+def _ok(good: np.ndarray, start: int = 0) -> tuple[bool, int | None]:
+    bad = _first_bad(~good, start)
     return bad is None, bad

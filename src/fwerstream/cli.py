@@ -15,16 +15,23 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import itertools
 import json
 import math
 import sys
 
+import numpy as np
+
+from . import fast
+from .addis import LagSchedule
 from .audit import audit_trace
 from .config import ProcedureConfig
+from .core import _check_p
 from .errors import AuditError, BudgetError, ConfigError, StreamError
 from .power import GaussianMixModel, cstar_threshold, expected_true_discoveries, optimal_gamma_varying, optimal_q
 from .series import series_from_config
 from .sim import SimConfig, fig1_cells, fig2_cells, run_cells
+from .spec import SPECS
 
 RESULT_COLUMNS = ("procedure", "pi_A", "mu_A", "mu_N", "T", "alpha",
                   "fwer", "fwer_se", "pfer", "power", "power_se", "fdr")
@@ -40,8 +47,12 @@ def _fmt(x) -> str:
 # run
 # ----------------------------------------------------------------------
 
+# records decided, audited and written at a time by ``run``
+RUN_CHUNK = 4096
+
+
 def _iter_records(path: str, fmt: str):
-    """Yield (line_no, raw p, batch_id) tuples; ``scheduler.step`` checks the p-value."""
+    """Yield (line_no, raw p, batch_id) tuples; ``cmd_run`` checks the p-value."""
     with open(path, "r", encoding="utf-8") as fh:
         if fmt == "jsonl":
             for line_no, line in enumerate(fh, start=1):
@@ -70,7 +81,7 @@ def _iter_records(path: str, fmt: str):
             p_at = cols.index("p")
             batch_at = cols.index("batch_id") if "batch_id" in cols else None
             for line_no, row in enumerate(reader, start=2):
-                if not row or all(not c.strip() for c in row):
+                if not any(map(str.strip, row)):  # a blank line
                     continue
                 if len(row) <= p_at:
                     raise StreamError(f"line {line_no}: missing 'p' value")
@@ -141,17 +152,13 @@ def _procedure_from_args(args) -> ProcedureConfig:
     )
 
 
-def cmd_run(args) -> int:
-    cfg = _procedure_from_args(args)
-    fmt = args.format or ("jsonl" if args.input.endswith((".jsonl", ".json")) else "csv")
-    scheduler = cfg.build(batch_ids=[])
-    # batch lags start empty and grow record by record from the batch_id column
-    lags = scheduler.lags if cfg.wants_batch_lags() else None
-    out = open(args.out, "w", newline="", encoding="utf-8") if args.out else sys.stdout
+def _read_chunk(records, lags) -> tuple[list[float], StreamError | None]:
+    """The checked p-values of the next ``RUN_CHUNK`` records, pushing each
+    batch id into ``lags`` (if given), and the error of a malformed record
+    that stopped the chunk short, if any."""
+    ps = []
     try:
-        writer = csv.writer(out)
-        writer.writerow(["index", "p", "alpha_i", "rejected", "selected", "candidate"])
-        for line_no, p, batch_id in _iter_records(args.input, fmt):
+        for line_no, p, batch_id in itertools.islice(records, RUN_CHUNK):
             if lags is not None:
                 if batch_id is None:
                     raise StreamError(f"line {line_no}: --lags batch needs a batch_id column")
@@ -160,16 +167,75 @@ def cmd_run(args) -> int:
                 except ConfigError as exc:
                     raise StreamError(f"line {line_no}: {exc}") from None
             try:
-                d = scheduler.step(p)
+                ps.append(_check_p(p))
             except StreamError as exc:
                 raise StreamError(f"line {line_no}: {exc}") from None
-            writer.writerow([d.index, _fmt(d.p), _fmt(d.alpha), int(d.rejected),
-                             int(d.selected), int(d.candidate)])
+    except StreamError as exc:
+        return ps, exc
+    return ps, None
+
+
+def _decide(cfg: ProcedureConfig, scheduler, runner, ps: list[float]):
+    """Decide one chunk on the scheduler's state: the decisions as columns,
+    and the error that stopped them short of the chunk's end, if any."""
+    if runner is not None:
+        try:
+            return runner(np.array(ps), state=scheduler.state), None
+        except ConfigError:
+            pass  # a lag list that ends inside the chunk: the scalar step finds the step it ends at
+    error = None
+    try:
+        for p in ps:
+            scheduler.step(p)
+    except (ConfigError, BudgetError) as exc:
+        error = exc
+    decided = fast.from_decisions(cfg, scheduler.trace)
+    scheduler.trace.clear()  # a config file holds no callable schedule, so no step reads the trace
+    return decided, error
+
+
+def _write_rows(writer, start: int, ps: list[float], decided) -> None:
+    """Write the decisions of steps start+1, ..., start+len(ps), one row each."""
+    n = len(ps)
+    flags = (getattr(decided, c)[:n].astype(np.int8).tolist() for c in ("rejected", "selected", "candidate"))
+    writer.writerows(zip(range(start + 1, start + n + 1), ps, decided.levels[:n].tolist(), *flags))
+
+
+def cmd_run(args) -> int:
+    cfg = _procedure_from_args(args)
+    fmt = args.format or ("jsonl" if args.input.endswith((".jsonl", ".json")) else "csv")
+    cfg = dataclasses.replace(cfg, series=series_from_config(cfg.series))  # one series for step and runner
+    lags = None
+    if cfg.wants_batch_lags() and SPECS[cfg.procedure].lagged:
+        # batch lags start empty and grow record by record from the batch_id column
+        lags = LagSchedule.from_batch_ids([])
+        cfg = dataclasses.replace(cfg, lags=lags)
+    scheduler = cfg.build()
+    state = scheduler.state
+    # constant tau and lambda: chunks go through the runner; else through the scalar step
+    runner = fast.make_runner(cfg) if scheduler.thresholds is not None else None
+    records = _iter_records(args.input, fmt)
+    out = open(args.out, "w", newline="", encoding="utf-8") if args.out else sys.stdout
+    try:
+        writer = csv.writer(out)
+        writer.writerow(["index", "p", "alpha_i", "rejected", "selected", "candidate"])
+        while True:
+            ps, bad_line = _read_chunk(records, lags)
+            start = state.i
+            decided, error = _decide(cfg, scheduler, runner, ps)
+            report = audit_trace(decided, cfg, state)
+            stop = len(decided) if report.passed else report.first_bad_index - 1 - start
+            _write_rows(writer, start, ps[:stop], decided)
+            report.raise_if_failed()
+            for exc in (error, bad_line):
+                if exc is not None:
+                    raise exc
+            if len(ps) < RUN_CHUNK:
+                break
         out.flush()
     finally:
         if out is not sys.stdout:
             out.close()
-    audit_trace(scheduler.trace, cfg).raise_if_failed()
     return 0
 
 

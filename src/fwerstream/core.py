@@ -152,13 +152,58 @@ def _level_map(family: str, budget: float, weight, recycled):
     return lambda t, tau, lam: tau * (budget * weight(t) + mass(t))
 
 
+class StreamState:
+    """The running state of one scheduler over one stream.
+
+    The scalar step (:meth:`OnlineProcedure.step`), the runners of
+    :func:`fwerstream.fast.make_runner` and the chunked audit
+    (:func:`fwerstream.audit.audit_trace`) all advance this one object, so a
+    stream can be decided a step or a chunk at a time, by either path, from
+    where the last one stopped.  It holds the number of steps taken, the
+    number of them counted (selected and not candidates), for lagged rows the
+    counted prefix over the lag window, the :class:`RecycleBuffer` of fallback
+    rows and the audit's running prefix sum.
+    """
+
+    __slots__ = ("i", "counted", "window", "window_start", "recycled", "audit_sum")
+
+    def __init__(self, lagged: bool, recycled=None):
+        self.i = 0  # steps taken: the next step has index i + 1
+        self.counted = 0
+        # lagged rows: window[j] = counted steps among the first window_start + j
+        self.window = [0] if lagged else None
+        self.window_start = 0
+        self.recycled = recycled
+        self.audit_sum = 0.0
+
+    def counted_before(self, visible: int) -> int:
+        """Counted steps among the first ``visible``, for a lagged row.
+
+        Lag schedules are admissible (L_{i+1} <= L_i + 1), so no later step
+        sees fewer steps; the prefix before ``visible`` is dropped once it is
+        half the window, which keeps the window within twice the lag.
+        """
+        j = visible - self.window_start
+        if j and 2 * j >= len(self.window):
+            del self.window[:j]
+            self.window_start, j = visible, 0
+        return self.window[j]
+
+    def advance(self, count: bool) -> None:
+        """Record one more step, counted or not."""
+        self.i += 1
+        self.counted += count
+        if self.window is not None:
+            self.window.append(self.counted)
+
+
 class OnlineProcedure:
     """Scheduler for the row of :data:`fwerstream.spec.SPECS` named by ``kind``.
 
     Holds the level budget, the weight series, the tau/lambda schedules, the
-    index counter (a prefix list when the row is lagged), the recycling
-    buffer of fallback rows, and the append-only trace.  Subclasses only fix
-    ``kind`` and a public constructor signature.
+    running :class:`StreamState` (index counter, lag window, recycling buffer)
+    and the append-only trace.  Subclasses only fix ``kind`` and a public
+    constructor signature.
     """
 
     kind = "base"
@@ -186,17 +231,16 @@ class OnlineProcedure:
             self._check(self._tau.constant)
 
         self.lags = lags if spec.lagged else None
-        self._counted = 0  # counted steps so far (rows without lags)
-        self._prefix = [0]  # _prefix[j] = counted steps among the first j (lagged rows)
-        self.weights = self._recycled = None
+        self.weights = recycled = None
         if spec.family == "fallback":
             if spec.one_step:
                 if weights is not None:
                     raise ConfigError(f"{self.kind} fixes one-step weights; do not pass 'weights'")
                 weights = OneStepWeights()
             self.weights = weights_from_config(weights, self.series)
-            self._recycled = RecycleBuffer(self.weights)  # indexed by t
-        self._level = _level_map(spec.family, self.budget, self.series.weight, self._recycled)
+            recycled = RecycleBuffer(self.weights)  # indexed by t
+        self.state = StreamState(self.lags is not None, recycled)
+        self._level = _level_map(spec.family, self.budget, self.series.weight, recycled)
         self._adapts = spec.adapts
 
     def _check(self, tau: float, lam: float = 0.0) -> tuple[float, float]:
@@ -213,11 +257,11 @@ class OnlineProcedure:
     @property
     def t(self) -> int:
         """Number of hypotheses processed so far."""
-        return len(self.trace)
+        return self.state.i
 
     def step(self, p) -> Decision:
         p = _check_p(p)
-        decision = self._step(len(self.trace) + 1, p)
+        decision = self._step(self.state.i + 1, p)
         self.trace.append(decision)
         return decision
 
@@ -225,14 +269,14 @@ class OnlineProcedure:
         return [self.step(p) for p in pvalues]
 
     def _step(self, i: int, p: float) -> Decision:
-        lags = self.lags
+        lags, state = self.lags, self.state
         if lags is None:
             visible = i - 1
-            t = 1 + self._counted
+            t = 1 + state.counted
         else:
             lag = lags.lag(i)
             visible = max(0, i - 1 - lag)
-            t = 1 + min(lag, i - 1) + self._prefix[visible]
+            t = 1 + min(lag, i - 1) + state.counted_before(visible)
         tau, lam = self.thresholds or self._thresholds(i, visible)
         a = self._level(t, tau, lam)
         if a >= tau or a >= 1.0:
@@ -240,12 +284,9 @@ class OnlineProcedure:
         selected = p <= tau
         candidate = self._adapts and p <= lam
         rejected = p <= a and a > 0.0
-        if rejected and self._recycled is not None:
-            self._recycled.reject(t, a)
-        if lags is None:
-            self._counted += selected and not candidate
-        else:
-            self._prefix.append(self._prefix[-1] + (selected and not candidate))
+        if rejected and state.recycled is not None:
+            state.recycled.reject(t, a)
+        state.advance(selected and not candidate)
         return Decision(i, p, a, rejected, selected, candidate, tau, lam)
 
     def _finalize(self, a: float, tau: float = 1.0) -> float:
@@ -420,6 +461,17 @@ class RecycleBuffer:
         if i >= self._buf.size:
             self._grow(i)
         return float(self._buf[i])
+
+    def masses(self, lo: int, hi: int) -> np.ndarray:
+        """``mass(i)`` for lo <= i < hi, as a new array."""
+        if self._one_step:
+            out = np.zeros(hi - lo)
+            if lo <= self._last + 1 < hi:
+                out[self._last + 1 - lo] = self._carry
+            return out
+        if hi > self._buf.size:
+            self._grow(hi - 1)
+        return self._buf[lo:hi].copy()
 
     def reject(self, k: int, a: float) -> None:
         if self._one_step:

@@ -1,8 +1,11 @@
-"""Whole-stream runners for the simulation harness.
+"""Whole-stream runners for the simulation harness and the command line.
 
 ``make_runner`` compiles a :class:`ProcedureConfig` into a function that
 maps one p-value stream of shape (T,), or a block of streams of shape
 (rows, T), to a :class:`StreamResult` (columnar trace of the same shape).
+Given a scheduler's :class:`~fwerstream.core.StreamState`, it decides the
+next chunk of that scheduler's stream instead and advances the state; the
+index t, and with it the level table, counts from the start of the stream.
 For constant tau and lambda the runner computes the index rule and level
 map of the procedure's row in :data:`fwerstream.spec.SPECS` with the same
 float operations as the step scheduler, so both give bit-identical traces;
@@ -16,7 +19,9 @@ index of the selected steps) with every row of the block at the same m:
 a row that rejects at m adds ``a * weights.span(m, .)`` to its own
 positions m+1, ....  Each position therefore sums its terms in ascending
 m, the order in which :class:`fwerstream.core.RecycleBuffer` adds them, and
-the block rows stay bit-identical to the step scheduler.
+the block rows stay bit-identical to the step scheduler.  A chunk of a
+carried stream reads and feeds the state's ``RecycleBuffer`` itself
+(:func:`_recycle_carried`).
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ import numpy as np
 
 from .config import ProcedureConfig
 from .core import Decision
-from .errors import StreamError
+from .errors import ConfigError, StreamError
 from .series import series_from_config
 from .spec import sidak_levels
 
@@ -88,16 +93,22 @@ def _check_p_array(p) -> np.ndarray:
 
 
 def make_runner(cfg: ProcedureConfig, batch_ids=None):
-    """Compile ``cfg`` into a reusable ``run(p) -> StreamResult`` function.
+    """Compile ``cfg`` into a reusable ``run(p, state=None) -> StreamResult`` function.
 
     ``p`` is one stream of shape (T,) or a block of streams of shape
-    (rows, T), and every column of the result takes its shape.
+    (rows, T), and every column of the result takes its shape.  Given the
+    :class:`~fwerstream.core.StreamState` of a scheduler built from ``cfg``,
+    ``p`` is the next chunk of that scheduler's stream: the runner decides
+    it from where the state stands and advances the state past it, so the
+    chunks of a stream give the levels of the whole stream.
     """
     cfg = replace(cfg, series=series_from_config(cfg.series))
     probe = cfg.build(batch_ids=batch_ids)  # full validation + k*alpha warning happen once
     if probe.thresholds is None:  # tau or lambda vary by step
 
-        def run_slow(p):
+        def run_slow(p, state=None):
+            if state is not None:
+                raise ConfigError("tau or lambda vary by step: continue a carried state with the scheduler's step")
             p = _check_p_array(p)
             res = from_decisions(cfg, [d for row in np.atleast_2d(p) for d in cfg.build(batch_ids=batch_ids).run(row)])
             return replace(res, **{c: getattr(res, c).reshape(p.shape) for c in _COLUMNS})
@@ -126,28 +137,51 @@ def make_runner(cfg: ProcedureConfig, batch_ids=None):
                 table = np.minimum(table, math.nextafter(min(tau, 1.0), 0.0))
         return table
 
-    def run(p):
+    def run(p, state=None):
         p = _check_p_array(p)
+        if state is not None and p.ndim != 1:
+            raise StreamError("a carried state continues one stream: pass a 1-d chunk")
         block = np.atleast_2d(p)  # a single stream is a block of one row
-        n = block.shape[1]
+        rows, n = block.shape
+        i0, c0 = (0, 0) if state is None else (state.i, state.counted)
+        if lags is not None:  # read first: a lag schedule that ends inside the chunk leaves the state as it was
+            lag = np.asarray(lags.values(i0, i0 + n), dtype=np.intp)
         selected = block <= tau if spec.discards else np.ones(block.shape, dtype=bool)
         candidate = block <= lam if spec.adapts else np.zeros(block.shape, dtype=bool)
         if lags is None and not (spec.discards or spec.adapts):  # every step is counted
-            t0 = np.broadcast_to(np.arange(n), block.shape)  # series index t - 1
+            t0 = np.broadcast_to(np.arange(c0, c0 + n), block.shape)  # series index t - 1
+            counted = c0 + n
         else:
-            counted = np.zeros((block.shape[0], n + 1), dtype=np.intp)
-            np.cumsum(selected & ~candidate, axis=1, out=counted[:, 1:])
+            # prefix[:, j] = counted steps among the first start + j, from the carried window on
             if lags is None:
-                t0 = counted[:, :n]
+                window, start = [c0], i0
+            elif state is None:
+                window, start = [0], 0
             else:
-                lag = np.asarray(lags.values_upto(n), dtype=np.intp)
-                idx = np.arange(n, dtype=np.intp)
-                t0 = counted[:, np.maximum(0, idx - lag)]
+                window, start = state.window, state.window_start
+            w = len(window)
+            prefix = np.empty((rows, w + n), dtype=np.intp)
+            prefix[:, :w] = window
+            np.cumsum(selected & ~candidate, axis=1, out=prefix[:, w:])
+            prefix[:, w:] += window[-1]
+            counted = int(prefix[0, -1])
+            if lags is None:
+                t0 = prefix[:, :n]
+            else:
+                idx = np.arange(i0, i0 + n, dtype=np.intp)  # i - 1
+                visible = np.maximum(0, idx - lag)
+                t0 = prefix[:, visible - start]
                 t0 += np.minimum(lag, idx)
-        if spec.family == "fallback":
+        if spec.family != "fallback":
+            levels = level_table(int(t0.max(initial=0)) + 1)[t0]
+        elif state is None:
             levels = _recycle(block, selected, t0, tau, level_table(n), weights)
         else:
-            levels = level_table(n)[t0]
+            levels = _recycle_carried(p, selected[0], t0[0], c0, tau, level_table(i0 + n), state.recycled)
+        if state is not None and n:
+            state.i, state.counted = i0 + n, counted
+            if lags is not None:
+                state.window, state.window_start = prefix[0, visible[-1] - start:].tolist(), int(visible[-1])
         rejected = (block <= levels) & (levels > 0.0)
         return StreamResult(cfg.procedure, cfg.alpha, cfg.k, p, levels.reshape(p.shape),
                             rejected.reshape(p.shape), selected.reshape(p.shape), candidate.reshape(p.shape),
@@ -182,6 +216,39 @@ def _recycle(p, selected, t0, tau, base, weights):
             span = weights.span(j + 1, width)
             out[r, j + 1 : j + 1 + span.size] += a[r, None] * span
     return out if tau == 1.0 else np.take_along_axis(out, t0, axis=1)
+
+
+def _recycle_carried(p, selected, t0, c0, tau, base, recycled):
+    """Fallback levels of one stream's chunk, continued from ``recycled``, the
+    :class:`~fwerstream.core.RecycleBuffer` of its first ``c0`` positions.
+
+    Positions c0+1, ... are read from the buffer a run at a time: every level
+    up to the run's first rejection is final, and that rejection goes into
+    the buffer, as the scalar step puts it there, before the levels after it
+    are read again.  Each position therefore sums its recycled terms in
+    ascending k, the order of the scalar step.
+    """
+    if not p.size:
+        return np.empty(0)
+    pc = p[selected] if tau < 1.0 else p  # the p-value at each position the chunk takes
+    width = int(t0[-1]) - c0 + 1  # positions read, the last perhaps only waited at
+    levels = np.empty(width)
+    q = 0
+    while q < width:
+        run = recycled.masses(c0 + 1 + q, c0 + 1 + width)
+        run += base[c0 + q : c0 + width]
+        if tau != 1.0:
+            run *= tau
+        taken = run[: pc.size - q]
+        hit = np.flatnonzero((pc[q:] <= taken) & (taken > 0.0))
+        if not hit.size:
+            levels[q:] = run
+            break
+        r = int(hit[0]) + 1
+        levels[q : q + r] = run[:r]
+        recycled.reject(c0 + q + r, float(run[r - 1]))
+        q += r
+    return levels if tau == 1.0 else levels[t0 - c0]
 
 
 def run_stream(cfg: ProcedureConfig, p, batch_ids=None) -> StreamResult:

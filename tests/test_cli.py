@@ -1,17 +1,23 @@
 """Command-line interface: run, experiment, solve, validate."""
 
 import csv
+import io
 import json
+import os
 import subprocess
 import sys
+import tracemalloc
+import zlib
 
 import numpy as np
 import pytest
 
-from fwerstream import QSeries
+from fwerstream import PROCEDURES, ProcedureConfig, QSeries, cli, fast
 from fwerstream.cli import main
 
 Q2 = QSeries(2.0)
+# a child interpreter imports fwerstream from where this one does
+CHILD_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
 
 
 def read_csv(path):
@@ -284,7 +290,7 @@ class TestRoundTrip:
     def test_every_procedure_run_audits_clean(self, tmp_path, name):
         # cmd_run audits its own trace and exits 4 on violation, so exit 0
         # certifies the budget accounting for the emitted decisions
-        rng = np.random.default_rng(hash(name) % 2**31)
+        rng = np.random.default_rng(zlib.crc32(name.encode()))
         inp = tmp_path / "in.csv"
         write_stream(inp, rng.random(120) * 0.6)
         code = main(["run", "--input", str(inp), "--out", str(tmp_path / "o.csv"),
@@ -330,7 +336,8 @@ class TestRoundTrip:
         assert res.rejected.all()
 
     def test_package_runs_as_module(self):
-        proc = subprocess.run([sys.executable, "-m", "fwerstream", "--help"], capture_output=True, text=True)
+        proc = subprocess.run([sys.executable, "-m", "fwerstream", "--help"], capture_output=True, text=True,
+                              env=CHILD_ENV)
         assert proc.returncode == 0
         assert "usage: fwerstream" in proc.stdout
 
@@ -338,7 +345,163 @@ class TestRoundTrip:
         proc = subprocess.run(
             [sys.executable, "-m", "fwerstream.cli", "solve", "cstar",
              "--pi-a", "0.2", "--mu-a", "4", "--mu-n", "-1"],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env=CHILD_ENV,
         )
         assert proc.returncode == 0
         assert "c_star" in proc.stdout
+
+
+def per_record_csv(cfg, ps, batch_ids=None) -> bytes:
+    """The decisions CSV of one scalar step per record, one row written per step."""
+    scheduler = cfg.build(batch_ids=batch_ids)
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(["index", "p", "alpha_i", "rejected", "selected", "candidate"])
+    for p in ps:
+        d = scheduler.step(p)
+        writer.writerow([d.index, repr(d.p), repr(d.alpha), int(d.rejected), int(d.selected), int(d.candidate)])
+    return buf.getvalue().encode("utf-8")
+
+
+# chunk sizes around the first RecycleBuffer capacity, tiny ones, and the default
+CHUNKS = [1, 7, 1023, 1024, 1025, cli.RUN_CHUNK]
+N_STREAM = cli.RUN_CHUNK + 200  # every chunk size above ends a chunk inside the stream
+
+
+def _hot_stream(n: int, seed: int) -> np.ndarray:
+    """Uniform p-values with runs of near-zero ones across the chunk boundaries
+    and the first RecycleBuffer capacities, so every recycling procedure
+    rejects on both sides of a boundary."""
+    rng = np.random.default_rng(seed)
+    p = rng.uniform(0.05, 1.0, n)
+    p[rng.random(n) < 0.05] *= 1e-4
+    for centre in (3, 1024, 2048, cli.RUN_CHUNK):
+        p[max(0, centre - 10) : centre + 10] = 1e-12
+    return p
+
+
+EXPLICIT_ROWS = [[1.0 / 3000] * 3000] + [[0.5, 0.5], [1.0], [], [0.02] * 40] * 1100
+
+
+def _cases():
+    logq = {"kind": "log-q", "q": 2.0}
+    cases = [(name, ProcedureConfig(procedure=name, alpha=0.2, series=logq), ["--procedure", name], None)
+             for name in PROCEDURES]
+    cases.append(("online-fallback-explicit",
+                  ProcedureConfig(procedure="online-fallback", alpha=0.2, series=logq,
+                                  weights={"kind": "explicit", "rows": EXPLICIT_ROWS}),
+                  ["--procedure", "online-fallback", "--weights", "WEIGHTS"], None))
+    cases.append(("discard-fallback-explicit",
+                  ProcedureConfig(procedure="discard-fallback", alpha=0.2, series=logq, tau=0.3,
+                                  weights={"kind": "explicit", "rows": EXPLICIT_ROWS}),
+                  ["--procedure", "discard-fallback", "--tau", "0.3", "--weights", "WEIGHTS"], None))
+    cases.append(("addis-local-batch",
+                  ProcedureConfig(procedure="addis-spending-local", alpha=0.2, series=logq,
+                                  lags={"kind": "from-batch-ids"}),
+                  ["--procedure", "addis-spending-local", "--lags", "batch"], "batch"))
+    cases.append(("addis-local-lag-list",
+                  ProcedureConfig(procedure="addis-spending-local", alpha=0.2, series=logq,
+                                  lags={"kind": "list", "values": [0, 1, 2, 3, 4, 0, 1, 0] * 1000}),
+                  ["--procedure", "addis-spending-local", "--lags", ",".join(["0,1,2,3,4,0,1,0"] * 1000)], None))
+    tau = [0.3, 0.5, 0.9] * 3000
+    cases.append(("addis-sequence-tau",
+                  ProcedureConfig(procedure="addis-spending", alpha=0.2, series=logq, tau=tau, lam=0.1),
+                  ["--config", "CONFIG"], None))
+    return cases
+
+
+CASES = _cases()
+
+
+class TestStreamingRun:
+    @pytest.mark.parametrize("label,cfg,flags,batch", CASES, ids=[c[0] for c in CASES])
+    def test_chunks_give_the_per_record_output(self, tmp_path, monkeypatch, label, cfg, flags, batch):
+        ps = _hot_stream(N_STREAM, zlib.crc32(label.encode()))
+        batch_ids = None
+        if batch:
+            # batches of 1 to 40 records: some straddle every chunk boundary
+            sizes = np.random.default_rng(3).integers(1, 41, size=N_STREAM)
+            batch_ids = [f"b{b}" for b in np.repeat(np.arange(N_STREAM), sizes)[:N_STREAM].tolist()]
+        inp = tmp_path / "in.csv"
+        write_stream(inp, ps, batch_ids)
+        (tmp_path / "w.json").write_text(json.dumps({"kind": "explicit", "rows": EXPLICIT_ROWS}))
+        (tmp_path / "c.json").write_text(json.dumps(cfg.to_dict()))
+        flags = [{"WEIGHTS": str(tmp_path / "w.json"), "CONFIG": str(tmp_path / "c.json")}.get(f, f) for f in flags]
+        if "--config" not in flags:
+            flags += ["--alpha", "0.2"]
+        want = per_record_csv(cfg, ps.tolist(), batch_ids)
+        assert want.count(b",1,1,") > 0  # the stream rejects
+        out = tmp_path / "out.csv"
+        for chunk in CHUNKS:
+            monkeypatch.setattr(cli, "RUN_CHUNK", chunk)
+            assert main(["run", "--input", str(inp), "--out", str(out), *flags]) == 0
+            assert out.read_bytes() == want, f"chunk size {chunk}"
+
+    @pytest.mark.parametrize("chunk", [7, 1024, cli.RUN_CHUNK])
+    @pytest.mark.parametrize("spend", ["one-step", "every-step"])
+    def test_audit_failure_writes_the_rows_before_it(self, tmp_path, monkeypatch, capsys, chunk, spend):
+        ps = np.random.default_rng(5).random(3000)
+        cfg = ProcedureConfig(procedure="alpha-spending", alpha=0.2)
+        if spend == "one-step":  # the whole budget at one step, in the middle of a chunk
+            bad, factor = 2500, None
+        else:  # every level scaled up so that only the sum carried over the chunks exceeds the budget
+            levels = np.array([d.alpha for d in cfg.build().run(ps)])
+            factor = 0.2 / levels[:2000].sum()
+            bad = int(np.flatnonzero(np.cumsum(factor * levels) > 0.2 + 1e-9)[0]) + 1
+            assert 1024 < bad < 3000
+        make_runner = fast.make_runner
+
+        def overspending(cfg, *args, **kwargs):
+            run = make_runner(cfg, *args, **kwargs)
+
+            def run_chunk(p, state=None):
+                start = state.i
+                res = run(p, state=state)
+                if factor is not None:
+                    res.levels *= factor
+                elif start < bad <= state.i:
+                    res.levels[bad - 1 - start] = 0.5
+                return res
+            return run_chunk
+
+        monkeypatch.setattr(fast, "make_runner", overspending)
+        monkeypatch.setattr(cli, "RUN_CHUNK", chunk)
+        inp, out = tmp_path / "in.csv", tmp_path / "out.csv"
+        write_stream(inp, ps)
+        assert main(["run", "--input", str(inp), "--out", str(out), "--procedure", "alpha-spending",
+                     "--alpha", "0.2"]) == 4
+        assert f"FAIL at index {bad}" in capsys.readouterr().err
+        rows = read_csv(out)
+        assert len(rows) == bad  # the header and rows 1 .. bad-1
+        if factor is None:
+            assert out.read_bytes() == per_record_csv(cfg, ps[: bad - 1].tolist())
+
+    def test_bad_line_inside_a_chunk_keeps_the_rows_before_it(self, tmp_path, capsys):
+        ps = np.random.default_rng(6).random(3000)
+        bad = cli.RUN_CHUNK // 2  # the bad record's position, in the middle of the first chunk
+        inp, out = tmp_path / "in.csv", tmp_path / "out.csv"
+        with open(inp, "w", newline="") as fh:
+            w = csv.writer(fh)
+            w.writerow(["p"])
+            w.writerows([repr(p)] for p in ps[: bad - 1].tolist())
+            w.writerow(["1.5"])
+            w.writerows([repr(p)] for p in ps[bad - 1 :].tolist())
+        assert main(["run", "--input", str(inp), "--out", str(out), "--procedure", "addis-spending",
+                     "--alpha", "0.2"]) == 2
+        assert f"line {bad + 1}" in capsys.readouterr().err
+        cfg = ProcedureConfig(procedure="addis-spending", alpha=0.2)
+        assert out.read_bytes() == per_record_csv(cfg, ps[: bad - 1].tolist())
+
+    def test_memory_stays_bounded_on_a_long_stream(self, tmp_path):
+        # run keeps nothing per record once it is written; keeping each Decision would take about 47 MB here
+        inp, out = tmp_path / "in.csv", tmp_path / "out.csv"
+        write_stream(inp, np.random.default_rng(7).random(200_000))
+        tracemalloc.start()
+        try:
+            code = main(["run", "--input", str(inp), "--out", str(out), "--procedure", "addis-spending",
+                         "--alpha", "0.2"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak <= 8 * 2**20

@@ -1,5 +1,7 @@
 """The vectorized runners must reproduce the step schedulers bit for bit."""
 
+import zlib
+
 import numpy as np
 import pytest
 
@@ -62,7 +64,7 @@ def _ids(cfg: ProcedureConfig) -> str:
 
 @pytest.mark.parametrize("cfg", CONFIGS, ids=_ids)
 def test_fast_equals_step_bitwise(cfg):
-    rng = np.random.default_rng(hash(cfg.procedure) % 2**32)
+    rng = np.random.default_rng(zlib.crc32(cfg.procedure.encode()))
     batch_ids = [i // 7 for i in range(400)]
     needs_batch = cfg.wants_batch_lags()
     runner = make_runner(cfg, batch_ids=batch_ids if needs_batch else None)
@@ -234,3 +236,31 @@ def test_bad_p_value_names_its_row_and_position():
         runner(block[1])
     with pytest.raises(StreamError, match="2-d block"):
         runner(block[None])
+
+
+@pytest.mark.parametrize("cfg", CONFIGS + GROWTH_CONFIGS + ZERO_BASE, ids=_ids)
+def test_chunks_and_steps_continue_one_state(cfg):
+    # chunks of every size, scalar steps between them, all on the scheduler's one state
+    tau = 1.0 if cfg.tau is None else cfg.tau
+    n = 400 if isinstance(cfg.lags, dict) and cfg.lags["kind"] == "list" else 2100  # a lag list has 400 entries
+    p = _growth_stream(n, tau, seed=8)
+    batch_ids = [i // 7 for i in range(p.size)] if cfg.wants_batch_lags() else None
+    want = cfg.build(batch_ids=batch_ids).run(p)
+    proc, run = cfg.build(batch_ids=batch_ids), make_runner(cfg, batch_ids=batch_ids)
+    got, i = [], 0
+    for size in [0, 1, 5, 1000, 2, 17, 1024] * 3:
+        if size == 2:  # two scalar steps
+            got += [(d.alpha, d.rejected, d.selected, d.candidate) for d in proc.run(p[i : i + 2])]
+        else:
+            part = run(p[i : i + size], state=proc.state)
+            got += list(zip(part.levels.tolist(), part.rejected.tolist(), part.selected.tolist(),
+                            part.candidate.tolist()))
+        i = min(i + size, p.size)
+    assert i == p.size and proc.t == p.size
+    assert got == [(d.alpha, d.rejected, d.selected, d.candidate) for d in want]
+
+
+def test_a_carried_state_takes_one_stream():
+    proc, run = CONFIGS[0].build(), make_runner(CONFIGS[0])
+    with pytest.raises(StreamError, match="1-d chunk"):
+        run(np.full((2, 5), 0.5), state=proc.state)
