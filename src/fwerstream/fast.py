@@ -13,15 +13,18 @@ anything fancier falls back to the step-by-step scheduler, row by row.
 
 Spending and Sidak levels depend on the series index t alone, so each
 runner evaluates its level map once per t into a memoized table and
-gathers ``table[t-1]``.  Fallback levels carry recycled mass, so
+gathers ``table[t-1]``; when t outgrows the table, only the new entries
+are computed and appended.  Fallback levels carry recycled mass, so
 :func:`_recycle` loops over counted positions m = 1, 2, ... (the series
-index of the selected steps) with every row of the block at the same m:
-a row that rejects at m adds ``a * weights.span(m, .)`` to its own
-positions m+1, ....  Each position therefore sums its terms in ascending
-m, the order in which :class:`fwerstream.core.RecycleBuffer` adds them, and
-the block rows stay bit-identical to the step scheduler.  A chunk of a
-carried stream reads and feeds the state's ``RecycleBuffer`` itself
-(:func:`_recycle_carried`).
+index of the selected steps) with every row of the block at the same m,
+so the loop's numpy calls are shared by all the rows (the simulation
+passes 128 at T = 1000): a row that rejects at m adds
+``a * weights.span(m, .)`` to its own positions m+1, ....  Each position
+therefore sums its terms in ascending m, the order in which
+:class:`fwerstream.core.RecycleBuffer` adds them, and the block rows stay
+bit-identical to the step scheduler.  One-step weights write position m+1
+with one masked multiply instead.  A chunk of a carried stream reads and
+feeds the state's ``RecycleBuffer`` itself (:func:`_recycle_carried`).
 """
 
 from __future__ import annotations
@@ -32,19 +35,21 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .config import ProcedureConfig
-from .core import Decision
+from .core import Decision, OneStepWeights
 from .errors import ConfigError, StreamError
 from .series import series_from_config
 from .spec import sidak_levels
 
 
 _COLUMNS = ("p", "levels", "rejected", "selected", "candidate", "tau", "lam")
+SPAN_ADD_ELEMENTS = 16_384  # cells per fallback span add on a block (see _recycle)
 
 
 @dataclass
 class StreamResult:
     """Columnar decision trace of one procedure on one stream, or on a block
-    of streams with one row each; ``tau`` and ``lam`` may be read-only
+    of streams with one row each; ``tau`` and ``lam``, and ``selected`` and
+    ``candidate`` of a row that never discards or adapts, may be read-only
     broadcast views."""
 
     procedure: str
@@ -84,9 +89,8 @@ def _check_p_array(p) -> np.ndarray:
     arr = np.asarray(p, dtype=np.float64)
     if arr.ndim not in (1, 2):
         raise StreamError("p-values must form a 1-d stream or a 2-d block of streams")
-    bad = np.isnan(arr) | (arr < 0.0) | (arr > 1.0)
-    if np.any(bad):
-        at = np.argwhere(bad)[0]
+    if arr.size and not (arr.min() >= 0.0 and arr.max() <= 1.0):  # a NaN fails both
+        at = np.argwhere(np.isnan(arr) | (arr < 0.0) | (arr > 1.0))[0]
         where = f"row {at[0] + 1}, position {at[1] + 1}" if arr.ndim == 2 else f"position {at[0] + 1}"
         raise StreamError(f"p-value out of [0, 1] at {where}: {arr[tuple(at)]}")
     return arr
@@ -125,16 +129,17 @@ def make_runner(cfg: ProcedureConfig, batch_ids=None):
 
     def level_table(n):  # the level (fallback: base level) by series index t, for t <= n at least
         nonlocal table
-        if table.size < n:
-            gam = series.weights_upto(1 << max(10, (n - 1).bit_length()))
+        if table.size < n:  # the map is elementwise: compute only the entries past the old end
+            gam = series.weights_upto(1 << max(10, (n - 1).bit_length()))[table.size :]
             if spec.family == "spending":
-                table = budget * (tau - lam) * gam
+                fresh = budget * (tau - lam) * gam
             elif spec.family == "sidak":
-                table = tau * np.array(sidak_levels(budget, ((tau - lam) / tau * gam).tolist()))
+                fresh = tau * np.array(sidak_levels(budget, ((tau - lam) / tau * gam).tolist()))
             else:
-                table = budget * gam
+                fresh = budget * gam
             if budget >= 1.0:  # a saturating k-FWER budget clamps levels below min(tau, 1)
-                table = np.minimum(table, math.nextafter(min(tau, 1.0), 0.0))
+                fresh = np.minimum(fresh, math.nextafter(min(tau, 1.0), 0.0))
+            table = np.concatenate((table, fresh))
         return table
 
     def run(p, state=None):
@@ -146,9 +151,11 @@ def make_runner(cfg: ProcedureConfig, batch_ids=None):
         i0, c0 = (0, 0) if state is None else (state.i, state.counted)
         if lags is not None:  # read first: a lag schedule that ends inside the chunk leaves the state as it was
             lag = np.asarray(lags.values(i0, i0 + n), dtype=np.intp)
-        selected = block <= tau if spec.discards else np.ones(block.shape, dtype=bool)
-        candidate = block <= lam if spec.adapts else np.zeros(block.shape, dtype=bool)
-        if lags is None and not (spec.discards or spec.adapts):  # every step is counted
+        selected = block <= tau if spec.discards else np.broadcast_to(True, block.shape)
+        candidate = block <= lam if spec.adapts else np.broadcast_to(False, block.shape)
+        if spec.family == "fallback" and state is None:
+            t0 = None  # _recycle counts each row's positions itself
+        elif lags is None and not (spec.discards or spec.adapts):  # every step is counted
             t0 = np.broadcast_to(np.arange(c0, c0 + n), block.shape)  # series index t - 1
             counted = c0 + n
         else:
@@ -160,9 +167,10 @@ def make_runner(cfg: ProcedureConfig, batch_ids=None):
             else:
                 window, start = state.window, state.window_start
             w = len(window)
-            prefix = np.empty((rows, w + n), dtype=np.intp)
+            itype = np.int32 if i0 + n < 2**31 else np.intp  # holds every count, at most i0 + n
+            prefix = np.empty((rows, w + n), dtype=itype)
             prefix[:, :w] = window
-            np.cumsum(selected & ~candidate, axis=1, out=prefix[:, w:])
+            np.cumsum(selected & ~candidate if spec.adapts else selected, axis=1, dtype=itype, out=prefix[:, w:])
             prefix[:, w:] += window[-1]
             counted = int(prefix[0, -1])
             if lags is None:
@@ -175,14 +183,15 @@ def make_runner(cfg: ProcedureConfig, batch_ids=None):
         if spec.family != "fallback":
             levels = level_table(int(t0.max(initial=0)) + 1)[t0]
         elif state is None:
-            levels = _recycle(block, selected, t0, tau, level_table(n), weights)
+            levels = _recycle(block, selected, tau, level_table(n), weights)
         else:
             levels = _recycle_carried(p, selected[0], t0[0], c0, tau, level_table(i0 + n), state.recycled)
         if state is not None and n:
             state.i, state.counted = i0 + n, counted
             if lags is not None:
                 state.window, state.window_start = prefix[0, visible[-1] - start:].tolist(), int(visible[-1])
-        rejected = (block <= levels) & (levels > 0.0)
+        rejected = block <= levels
+        rejected &= levels > 0.0
         return StreamResult(cfg.procedure, cfg.alpha, cfg.k, p, levels.reshape(p.shape),
                             rejected.reshape(p.shape), selected.reshape(p.shape), candidate.reshape(p.shape),
                             np.broadcast_to(tau, p.shape), np.broadcast_to(lam, p.shape))
@@ -190,32 +199,55 @@ def make_runner(cfg: ProcedureConfig, batch_ids=None):
     return run
 
 
-def _recycle(p, selected, t0, tau, base, weights):
+def _recycle(p, selected, tau, base, weights):
     """Fallback levels tau * (base_t + recycled(t)) of a block of streams, by
-    counted position (see the module docstring); ``base`` and ``t0`` are 0-based
-    in t.  Column m-1 of ``pc`` holds each row's p-value at its m-th selected
-    step; a non-selected step reads the level of the position it waits at.
+    counted position (see the module docstring); ``base`` is 0-based in t.
+    Column m-1 of ``pc`` holds each row's p-value at its m-th selected step;
+    a non-selected step reads the level of the position it waits at.
+
+    The mass by position is kept in the first columns of the levels array,
+    which each row then spreads over its steps in place.  A span add takes
+    at most ``SPAN_ADD_ELEMENTS`` cells at a time, so its temporaries stay
+    small on a block of many rows.  One-step weights recycle a rejected level
+    to the next position only, so position m+1 starts from
+    ``a * (rejected at m)`` in one masked multiply: a * 1.0 == 0.0 + a and
+    a * 0.0 == 0.0 for the finite levels a >= 0, the sums the span add makes.
     """
     rows, n = p.shape
     if tau < 1.0:
         counts = selected.sum(axis=1)
         width = min(int(counts.max(initial=0)) + 1, n)
         pc = np.full((rows, width), np.inf)
-        pc[np.arange(width) < counts[:, None]] = p[selected]
+        for r, c in enumerate(counts.tolist()):  # row by row: no temporary the size of the block
+            pc[r, :c] = p[r, selected[r]]
     else:  # every step is selected: positions are steps
         pc, width = p, n
-    out = np.zeros((rows, width))  # recycled mass by position, turned into the level once reached
+    levels = np.zeros((rows, n))
+    out = levels[:, :width]  # recycled mass by position, turned into the level once reached
     base = base[:width].tolist()
+    one_step = isinstance(weights, OneStepWeights)
     for j in range(width):
         a = out[:, j]
         a += base[j]
         if tau != 1.0:
             a *= tau
+        if one_step:
+            if j + 1 < width:
+                np.multiply(a, pc[:, j] <= a, out=out[:, j + 1])
+            continue
         r = (pc[:, j] <= a).nonzero()[0]  # a level of zero may "reject" here: it adds zeros
         if r.size:
             span = weights.span(j + 1, width)
-            out[r, j + 1 : j + 1 + span.size] += a[r, None] * span
-    return out if tau == 1.0 else np.take_along_axis(out, t0, axis=1)
+            group = max(1, SPAN_ADD_ELEMENTS // max(span.size, 1))
+            for g in range(0, r.size, group):
+                rg = r[g : g + group]
+                out[rg, j + 1 : j + 1 + span.size] += a[rg, None] * span
+    if tau < 1.0:
+        for row, sel in zip(levels, selected):
+            t = np.cumsum(sel)
+            t -= sel  # the position each step reads: the selected steps before it
+            row[:] = row[t]
+    return levels
 
 
 def _recycle_carried(p, selected, t0, c0, tau, base, recycled):

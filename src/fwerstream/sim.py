@@ -23,9 +23,10 @@ from .fast import make_runner
 from .power import GaussianMixModel
 
 # Stream elements (trials x horizon) simulated and run per block of trials:
-# large enough that per-call overhead is amortized, small enough that the
-# block's temporaries stay a few hundred kilobytes.
-TRIAL_BLOCK_ELEMENTS = 32_768
+# 128 rows at T = 1000, enough to amortize the fallback runners' loop over
+# counted positions.  Such a block of p-values takes 1 MB, and one runner
+# call about 2.6 MB more at most, its result included.
+TRIAL_BLOCK_ELEMENTS = 131_072
 
 
 @dataclass(frozen=True)
@@ -188,11 +189,11 @@ def estimate_metrics_many(
             stream = gen_stream(sim, trial)
             p[r], labels[r] = stream.p, stream.labels
         block, signal = p[: stop - start], labels[: stop - start]
-        nulls = ~signal
         n_nonnull[start:stop] = signal.sum(axis=1)
         for label, run in runners.items():
             rej = run(block).rejected
-            tallies[label][:, start:stop] = (rej & nulls).sum(axis=1), (rej & signal).sum(axis=1), rej.sum(axis=1)
+            d, r = (rej & signal).sum(axis=1), rej.sum(axis=1)
+            tallies[label][:, start:stop] = r - d, d, r  # V: the rejections that are not signals
     return {
         label: _summarize(procedures[label], sim, v, d, n_nonnull.copy(), n_rej, keep_trials)
         for label, (v, d, n_rej) in tallies.items()

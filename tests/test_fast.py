@@ -1,5 +1,6 @@
 """The vectorized runners must reproduce the step schedulers bit for bit."""
 
+import warnings
 import zlib
 
 import numpy as np
@@ -264,3 +265,27 @@ def test_a_carried_state_takes_one_stream():
     proc, run = CONFIGS[0].build(), make_runner(CONFIGS[0])
     with pytest.raises(StreamError, match="1-d chunk"):
         run(np.full((2, 5), 0.5), state=proc.state)
+
+
+TABLE_CONFIGS = [  # (config, number of leading levels a saturating budget clamps)
+    (ProcedureConfig(procedure="alpha-spending", alpha=0.2, series={"kind": "log-q", "q": 2.0}), 0),
+    (ProcedureConfig(procedure="online-sidak", alpha=0.2, series={"kind": "q", "q": 2.0}), 0),
+    (ProcedureConfig(procedure="alpha-spending", alpha=0.9, series={"kind": "q", "q": 2.0}, k=4), 1),
+    # k * alpha = 2^19: the clamp reaches across two doublings of the table
+    (ProcedureConfig(procedure="alpha-spending", alpha=0.5, series={"kind": "log-q", "q": 2.0}, k=2**20), 3684),
+]
+
+
+@pytest.mark.parametrize("cfg,saturated", TABLE_CONFIGS, ids=[_ids(cfg) for cfg, _ in TABLE_CONFIGS])
+def test_level_table_grown_by_chunks_equals_one_shot(cfg, saturated):
+    # every step is counted, so the levels are the table itself; chunks grow it to 1024, 2048, then 4096
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # k * alpha >= 1 warns that levels saturate
+        proc, chunked, one_shot = cfg.build(), make_runner(cfg), make_runner(cfg)
+    p = np.ones(4096)
+    got = [chunked(p[i : i + 1000], state=proc.state).levels for i in range(0, p.size, 1000)]
+    got = [float(x).hex() for x in np.concatenate(got)]
+    want = [float(x).hex() for x in one_shot(p).levels]
+    assert got == want
+    clamped = float(np.nextafter(1.0, 0.0)).hex()
+    assert want[:saturated] == [clamped] * saturated and clamped not in want[saturated:]

@@ -1,6 +1,7 @@
 """Stream generation, metric estimation, and trace audits."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,8 +21,8 @@ from fwerstream import (
     make_runner,
     run_stream,
 )
+from fwerstream import sim as simmod
 from fwerstream.errors import AuditError
-from fwerstream.sim import TRIAL_BLOCK_ELEMENTS
 
 LOG2 = {"kind": "log-q", "q": 2.0}
 
@@ -145,10 +146,10 @@ class TestEstimateMetrics:
         rep = estimate_metrics(kfwer_wrap(base, 2), cfg, keep_trials=True)
         assert rep.fwer == np.mean(rep.per_trial["v"] >= 2)
 
-    def test_trial_blocks_match_a_per_trial_loop(self):
+    def test_trial_blocks_match_a_per_trial_loop(self, monkeypatch):
         # three rows per block: two full blocks and a remainder of two trials
-        horizon = TRIAL_BLOCK_ELEMENTS // 3
-        assert TRIAL_BLOCK_ELEMENTS // horizon == 3
+        horizon = 10_922
+        monkeypatch.setattr(simmod, "TRIAL_BLOCK_ELEMENTS", 3 * horizon)
         cfg = sim(pi=0.3, mu_n=-0.5, horizon=horizon, trials=8, block_size=3)
         procs = {name: ProcedureConfig(procedure=name, alpha=0.2, series=LOG2,
                                        lags={"kind": "from-batch-ids"} if name == "addis-spending-local" else None)
@@ -165,6 +166,51 @@ class TestEstimateMetrics:
                 want["n_rejections"].append(int(rej.sum()))
             got = reports[name].per_trial
             assert {key: got[key].tolist() for key in want} == want, name
+
+    BLOCK_PROCEDURES = {
+        **{name: ProcedureConfig(procedure=name, alpha=0.2, series=LOG2,
+                                 lags={"kind": "constant", "value": 3} if name == "addis-spending-local" else None)
+           for name in PROCEDURES},
+        "online-fallback one-step": ProcedureConfig(procedure="online-fallback", alpha=0.2, series=LOG2,
+                                                    weights={"kind": "one-step"}),
+        "discard-fallback one-step": ProcedureConfig(procedure="discard-fallback", alpha=0.2, series=LOG2,
+                                                     tau=0.5, weights={"kind": "one-step"}),
+        "discard-fallback explicit": ProcedureConfig(procedure="discard-fallback", alpha=0.2, series=LOG2, tau=0.5,
+                                                     weights={"kind": "explicit",
+                                                              "rows": [[0.5, 0.5], [1.0], [], [0.25] * 4] * 50}),
+        "discard-fallback tau 1": ProcedureConfig(procedure="discard-fallback", alpha=0.2, series=LOG2, tau=1.0),
+    }
+
+    def test_block_rows_leave_every_trial_unchanged(self, monkeypatch):
+        # 133 trials: one row per block, 3, 32, 128 (a full block and a remainder) and the default (one block)
+        cfg = sim(pi=0.5, mu_n=-0.5, horizon=300, trials=133, seed=4)
+        default = simmod.TRIAL_BLOCK_ELEMENTS
+        assert default // cfg.horizon >= cfg.trials
+        per_trial = {}
+        for rows in (1, 3, 32, 128, None):
+            monkeypatch.setattr(simmod, "TRIAL_BLOCK_ELEMENTS", rows * cfg.horizon if rows else default)
+            reports = estimate_metrics_many(self.BLOCK_PROCEDURES, cfg, keep_trials=True)
+            per_trial[rows] = {label: [rep.per_trial[key].tolist() for key in ("v", "d", "n_rejections")]
+                               for label, rep in reports.items()}
+        for rows, got in per_trial.items():
+            for label, want in per_trial[1].items():
+                assert got[label] == want, (rows, label)
+
+    def test_default_block_memory_stays_within_twice_the_32_row_peak(self):
+        # The budget of one grid cell (100 trials, T = 1000, one block of 100
+        # rows) is twice 1.82 MB, its tracemalloc peak with 32-row blocks and
+        # block-sized fallback temporaries (numpy 2.4).  Block-sized
+        # temporaries at 100 rows would take 4.68 MB.
+        cfg = sim(pi=0.5, mu_n=0.0, horizon=1000, trials=100, seed=1)
+        procs = {name: self.BLOCK_PROCEDURES[name] for name in PROCEDURES}
+        assert simmod.TRIAL_BLOCK_ELEMENTS // cfg.horizon >= cfg.trials
+        tracemalloc.start()
+        try:
+            estimate_metrics_many(procs, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * 1.82e6, peak
 
 
 class TestAuditTrace:
