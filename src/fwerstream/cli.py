@@ -30,7 +30,7 @@ from .core import _check_p
 from .errors import AuditError, BudgetError, ConfigError, StreamError
 from .power import GaussianMixModel, cstar_threshold, expected_true_discoveries, optimal_gamma_varying, optimal_q
 from .series import series_from_config
-from .sim import SimConfig, fig1_cells, fig2_cells, run_cells
+from .sim import fig1_cells, fig2_cells, grid_cells, run_cells
 from .spec import SPECS
 
 RESULT_COLUMNS = ("procedure", "pi_A", "mu_A", "mu_N", "T", "alpha",
@@ -244,30 +244,20 @@ def cmd_run(args) -> int:
 # ----------------------------------------------------------------------
 
 def _custom_cells(spec: dict):
+    """The cells of an experiment config, every value of it checked first."""
     try:
-        procs = [ProcedureConfig.from_dict(d) for d in spec["procedures"]]
+        procedures = {}
+        for p in (ProcedureConfig.from_dict(d) for d in spec["procedures"]):
+            procedures[p.procedure if p.procedure not in procedures else f"{p.procedure}#{len(procedures)}"] = p
         grid = spec["grid"]
-        trials = int(spec.get("trials", 2000))
-        seed = int(spec.get("seed", 1))
-        horizon = int(grid.get("T", 1000))
-        alpha = float(grid.get("alpha", 0.2))
         mu_a = float(grid.get("mu_a", 4.0))
-        pi_list = grid.get("pi_a", [0.5])
-        mu_n_list = grid.get("mu_n", [0.0])
-    except (KeyError, TypeError, ValueError) as exc:
+        points = [(GaussianMixModel(pi_a=float(pi_a), mu_a=mu_a, mu_n=float(mu_n)),
+                   {"pi_a": pi_a, "mu_a": mu_a, "mu_n": mu_n})
+                  for mu_n in grid.get("mu_n", [0.0]) for pi_a in grid.get("pi_a", [0.5])]
+        return grid_cells(procedures, points, trials=int(spec.get("trials", 2000)), seed=int(spec.get("seed", 1)),
+                          horizon=int(grid.get("T", 1000)), alpha=float(grid.get("alpha", 0.2)))
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"experiment config: {exc!r}") from None
-    cell = 0
-    for mu_n in mu_n_list:
-        for pi_a in pi_list:
-            model = GaussianMixModel(pi_a=float(pi_a), mu_a=mu_a, mu_n=float(mu_n))
-            sim = SimConfig(model=model, horizon=horizon, trials=trials, seed=seed + cell)
-            meta = {"pi_a": pi_a, "mu_a": mu_a, "mu_n": mu_n, "T": horizon, "alpha": alpha}
-            procedures = {}
-            for p in procs:
-                label = p.procedure if p.procedure not in procedures else f"{p.procedure}#{len(procedures)}"
-                procedures[label] = dataclasses.replace(p, alpha=alpha)
-            yield meta, procedures, sim
-            cell += 1
 
 
 def cmd_experiment(args) -> int:
@@ -316,6 +306,8 @@ def cmd_solve(args) -> int:
     if args.solver == "optimal-q":
         header = ["N", "q_star"]
         for n in _float_list(args.n or "2,10,100,1000"):
+            if not n.is_integer():
+                raise ConfigError(f"--n must list integers, got {n!r}")
             rows.append([int(n), optimal_q(int(n), args.mu_a, args.alpha)])
     elif args.solver == "cstar":
         header = ["pi_a", "mu_a", "mu_n", "c_star"]
@@ -336,7 +328,10 @@ def cmd_solve(args) -> int:
         model = GaussianMixModel(pi_a=args.pi_a_scalar, mu_a=args.mu_a, mu_n=0.0)
         for tok in (args.n or "10,100,1000").split(","):
             tok = tok.strip()
-            n = math.inf if tok in ("inf", "infinity") else int(tok)
+            try:
+                n = math.inf if tok in ("inf", "infinity") else int(tok)
+            except ValueError:
+                raise ConfigError(f"--n must list integers or 'inf', got {tok!r}") from None
             rows.append([tok, expected_true_discoveries(n, args.alpha, series, model)])
     else:
         raise ConfigError(f"unknown solver {args.solver!r}")
@@ -359,6 +354,8 @@ def cmd_solve(args) -> int:
 def cmd_validate(args) -> int:
     spec = _load_json(args.config)
     entries = spec["procedures"] if isinstance(spec, dict) and "procedures" in spec else [spec]
+    if not isinstance(entries, list):
+        raise ConfigError(f"'procedures' must be a list of procedure configs, got {entries!r}")
     failures = 0
     for idx, entry in enumerate(entries, start=1):
         name = entry.get("procedure", f"entry {idx}") if isinstance(entry, dict) else f"entry {idx}"

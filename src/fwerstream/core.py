@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import BudgetError, ConfigError, StreamError
 from .series import WeightSeries, series_from_config, weight_vector
-from .spec import DEFAULT_TAU, SPECS, level_budget, sidak_levels
+from .spec import DEFAULT_TAU, SPECS, level_budget, level_map
 
 
 @dataclass(frozen=True, slots=True)
@@ -138,20 +138,6 @@ class Schedule:
         return self._validate(float(self._fn(visible_prefix)))
 
 
-def _level_map(family: str, budget: float, weight, recycled):
-    """The family's level as a function of (t, tau, lambda); see :mod:`fwerstream.spec`.
-
-    The closure holds no reference to the scheduler, so a finished scheduler
-    and its trace are freed as soon as the last caller drops it.
-    """
-    if family == "spending":
-        return lambda t, tau, lam: budget * (tau - lam) * weight(t)
-    if family == "sidak":
-        return lambda t, tau, lam: tau * sidak_levels(budget, ((tau - lam) / tau * weight(t),))[0]
-    mass = recycled.mass
-    return lambda t, tau, lam: tau * (budget * weight(t) + mass(t))
-
-
 class StreamState:
     """The running state of one scheduler over one stream.
 
@@ -215,7 +201,6 @@ class OnlineProcedure:
         self.alpha = float(alpha)
         self.budget = level_budget(self.kind, self.alpha, k)
         self.k = k
-        self._saturating = self.budget >= 1.0
         self.series: WeightSeries = series_from_config(series)
         self.trace: list[Decision] = []
 
@@ -240,7 +225,6 @@ class OnlineProcedure:
             self.weights = weights_from_config(weights, self.series)
             recycled = RecycleBuffer(self.weights)  # indexed by t
         self.state = StreamState(self.lags is not None, recycled)
-        self._level = _level_map(spec.family, self.budget, self.series.weight, recycled)
         self._adapts = spec.adapts
 
     def _check(self, tau: float, lam: float = 0.0) -> tuple[float, float]:
@@ -278,7 +262,9 @@ class OnlineProcedure:
             visible = max(0, i - 1 - lag)
             t = 1 + min(lag, i - 1) + state.counted_before(visible)
         tau, lam = self.thresholds or self._thresholds(i, visible)
-        a = self._level(t, tau, lam)
+        a = level_map(self.spec.family, self.budget, tau, lam, self.series.weight(t))
+        if state.recycled is not None:
+            a = tau * (a + state.recycled.mass(t))
         if a >= tau or a >= 1.0:
             a = self._finalize(a, tau)
         selected = p <= tau
@@ -290,13 +276,10 @@ class OnlineProcedure:
         return Decision(i, p, a, rejected, selected, candidate, tau, lam)
 
     def _finalize(self, a: float, tau: float = 1.0) -> float:
-        # levels must stay strictly below min(tau, 1); only a saturating
-        # k-FWER budget is allowed to clamp instead of fail
-        cap = tau if tau < 1.0 else 1.0
-        if a < cap:
+        # levels must stay strictly below min(tau, 1); level_map clamps a
+        # saturating k-FWER budget, so only a faulty schedule gets here
+        if a < (tau if tau < 1.0 else 1.0):
             return a
-        if self._saturating:
-            return math.nextafter(cap, 0.0)
         raise BudgetError(
             f"{self.kind}: level {a} >= min(tau={tau}, 1) at step {self.t + 1}; "
             "the schedule violates alpha_i < tau_i"
@@ -334,13 +317,6 @@ class FallbackWeights:
         """w[k, k+1 ..] up to the last possibly nonzero entry, capped at the
         horizon: the slice every recycling path adds a rejected level to."""
         raise NotImplementedError
-
-    def row(self, k: int, horizon: int) -> np.ndarray:
-        """w[k, k+1 .. horizon] as an array, zero-padded past :meth:`span`."""
-        out = np.zeros(max(horizon - k, 0), dtype=np.float64)
-        head = self.span(k, horizon)
-        out[: head.size] = head
-        return out
 
     def config(self) -> dict:
         raise NotImplementedError

@@ -6,13 +6,14 @@ maps one p-value stream of shape (T,), or a block of streams of shape
 Given a scheduler's :class:`~fwerstream.core.StreamState`, it decides the
 next chunk of that scheduler's stream instead and advances the state; the
 index t, and with it the level table, counts from the start of the stream.
-For constant tau and lambda the runner computes the index rule and level
-map of the procedure's row in :data:`fwerstream.spec.SPECS` with the same
-float operations as the step scheduler, so both give bit-identical traces;
+For constant tau and lambda the runner computes the index rule of the
+procedure's row in :data:`fwerstream.spec.SPECS` with the same operations
+as the step scheduler, and its level through the step's own
+:func:`fwerstream.spec.level_map`, so both give bit-identical traces;
 anything fancier falls back to the step-by-step scheduler, row by row.
 
 Spending and Sidak levels depend on the series index t alone, so each
-runner evaluates its level map once per t into a memoized table and
+runner evaluates the level map once per t into a memoized table and
 gathers ``table[t-1]``; when t outgrows the table, only the new entries
 are computed and appended.  Fallback levels carry recycled mass, so
 :func:`_recycle` loops over counted positions m = 1, 2, ... (the series
@@ -29,7 +30,6 @@ feeds the state's ``RecycleBuffer`` itself (:func:`_recycle_carried`).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -38,7 +38,7 @@ from .config import ProcedureConfig
 from .core import Decision, OneStepWeights
 from .errors import ConfigError, StreamError
 from .series import series_from_config
-from .spec import sidak_levels
+from .spec import level_map
 
 
 _COLUMNS = ("p", "levels", "rejected", "selected", "candidate", "tau", "lam")
@@ -131,15 +131,7 @@ def make_runner(cfg: ProcedureConfig, batch_ids=None):
         nonlocal table
         if table.size < n:  # the map is elementwise: compute only the entries past the old end
             gam = series.weights_upto(1 << max(10, (n - 1).bit_length()))[table.size :]
-            if spec.family == "spending":
-                fresh = budget * (tau - lam) * gam
-            elif spec.family == "sidak":
-                fresh = tau * np.array(sidak_levels(budget, ((tau - lam) / tau * gam).tolist()))
-            else:
-                fresh = budget * gam
-            if budget >= 1.0:  # a saturating k-FWER budget clamps levels below min(tau, 1)
-                fresh = np.minimum(fresh, math.nextafter(min(tau, 1.0), 0.0))
-            table = np.concatenate((table, fresh))
+            table = np.concatenate((table, level_map(spec.family, budget, tau, lam, gam)))
         return table
 
     def run(p, state=None):

@@ -27,14 +27,13 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.optimize import brentq
+from scipy.optimize import brentq, minimize_scalar
 from scipy.special import log_ndtr, ndtr, ndtri
 
 from .errors import ConfigError
 from .series import ExplicitSeries, LogQSeries, QSeries, WeightSeries, series_from_config
 
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 def _scalar(x, name: str) -> float:
@@ -84,14 +83,9 @@ def detection_probability(levels, mu_a) -> np.ndarray:
 def _finite_sum(n: int, alpha: float, series: WeightSeries, mu: float) -> float:
     total = 0.0
     chunk = 1 << 20
-    lo = 0
-    gam_all = None
-    while lo < n:
-        hi = min(lo + chunk, n)
-        if gam_all is None or gam_all.size < hi:
-            gam_all = series.weights_upto(hi)
-        total += float(np.sum(detection_probability(alpha * gam_all[lo:hi], mu)))
-        lo = hi
+    for lo in range(0, n, chunk):
+        gam = series.weights_upto(min(lo + chunk, n))[lo:]
+        total += float(np.sum(detection_probability(alpha * gam, mu)))
     return total
 
 
@@ -209,9 +203,10 @@ def expected_true_discoveries(n, alpha, series, model: GaussianMixModel, *, abs_
 def optimal_q(n: int, mu_a: float, alpha: float, *, q_max: float = 50.0, tol: float = 1e-6) -> float:
     """argmax over q > 1 of the expected-discovery curve with a q-series.
 
-    The curve rises then falls in q for n >= 2, so golden-section search
-    on (1, q_max] finds the maximizer to within ``tol``; the bracket is
-    widened if the maximizer lands on its upper edge.  n = 1 is rejected:
+    The curve rises then falls in q for n >= 2, so a bounded scalar search
+    (scipy's ``minimize_scalar``, Brent's method) on (1, q_max] finds the
+    maximizer to within ``tol``; the bracket is widened if the maximizer
+    lands on its upper edge.  n = 1 is rejected:
     the curve is monotone increasing there and has no interior maximum.
     """
     if not (isinstance(n, int) and n >= 1):
@@ -225,26 +220,13 @@ def optimal_q(n: int, mu_a: float, alpha: float, *, q_max: float = 50.0, tol: fl
     if not 0.0 < alpha < 0.5:
         raise ConfigError(f"alpha must lie in (0, 1/2), got {alpha}")
 
-    def objective(q: float) -> float:
-        return _finite_sum(n, alpha, QSeries(q), mu_a)
+    def loss(q: float) -> float:
+        return -_finite_sum(n, alpha, QSeries(q), mu_a)
 
     lo = 1.0 + 1e-9
     hi = float(q_max)
     while True:
-        a, b = lo, hi
-        c = b - _GOLDEN * (b - a)
-        d = a + _GOLDEN * (b - a)
-        fc, fd = objective(c), objective(d)
-        while b - a > tol:
-            if fc >= fd:
-                b, d, fd = d, c, fc
-                c = b - _GOLDEN * (b - a)
-                fc = objective(c)
-            else:
-                a, c, fc = c, d, fd
-                d = a + _GOLDEN * (b - a)
-                fd = objective(d)
-        q_star = 0.5 * (a + b)
+        q_star = float(minimize_scalar(loss, bounds=(lo, hi), method="bounded", options={"xatol": tol}).x)
         if hi - q_star > 10.0 * tol or hi >= 1e5:
             return q_star
         hi *= 2.0  # maximizer pinned to the edge: widen and retry
@@ -274,7 +256,7 @@ def _zeta_prime(q: float, rtol: float = 1e-10) -> float:
 def expected_discoveries_slope(q: float, n: int, mu_a: float, alpha: float, pi_a: float = 1.0) -> float:
     """Analytic d/dq of the expected-discovery curve for a q-series.
 
-    Used as a cross-check on the golden-section optimum: the slope is
+    Used as a cross-check on the :func:`optimal_q` optimum: the slope is
     positive below q* and negative above.  Derivation: each term of the
     curve is Phi(z_i + mu) with z_i = Phi^-1(alpha*gamma_i(q)), and
     d gamma_i/dq = -gamma_i (log i + zeta'(q)/zeta(q)), so
@@ -310,15 +292,11 @@ def cstar_threshold(model: GaussianMixModel, *, scan_points: int = 40001) -> flo
     discard thresholds above it are guaranteed power-safe.  Returns 1.0
     when no interior zero exists below 1 - 1e-9 (uniform nulls).
     """
-    pi, mu_a, mu_n = model.scalar_params()
+    pi, mu_a, _ = model.scalar_params()
     if not 0.0 < pi < 1.0:
         raise ConfigError(f"pi_a must lie in (0, 1), got {pi}")
     if mu_a <= 0.0:
         raise ConfigError(f"mu_a must be > 0, got {mu_a}")
-
-    def j_scalar(x: float) -> float:
-        z = float(ndtri(x))
-        return x - ((1.0 - pi) * float(ndtr(z + mu_n)) + pi * float(ndtr(z + mu_a)))
 
     # probit-spaced scan resolves both endpoints; J < 0 near 0 always
     grid = ndtr(np.linspace(-8.0, 8.0, scan_points))
@@ -329,7 +307,8 @@ def cstar_threshold(model: GaussianMixModel, *, scan_points: int = 40001) -> flo
     kpos = int(positive[0])
     if kpos == 0:
         raise RuntimeError("scan found no negative dip before the crossing")
-    root = brentq(j_scalar, float(grid[kpos - 1]), float(grid[kpos]), xtol=1e-15, rtol=8.9e-16)
+    root = brentq(lambda x: x - mixture_cdf(x, model), float(grid[kpos - 1]), float(grid[kpos]),
+                  xtol=1e-15, rtol=8.9e-16)
     return 1.0 if root > 1.0 - 1e-9 else float(root)
 
 
@@ -347,7 +326,7 @@ def optimal_gamma_varying(pi_seq, mu_seq, alpha, horizon: int) -> np.ndarray:
         gamma_i* = (1/alpha) * Phi(-h_i(eta*)),
         h_i(eta) = log(eta / pi_i) / mu_i + mu_i / 2,
 
-    with eta* > 0 chosen by bisection so the weights sum to one (the sum
+    with eta* > 0 found by ``brentq`` so the weights sum to one (the sum
     is continuous and strictly decreasing in eta).  Constant parameters
     give exactly uniform weights.  Infinite-horizon feasibility is the
     caller's concern; this solves the finite-horizon problem.
@@ -389,22 +368,9 @@ def optimal_gamma_varying(pi_seq, mu_seq, alpha, horizon: int) -> np.ndarray:
     else:
         raise ConfigError("no eta with weight sum below 1; problem infeasible")
 
-    f_lo = weight_sum(lo) - 1.0
-    for _ in range(300):
-        mid = 0.5 * (lo + hi)
-        f_mid = weight_sum(mid) - 1.0
-        if abs(f_mid) <= 1e-13:
-            lo = hi = mid
-            break
-        if (f_mid > 0.0) == (f_lo > 0.0):
-            lo, f_lo = mid, f_mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-15 * max(1.0, abs(mid)):
-            break
-    u_star = 0.5 * (lo + hi)
+    u_star = brentq(lambda u: weight_sum(u) - 1.0, lo, hi, xtol=1e-15)
     gamma = ndtr(-((u_star - log_pi) / mu + half_mu)) / alpha
     total = float(np.sum(gamma))
     if abs(total - 1.0) > 1e-9:
-        raise ConfigError(f"eta bisection failed: weights sum to {total}")
+        raise ConfigError(f"eta search failed: weights sum to {total}")
     return gamma

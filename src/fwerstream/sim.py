@@ -12,7 +12,7 @@ stress case) and independent across blocks.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.special import ndtr
@@ -215,6 +215,22 @@ FIG1_PROCEDURES = ("alpha-spending", "online-sidak", "online-fallback", "addis-s
 FIG2_PROCEDURES = ("alpha-spending", "online-sidak", "online-fallback-1", "online-fallback")
 
 
+def grid_cells(procedures: dict[str, ProcedureConfig], points, *, trials: int, seed: int, horizon: int,
+               alpha: float):
+    """Experiment cells, one per (model, meta) pair of ``points``.
+
+    The c-th cell simulates ``trials`` streams of length ``horizon`` from its
+    model with seed ``seed + c`` and runs every procedure (label -> config)
+    at ``alpha``.  Returns an iterator of (meta, procedures, sim) triples;
+    each meta gains the horizon ``T`` and ``alpha``.  Every cell's
+    :class:`SimConfig` is checked before the first one is returned.
+    """
+    procedures = {label: replace(cfg, alpha=alpha) for label, cfg in procedures.items()}
+    sims = [SimConfig(model=model, horizon=horizon, trials=trials, seed=seed + cell)
+            for cell, (model, _) in enumerate(points)]
+    return (({**meta, "T": horizon, "alpha": alpha}, dict(procedures), sim) for (_, meta), sim in zip(points, sims))
+
+
 def _fig_procedures(names, alpha: float, series: dict) -> dict[str, ProcedureConfig]:
     return {name: ProcedureConfig(procedure=name, alpha=alpha, series=dict(series)) for name in names}
 
@@ -226,15 +242,10 @@ def fig1_cells(trials: int = 2000, seed: int = 1, horizon: int = 1000, alpha: fl
     log-q-series with q = 2 and ADDIS runs its (tau, lambda) = (1/2, 1/4)
     defaults.
     """
-    series = {"kind": "log-q", "q": 2.0}
-    cell = 0
-    for mu_n in (0.0, -1.0):
-        for pi_a in [round(0.1 * j, 1) for j in range(1, 10)]:
-            model = GaussianMixModel(pi_a=pi_a, mu_a=4.0, mu_n=mu_n)
-            sim = SimConfig(model=model, horizon=horizon, trials=trials, seed=seed + cell)
-            meta = {"pi_a": pi_a, "mu_a": 4.0, "mu_n": mu_n, "T": horizon, "alpha": alpha}
-            yield meta, _fig_procedures(FIG1_PROCEDURES, alpha, series), sim
-            cell += 1
+    points = [(GaussianMixModel(pi_a=pi_a, mu_a=4.0, mu_n=mu_n), {"pi_a": pi_a, "mu_a": 4.0, "mu_n": mu_n})
+              for mu_n in (0.0, -1.0) for pi_a in [round(0.1 * j, 1) for j in range(1, 10)]]
+    return grid_cells(_fig_procedures(FIG1_PROCEDURES, alpha, {"kind": "log-q", "q": 2.0}), points,
+                      trials=trials, seed=seed, horizon=horizon, alpha=alpha)
 
 
 def fig2_cells(trials: int = 2000, seed: int = 1, horizon: int = 1000, alpha: float = 0.2):
@@ -244,16 +255,12 @@ def fig2_cells(trials: int = 2000, seed: int = 1, horizon: int = 1000, alpha: fl
     frequency f in {0.1, ..., 0.9}.  Right panel: an all-signal prefix
     (f = 1) whose length fraction r runs over {0.10, 0.12, ..., 0.26}.
     """
-    series = {"kind": "q", "q": 2.0}
-    cell = 0
-    for f, r in [(round(0.1 * j, 1), 1.0) for j in range(1, 10)] + [
-        (1.0, round(0.10 + 0.02 * j, 2)) for j in range(9)
-    ]:
-        model = GaussianMixModel(pi_a=clustered_pi(horizon, f, r), mu_a=4.0, mu_n=0.0)
-        sim = SimConfig(model=model, horizon=horizon, trials=trials, seed=seed + 10_000 + cell)
-        meta = {"pi_a": f, "mu_a": 4.0, "mu_n": 0.0, "T": horizon, "alpha": alpha, "f": f, "r": r}
-        yield meta, _fig_procedures(FIG2_PROCEDURES, alpha, series), sim
-        cell += 1
+    points = [(GaussianMixModel(pi_a=clustered_pi(horizon, f, r), mu_a=4.0, mu_n=0.0),
+               {"pi_a": f, "mu_a": 4.0, "mu_n": 0.0, "f": f, "r": r})
+              for f, r in [(round(0.1 * j, 1), 1.0) for j in range(1, 10)]
+              + [(1.0, round(0.10 + 0.02 * j, 2)) for j in range(9)]]
+    return grid_cells(_fig_procedures(FIG2_PROCEDURES, alpha, {"kind": "q", "q": 2.0}), points,
+                      trials=trials, seed=seed + 10_000, horizon=horizon, alpha=alpha)
 
 
 def run_cells(cells, *, keep_trials: bool = False):

@@ -8,11 +8,11 @@ not discard and lambda = 0 on rows that do not adapt, all rows share
   where a step is counted when it is selected (p_j <= tau_j, always true
   without discarding) and not a candidate (p_j <= lambda_j, never true
   without adaptivity), and L_i = 0 unless the row is lagged;
-* one level map per family:
+* one level map per family, :func:`level_map`:
 
   ==========  ==============================================================
   spending    ``k*alpha * (tau - lam) * gamma_t``
-  sidak       ``tau * sidak_levels(k*alpha, [((tau - lam) / tau) * gamma_t])``
+  sidak       ``tau * (1 - (1 - k*alpha)^(((tau - lam) / tau) * gamma_t))``
   fallback    ``tau * (k*alpha * gamma_t + recycled(t))``
   ==========  ==============================================================
 
@@ -26,9 +26,10 @@ The scalar step (:class:`fwerstream.core.OnlineProcedure`), the batch runner
 (:func:`fwerstream.fast.make_runner`), the audit
 (:func:`fwerstream.audit.audit_trace`) and
 :meth:`fwerstream.config.ProcedureConfig.build` all read their rules from
-this table.  :func:`sidak_levels` is the one Sidak kernel: the step calls
-it with one exponent, the runner once per stream.  Only spending rows bound
-the PFER, so only they admit k-FWER budget inflation (:func:`level_budget`).
+this table.  :func:`level_map` is the one copy of the level maps: the step
+calls it with one series weight, the runner with an array of them.  Only
+spending rows bound the PFER, so only they admit k-FWER budget inflation
+(:func:`level_budget`).
 """
 
 from __future__ import annotations
@@ -36,6 +37,8 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import ConfigError
 
@@ -98,13 +101,32 @@ def level_budget(kind: str, alpha: float, k) -> float:
     return budget
 
 
-def sidak_levels(budget: float, exponents) -> list[float]:
-    """1 - (1-budget)^g for each exponent g, stable for g as small as ~1e-300.
+def level_map(family: str, budget: float, tau: float, lam: float, gam):
+    """The level a row of ``family`` assigns to series weight ``gam`` (the
+    fallback rows: the base level ``budget * gam``, before their recycled
+    mass and tau), clamped below min(tau, 1) when the budget saturates.
 
-    Evaluated in the log domain with ``math.expm1`` so tiny exponents do
-    not round the level to zero; g <= 0 and g >= 1 give 0 and ``budget``
-    exactly.  ``np.expm1`` differs from ``math.expm1`` in the last place on
-    some inputs, so every path calls this one kernel.
+    ``gam`` is a Python float, whose level is a Python float (the scalar
+    step), or a float64 array (the runner's level table); both take the same
+    float operations, so the step and the runner agree bit for bit.  Sidak
+    levels 1 - (1-budget)^g are evaluated in the log domain with
+    ``math.expm1``, element by element, so tiny exponents (down to ~1e-300)
+    do not round the level to zero; ``np.expm1`` differs from it in the last
+    place on some inputs.  g <= 0 and g >= 1 give 0 and ``budget`` exactly.
     """
-    log1m = math.log1p(-budget)
-    return [0.0 if g <= 0.0 else budget if g >= 1.0 else -math.expm1(g * log1m) for g in exponents]
+    if family == "spending":
+        level = budget * (tau - lam) * gam
+    elif family == "sidak":
+        log1m = math.log1p(-budget)
+
+        def sidak(g):
+            return 0.0 if g <= 0.0 else budget if g >= 1.0 else -math.expm1(g * log1m)
+
+        g = (tau - lam) / tau * gam
+        level = tau * (np.array([sidak(x) for x in g.tolist()]) if isinstance(g, np.ndarray) else sidak(g))
+    else:
+        level = budget * gam
+    if budget < 1.0:
+        return level
+    cap = math.nextafter(min(tau, 1.0), 0.0)
+    return np.minimum(level, cap) if isinstance(level, np.ndarray) else min(level, cap)

@@ -183,6 +183,17 @@ class TestExperiment:
         assert "0.1" in f_values and "1.0" in f_values
         assert len(rows) == 1 + (9 + 9) * 4
 
+    @pytest.mark.parametrize("key,value", [("grid", 5), ("grid", {"pi_a": ["x"]}), ("grid", {"mu_n": 5}),
+                                           ("trials", 0)], ids=["grid", "pi_a", "mu_n", "trials"])
+    def test_malformed_config_exits_3_before_any_output(self, tmp_path, capsys, key, value):
+        cfg = tmp_path / "exp.json"
+        cfg.write_text(json.dumps({"procedures": [{"procedure": "alpha-spending", "alpha": 0.2}],
+                                   "grid": {}, "trials": 2, key: value}))
+        out = tmp_path / "r.csv"
+        assert main(["experiment", "--config", str(cfg), "--out", str(out)]) == 3
+        assert capsys.readouterr().err.startswith("config error: ")
+        assert not out.exists()
+
 
 class TestSolve:
     def test_cstar_uniform_null_is_one(self, tmp_path, capsys):
@@ -218,6 +229,13 @@ class TestSolve:
     def test_unknown_solver_exit_3(self):
         assert main(["solve", "newton"]) == 3
 
+    @pytest.mark.parametrize("solver,n", [("expected-discoveries", "10,abc"), ("optimal-q", "2.5")])
+    def test_n_that_is_not_an_integer_exits_3(self, tmp_path, capsys, solver, n):
+        out = tmp_path / "s.csv"
+        assert main(["solve", solver, "--n", n, "--out", str(out)]) == 3
+        assert capsys.readouterr().err.startswith("config error: --n must list integers")
+        assert not out.exists()
+
 
 class TestValidate:
     def test_defaults_pass(self, tmp_path, capsys):
@@ -225,6 +243,12 @@ class TestValidate:
         cfg.write_text(json.dumps({"procedure": "addis-spending", "alpha": 0.2}))
         assert main(["validate", "--config", str(cfg)]) == 0
         assert "ok" in capsys.readouterr().out
+
+    def test_procedures_that_are_not_a_list_exit_3(self, tmp_path, capsys):
+        cfg = tmp_path / "five.json"
+        cfg.write_text(json.dumps({"procedures": 5}))
+        assert main(["validate", "--config", str(cfg)]) == 3
+        assert capsys.readouterr().err.startswith("config error: 'procedures' must be a list")
 
     def test_lambda_tau_order_fails(self, tmp_path, capsys):
         cfg = tmp_path / "bad.json"

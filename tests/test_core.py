@@ -111,7 +111,6 @@ class TestFallbackWeights:
         w = OneStepWeights()
         assert w.weight(3, 4) == 1.0
         assert w.weight(3, 5) == 0.0
-        assert list(w.row(3, 6)) == [1.0, 0.0, 0.0]
 
     def test_lagged_series(self):
         w = LaggedSeriesWeights(Q2)
@@ -140,7 +139,6 @@ class TestFallbackWeights:
         assert w.span(1, 2).tolist() == [0.5]  # capped at the horizon
         assert OneStepWeights().span(3, 10**6).tolist() == [1.0]
         assert OneStepWeights().span(3, 3).size == 0
-        assert w.row(1, 5).tolist() == [0.5, 0.5, 0.0, 0.0]  # rows still pad to the horizon
 
 
 class TestRecycleBuffer:

@@ -51,6 +51,11 @@ CONFIGS = [
     ProcedureConfig(procedure="addis-sidak", alpha=0.2, series={"kind": "q", "q": 2.0}, tau=0.7, lam=0.1),
     ProcedureConfig(procedure="addis-spending-local", alpha=0.2, series={"kind": "log-q", "q": 2.0},
                     lags={"kind": "list", "values": [0, 1, 2, 3, 0, 1, 0, 0, 1, 2] * 40}),
+    # saturating k-FWER budgets: the first levels are clamped below min(tau, 1)
+    *(pytest.param(cfg, marks=pytest.mark.filterwarnings(r"ignore:k\*alpha = .* >= 1:UserWarning")) for cfg in (
+        ProcedureConfig(procedure="alpha-spending", alpha=0.9, series={"kind": "q", "q": 2.0}, k=4),
+        ProcedureConfig(procedure="discard-spending", alpha=0.3, series={"kind": "q", "q": 4.0}, tau=0.5, k=4),
+    )),
 ]
 
 
@@ -74,7 +79,9 @@ def test_fast_equals_step_bitwise(cfg):
         p = rng.random(length) * rng.choice([0.3, 1.0])
         fast = runner(p)
         scheduler = cfg.build(batch_ids=batch_ids[:length] if needs_batch else None)
-        slow = from_decisions(cfg, scheduler.run(p))
+        steps = scheduler.run(p)
+        assert all(type(d.alpha) is float for d in steps)
+        slow = from_decisions(cfg, steps)
         np.testing.assert_array_equal(fast.levels, slow.levels)
         np.testing.assert_array_equal(fast.rejected, slow.rejected)
         np.testing.assert_array_equal(fast.selected, slow.selected)
@@ -201,6 +208,7 @@ def _assert_rows_match(cfg, res, block, runner, batch_ids):
     for r, row in enumerate(block):
         one = runner(row)
         steps = cfg.build(batch_ids=batch_ids).run(row)
+        assert all(type(d.alpha) is float for d in steps)
         for col, field in columns:
             assert getattr(res, col)[r].tolist() == getattr(one, col).tolist() == [getattr(d, field) for d in steps]
 
