@@ -6,6 +6,8 @@ stream; power solvers pick the allocation hyperparameters; a Monte-Carlo
 harness estimates error rates and power over simulated Gaussian streams.
 """
 
+import importlib
+
 from .addis import (
     AdaptiveSpending,
     AddisLocalSpending,
@@ -29,25 +31,31 @@ from .core import (
 )
 from .errors import AuditError, BudgetError, ConfigError, StreamError
 from .fast import StreamResult, make_runner, run_stream
-from .power import (
-    GaussianMixModel,
-    cstar_threshold,
-    expected_true_discoveries,
-    mixture_cdf,
-    optimal_gamma_varying,
-    optimal_q,
-)
 from .series import ExplicitSeries, LogQSeries, QSeries, WeightSeries, series_from_config
-from .sim import (
-    MetricsReport,
-    SimConfig,
-    Stream,
-    clustered_pi,
-    estimate_metrics,
-    estimate_metrics_many,
-    gen_stream,
-)
 from .variants import AdaptiveSidak, AddisSidak, DiscardFallback, DiscardSidak
+
+# The power solvers and the simulator load scipy, most of a command's
+# start-up; their names are imported on first access (PEP 562).
+_LAZY = {
+    **dict.fromkeys(("GaussianMixModel", "cstar_threshold", "expected_true_discoveries", "mixture_cdf",
+                     "optimal_gamma_varying", "optimal_q"), "power"),
+    **dict.fromkeys(("MetricsReport", "SimConfig", "Stream", "clustered_pi", "estimate_metrics",
+                     "estimate_metrics_many", "gen_stream"), "sim"),
+}
+
+
+def __getattr__(name: str):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_LAZY))
+
 
 __version__ = "0.1.0"
 

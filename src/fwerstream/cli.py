@@ -8,6 +8,9 @@ Subcommands:
   validate   check a config file, report findings
 
 Exit codes: 0 ok, 2 input error, 3 config error, 4 budget-audit failure.
+
+``run`` and ``validate`` load no scipy: ``experiment`` and ``solve`` import
+the simulator and the power solvers when they start.
 """
 
 from __future__ import annotations
@@ -28,9 +31,7 @@ from .audit import audit_trace
 from .config import ProcedureConfig
 from .core import _check_p
 from .errors import AuditError, BudgetError, ConfigError, StreamError
-from .power import GaussianMixModel, cstar_threshold, expected_true_discoveries, optimal_gamma_varying, optimal_q
 from .series import series_from_config
-from .sim import fig1_cells, fig2_cells, grid_cells, run_cells
 from .spec import SPECS
 
 RESULT_COLUMNS = ("procedure", "pi_A", "mu_A", "mu_N", "T", "alpha",
@@ -243,8 +244,19 @@ def cmd_run(args) -> int:
 # experiment
 # ----------------------------------------------------------------------
 
-def _custom_cells(spec: dict):
-    """The cells of an experiment config, every value of it checked first."""
+def _whole(value, name: str) -> int:
+    """A config value that must be a whole number (not a boolean)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not float(value).is_integer():
+        raise ConfigError(f"experiment config: {name} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _custom_cells(spec: dict, trials: int | None = None, seed: int | None = None):
+    """The cells of an experiment config, every value of it checked first;
+    ``trials`` and ``seed``, when given, override the config's."""
+    from .power import GaussianMixModel
+    from .sim import grid_cells
+
     try:
         procedures = {}
         for p in (ProcedureConfig.from_dict(d) for d in spec["procedures"]):
@@ -254,21 +266,28 @@ def _custom_cells(spec: dict):
         points = [(GaussianMixModel(pi_a=float(pi_a), mu_a=mu_a, mu_n=float(mu_n)),
                    {"pi_a": pi_a, "mu_a": mu_a, "mu_n": mu_n})
                   for mu_n in grid.get("mu_n", [0.0]) for pi_a in grid.get("pi_a", [0.5])]
-        return grid_cells(procedures, points, trials=int(spec.get("trials", 2000)), seed=int(spec.get("seed", 1)),
-                          horizon=int(grid.get("T", 1000)), alpha=float(grid.get("alpha", 0.2)))
+        config_trials = _whole(spec.get("trials", 2000), "trials")
+        config_seed = _whole(spec.get("seed", 1), "seed")
+        return grid_cells(procedures, points, trials=config_trials if trials is None else trials,
+                          seed=config_seed if seed is None else seed,
+                          horizon=_whole(grid.get("T", 1000), "grid.T"), alpha=float(grid.get("alpha", 0.2)))
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"experiment config: {exc!r}") from None
 
 
 def cmd_experiment(args) -> int:
+    from .sim import fig1_cells, fig2_cells, run_cells
+
+    # a flag left out keeps the preset's or the config's value
+    given = {k: v for k, v in (("trials", args.trials), ("seed", args.seed)) if v is not None}
     if args.preset == "fig1":
-        cells = fig1_cells(trials=args.trials, seed=args.seed)
+        cells = fig1_cells(**given)
         extra_cols = ()
     elif args.preset == "fig2":
-        cells = fig2_cells(trials=args.trials, seed=args.seed)
+        cells = fig2_cells(**given)
         extra_cols = ("f", "r")
     elif args.config:
-        cells = _custom_cells(_load_json(args.config))
+        cells = _custom_cells(_load_json(args.config), **given)
         extra_cols = ()
     else:
         raise ConfigError("pass --preset fig1|fig2 or --config FILE")
@@ -302,6 +321,8 @@ def _float_list(raw: str) -> list[float]:
 
 
 def cmd_solve(args) -> int:
+    from .power import GaussianMixModel, cstar_threshold, expected_true_discoveries, optimal_gamma_varying, optimal_q
+
     rows: list[list] = []
     if args.solver == "optimal-q":
         header = ["N", "q_star"]
@@ -398,8 +419,8 @@ def build_parser() -> argparse.ArgumentParser:
     exp_p = sub.add_parser("experiment", help="run a simulation grid")
     exp_p.add_argument("--preset", choices=("fig1", "fig2"), default=None)
     exp_p.add_argument("--config", default=None, help="experiment config JSON")
-    exp_p.add_argument("--trials", type=int, default=2000)
-    exp_p.add_argument("--seed", type=int, default=1)
+    exp_p.add_argument("--trials", type=int, default=None, help="overrides the config's (preset: 2000)")
+    exp_p.add_argument("--seed", type=int, default=None, help="overrides the config's (preset: 1)")
     exp_p.add_argument("--out", default=None)
     exp_p.set_defaults(fn=cmd_experiment)
 

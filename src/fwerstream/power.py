@@ -18,6 +18,10 @@ by index.
 Gaussian CDF/quantile come from scipy.special (ndtr/ndtri/log_ndtr),
 which are erf-based and accurate to well below 1e-12 absolute over the
 full double range; extreme tails matter because gamma_i can be ~1e-12.
+The solvers import ``quad``, ``brentq`` and ``minimize_scalar`` when first
+called: scipy.integrate and scipy.optimize take most of a second to load,
+and the simulator, which imports this module for :class:`GaussianMixModel`,
+uses neither.
 """
 
 from __future__ import annotations
@@ -26,8 +30,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.optimize import brentq, minimize_scalar
 from scipy.special import log_ndtr, ndtr, ndtri
 
 from .errors import ConfigError
@@ -104,6 +106,8 @@ def _tail_integral(a: float, c_level: float, mu: float, q: float) -> tuple[float
     single-peak integral over z in (-inf, z_a], evaluated by adaptive
     quadrature split at the peak z* = -mu*q/(q-1).
     """
+    from scipy.integrate import quad
+
     z_a = float(ndtri(c_level * a ** (-q)))
     k = c_level ** (1.0 / q) / q
     z_star = -mu * q / (q - 1.0)
@@ -219,6 +223,7 @@ def optimal_q(n: int, mu_a: float, alpha: float, *, q_max: float = 50.0, tol: fl
     alpha = _scalar(alpha, "alpha")
     if not 0.0 < alpha < 0.5:
         raise ConfigError(f"alpha must lie in (0, 1/2), got {alpha}")
+    from scipy.optimize import minimize_scalar
 
     def loss(q: float) -> float:
         return -_finite_sum(n, alpha, QSeries(q), mu_a)
@@ -307,6 +312,8 @@ def cstar_threshold(model: GaussianMixModel, *, scan_points: int = 40001) -> flo
     kpos = int(positive[0])
     if kpos == 0:
         raise RuntimeError("scan found no negative dip before the crossing")
+    from scipy.optimize import brentq
+
     root = brentq(lambda x: x - mixture_cdf(x, model), float(grid[kpos - 1]), float(grid[kpos]),
                   xtol=1e-15, rtol=8.9e-16)
     return 1.0 if root > 1.0 - 1e-9 else float(root)
@@ -367,6 +374,8 @@ def optimal_gamma_varying(pi_seq, mu_seq, alpha, horizon: int) -> np.ndarray:
         step *= 2.0
     else:
         raise ConfigError("no eta with weight sum below 1; problem infeasible")
+
+    from scipy.optimize import brentq
 
     u_star = brentq(lambda u: weight_sum(u) - 1.0, lo, hi, xtol=1e-15)
     gamma = ndtr(-((u_star - log_pi) / mu + half_mu)) / alpha

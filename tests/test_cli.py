@@ -184,7 +184,10 @@ class TestExperiment:
         assert len(rows) == 1 + (9 + 9) * 4
 
     @pytest.mark.parametrize("key,value", [("grid", 5), ("grid", {"pi_a": ["x"]}), ("grid", {"mu_n": 5}),
-                                           ("trials", 0)], ids=["grid", "pi_a", "mu_n", "trials"])
+                                           ("trials", 0), ("trials", 2.7), ("trials", True), ("trials", "2"),
+                                           ("seed", 1.5), ("seed", False), ("grid", {"T": 50.9})],
+                             ids=["grid", "pi_a", "mu_n", "trials", "trials-fraction", "trials-bool",
+                                  "trials-string", "seed-fraction", "seed-bool", "T-fraction"])
     def test_malformed_config_exits_3_before_any_output(self, tmp_path, capsys, key, value):
         cfg = tmp_path / "exp.json"
         cfg.write_text(json.dumps({"procedures": [{"procedure": "alpha-spending", "alpha": 0.2}],
@@ -193,6 +196,37 @@ class TestExperiment:
         assert main(["experiment", "--config", str(cfg), "--out", str(out)]) == 3
         assert capsys.readouterr().err.startswith("config error: ")
         assert not out.exists()
+
+    def _one_cell(self, tmp_path, trials, seed):
+        cfg = tmp_path / f"exp-{trials}-{seed}.json"
+        cfg.write_text(json.dumps({"procedures": [{"procedure": "alpha-spending", "alpha": 0.2}],
+                                   "grid": {"pi_a": [0.3], "T": 20}, "trials": trials, "seed": seed}))
+        return str(cfg)
+
+    def _rows(self, tmp_path, argv):
+        out = tmp_path / "r.csv"
+        assert main(["experiment", *argv, "--out", str(out)]) == 0
+        return read_csv(out)
+
+    def test_flags_override_the_config(self, tmp_path):
+        cfg = self._one_cell(tmp_path, trials=3, seed=9)
+        by_flags = self._rows(tmp_path, ["--config", cfg, "--trials", "2", "--seed", "5"])
+        assert by_flags != self._rows(tmp_path, ["--config", cfg, "--trials", "3", "--seed", "9"])
+        assert by_flags == self._rows(tmp_path, ["--config", self._one_cell(tmp_path, trials=2, seed=5)])
+        # a flag left out keeps the config's value; a whole float is a whole number
+        assert by_flags == self._rows(tmp_path, ["--config", self._one_cell(tmp_path, trials=2.0, seed=7),
+                                                 "--seed", "5"])
+        assert by_flags == self._rows(tmp_path, ["--config", self._one_cell(tmp_path, trials=4, seed=5.0),
+                                                 "--trials", "2"])
+
+    @pytest.mark.parametrize("preset,seed", [("fig1", 1), ("fig2", 10_001)])
+    def test_presets_default_to_2000_trials_and_seed_1(self, tmp_path, monkeypatch, preset, seed):
+        from fwerstream import sim
+
+        seen = {}
+        monkeypatch.setattr(sim, "grid_cells", lambda *a, **kw: seen.update(kw) or [])
+        self._rows(tmp_path, ["--preset", preset])
+        assert (seen["trials"], seen["seed"]) == (2000, seed)
 
 
 class TestSolve:
