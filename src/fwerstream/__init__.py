@@ -6,106 +6,43 @@ stream; power solvers pick the allocation hyperparameters; a Monte-Carlo
 harness estimates error rates and power over simulated Gaussian streams.
 """
 
-import importlib
+__version__ = "0.1.0"
 
-from .addis import (
-    AdaptiveSpending,
-    AddisLocalSpending,
-    AddisSpending,
-    DiscardSpending,
-    LagSchedule,
-    kfwer_wrap,
-)
-from .audit import AuditReport, audit_trace
-from .config import PROCEDURES, ProcedureConfig
-from .core import (
-    AlphaSpending,
-    Decision,
-    ExplicitWeights,
-    FallbackWeights,
-    LaggedSeriesWeights,
-    OneStepWeights,
-    OnlineFallback,
-    OnlineProcedure,
-    OnlineSidak,
-)
-from .errors import AuditError, BudgetError, ConfigError, StreamError
-from .fast import StreamResult, make_runner, run_stream
-from .series import ExplicitSeries, LogQSeries, QSeries, WeightSeries, series_from_config
-from .variants import AdaptiveSidak, AddisSidak, DiscardFallback, DiscardSidak
-
-# The power solvers and the simulator load scipy, most of a command's
-# start-up; their names are imported on first access (PEP 562).
-_LAZY = {
+# Each public name and the submodule that defines it.  A name imports its
+# module on first access (PEP 562), so ``import fwerstream`` loads no
+# submodule, numpy or scipy until a name is used.
+_HOMES = {
+    **dict.fromkeys(("AdaptiveSpending", "AddisLocalSpending", "AddisSpending", "DiscardSpending", "LagSchedule",
+                     "kfwer_wrap"), "addis"),
+    **dict.fromkeys(("AuditReport", "audit_trace"), "audit"),
+    "ProcedureConfig": "config",
+    **dict.fromkeys(("AlphaSpending", "Decision", "ExplicitWeights", "FallbackWeights", "LaggedSeriesWeights",
+                     "OneStepWeights", "OnlineFallback", "OnlineProcedure", "OnlineSidak"), "core"),
+    **dict.fromkeys(("AuditError", "BudgetError", "ConfigError", "StreamError"), "errors"),
+    **dict.fromkeys(("StreamResult", "make_runner", "run_stream"), "fast"),
     **dict.fromkeys(("GaussianMixModel", "cstar_threshold", "expected_true_discoveries", "mixture_cdf",
                      "optimal_gamma_varying", "optimal_q"), "power"),
+    **dict.fromkeys(("ExplicitSeries", "LogQSeries", "QSeries", "WeightSeries", "series_from_config"), "series"),
     **dict.fromkeys(("MetricsReport", "SimConfig", "Stream", "clustered_pi", "estimate_metrics",
                      "estimate_metrics_many", "gen_stream"), "sim"),
+    "PROCEDURES": "spec",
+    **dict.fromkeys(("AdaptiveSidak", "AddisSidak", "DiscardFallback", "DiscardSidak"), "variants"),
 }
+_MODULES = frozenset(_HOMES.values())
+
+__all__ = sorted(_HOMES)
 
 
 def __getattr__(name: str):
-    module = _LAZY.get(name)
+    module = name if name in _MODULES else _HOMES.get(name)
     if module is None:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(importlib.import_module(f".{module}", __name__), name)
-    globals()[name] = value
-    return value
+    # binds the submodule here; unlike importlib.import_module, it shows in ``python -X importtime``
+    __import__(f"{__name__}.{module}")
+    if name != module:
+        globals()[name] = getattr(globals()[module], name)
+    return globals()[name]
 
 
 def __dir__():
-    return sorted(set(globals()) | set(_LAZY))
-
-
-__version__ = "0.1.0"
-
-__all__ = [
-    "AdaptiveSidak",
-    "AdaptiveSpending",
-    "AddisLocalSpending",
-    "AddisSidak",
-    "AddisSpending",
-    "AlphaSpending",
-    "AuditError",
-    "AuditReport",
-    "BudgetError",
-    "ConfigError",
-    "Decision",
-    "DiscardFallback",
-    "DiscardSidak",
-    "DiscardSpending",
-    "ExplicitSeries",
-    "ExplicitWeights",
-    "FallbackWeights",
-    "GaussianMixModel",
-    "LagSchedule",
-    "LaggedSeriesWeights",
-    "LogQSeries",
-    "MetricsReport",
-    "OneStepWeights",
-    "OnlineFallback",
-    "OnlineProcedure",
-    "OnlineSidak",
-    "PROCEDURES",
-    "ProcedureConfig",
-    "QSeries",
-    "SimConfig",
-    "Stream",
-    "StreamError",
-    "StreamResult",
-    "WeightSeries",
-    "audit_trace",
-    "clustered_pi",
-    "cstar_threshold",
-    "estimate_metrics",
-    "estimate_metrics_many",
-    "expected_true_discoveries",
-    "gen_stream",
-    "kfwer_wrap",
-    "make_runner",
-    "mixture_cdf",
-    "optimal_gamma_varying",
-    "optimal_q",
-    "run_stream",
-    "series_from_config",
-]
+    return sorted(set(globals()) | set(_HOMES) | _MODULES)

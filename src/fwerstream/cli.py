@@ -16,6 +16,7 @@ the simulator and the power solvers when they start.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import itertools
@@ -44,6 +45,21 @@ def _fmt(x) -> str:
     return str(x)
 
 
+@contextlib.contextmanager
+def _output(path: str | None):
+    """A subcommand's output stream: the file at ``path``, closed on exit,
+    or stdout.  Open it once the input has been read and checked."""
+    if path is None:
+        yield sys.stdout
+        return
+    try:
+        out = open(path, "w", newline="", encoding="utf-8")
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from None
+    with out:
+        yield out
+
+
 # ----------------------------------------------------------------------
 # run
 # ----------------------------------------------------------------------
@@ -52,42 +68,42 @@ def _fmt(x) -> str:
 RUN_CHUNK = 4096
 
 
-def _iter_records(path: str, fmt: str):
-    """Yield (line_no, raw p, batch_id) tuples; ``cmd_run`` checks the p-value."""
-    with open(path, "r", encoding="utf-8") as fh:
-        if fmt == "jsonl":
-            for line_no, line in enumerate(fh, start=1):
-                if not line.strip():
-                    continue
-                try:
-                    rec = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise StreamError(f"line {line_no}: invalid JSON ({exc.msg})") from None
-                if not isinstance(rec, dict) or "p" not in rec:
-                    raise StreamError(f"line {line_no}: expected an object with a 'p' field")
-                p, batch = rec["p"], rec.get("batch_id")
-                if isinstance(p, bool):
-                    raise StreamError(f"line {line_no}: p-value {p!r} is a boolean, not a number")
-                if batch is not None and (isinstance(batch, bool) or not isinstance(batch, (str, int))):
-                    raise StreamError(f"line {line_no}: batch_id {batch!r} must be a string or an integer")
-                yield line_no, p, batch
-        else:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header is None:
-                return
-            cols = [c.strip().lower() for c in header]
-            if "p" not in cols:
-                raise StreamError("line 1: CSV header must contain a 'p' column")
-            p_at = cols.index("p")
-            batch_at = cols.index("batch_id") if "batch_id" in cols else None
-            for line_no, row in enumerate(reader, start=2):
-                if not any(map(str.strip, row)):  # a blank line
-                    continue
-                if len(row) <= p_at:
-                    raise StreamError(f"line {line_no}: missing 'p' value")
-                batch = row[batch_at].strip() if batch_at is not None and len(row) > batch_at else None
-                yield line_no, row[p_at], batch or None
+def _iter_records(fh, fmt: str):
+    """Yield (line_no, raw p, batch_id) tuples of the open file ``fh``;
+    ``cmd_run`` checks the p-value."""
+    if fmt == "jsonl":
+        for line_no, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            try:
+                rec = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise StreamError(f"line {line_no}: invalid JSON ({exc.msg})") from None
+            if not isinstance(rec, dict) or "p" not in rec:
+                raise StreamError(f"line {line_no}: expected an object with a 'p' field")
+            p, batch = rec["p"], rec.get("batch_id")
+            if isinstance(p, bool):
+                raise StreamError(f"line {line_no}: p-value {p!r} is a boolean, not a number")
+            if batch is not None and (isinstance(batch, bool) or not isinstance(batch, (str, int))):
+                raise StreamError(f"line {line_no}: batch_id {batch!r} must be a string or an integer")
+            yield line_no, p, batch
+    else:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
+            return
+        cols = [c.strip().lower() for c in header]
+        if "p" not in cols:
+            raise StreamError("line 1: CSV header must contain a 'p' column")
+        p_at = cols.index("p")
+        batch_at = cols.index("batch_id") if "batch_id" in cols else None
+        for line_no, row in enumerate(reader, start=2):
+            if not any(map(str.strip, row)):  # a blank line
+                continue
+            if len(row) <= p_at:
+                raise StreamError(f"line {line_no}: missing 'p' value")
+            batch = row[batch_at].strip() if batch_at is not None and len(row) > batch_at else None
+            yield line_no, row[p_at], batch or None
 
 
 def _load_json(path: str):
@@ -215,9 +231,12 @@ def cmd_run(args) -> int:
     state = scheduler.state
     # constant tau and lambda: chunks go through the runner; else through the scalar step
     runner = fast.make_runner(cfg) if scheduler.thresholds is not None else None
-    records = _iter_records(args.input, fmt)
-    out = open(args.out, "w", newline="", encoding="utf-8") if args.out else sys.stdout
     try:
+        fh = open(args.input, "r", encoding="utf-8")
+    except OSError as exc:
+        raise StreamError(f"cannot read {args.input}: {exc}") from None
+    with fh, _output(args.out) as out:
+        records = _iter_records(fh, fmt)
         writer = csv.writer(out)
         writer.writerow(["index", "p", "alpha_i", "rejected", "selected", "candidate"])
         while True:
@@ -234,9 +253,6 @@ def cmd_run(args) -> int:
             if len(ps) < RUN_CHUNK:
                 break
         out.flush()
-    finally:
-        if out is not sys.stdout:
-            out.close()
     return 0
 
 
@@ -244,9 +260,16 @@ def cmd_run(args) -> int:
 # experiment
 # ----------------------------------------------------------------------
 
+def _number(value, name: str) -> float:
+    """A config value that must be a finite number (not a boolean or a string)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+        raise ConfigError(f"experiment config: {name} must be a finite number, got {value!r}")
+    return float(value)
+
+
 def _whole(value, name: str) -> int:
-    """A config value that must be a whole number (not a boolean)."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not float(value).is_integer():
+    """A config value that must be a whole number."""
+    if not _number(value, name).is_integer():
         raise ConfigError(f"experiment config: {name} must be an integer, got {value!r}")
     return int(value)
 
@@ -262,16 +285,18 @@ def _custom_cells(spec: dict, trials: int | None = None, seed: int | None = None
         for p in (ProcedureConfig.from_dict(d) for d in spec["procedures"]):
             procedures[p.procedure if p.procedure not in procedures else f"{p.procedure}#{len(procedures)}"] = p
         grid = spec["grid"]
-        mu_a = float(grid.get("mu_a", 4.0))
-        points = [(GaussianMixModel(pi_a=float(pi_a), mu_a=mu_a, mu_n=float(mu_n)),
+        mu_a = _number(grid.get("mu_a", 4.0), "grid.mu_a")
+        points = [(GaussianMixModel(pi_a=_number(pi_a, "grid.pi_a"), mu_a=mu_a, mu_n=_number(mu_n, "grid.mu_n")),
                    {"pi_a": pi_a, "mu_a": mu_a, "mu_n": mu_n})
                   for mu_n in grid.get("mu_n", [0.0]) for pi_a in grid.get("pi_a", [0.5])]
         config_trials = _whole(spec.get("trials", 2000), "trials")
         config_seed = _whole(spec.get("seed", 1), "seed")
         return grid_cells(procedures, points, trials=config_trials if trials is None else trials,
-                          seed=config_seed if seed is None else seed,
-                          horizon=_whole(grid.get("T", 1000), "grid.T"), alpha=float(grid.get("alpha", 0.2)))
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+                          seed=config_seed if seed is None else seed, horizon=_whole(grid.get("T", 1000), "grid.T"),
+                          alpha=_number(grid.get("alpha", 0.2), "grid.alpha"))
+    except ConfigError:
+        raise
+    except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
         raise ConfigError(f"experiment config: {exc!r}") from None
 
 
@@ -291,8 +316,7 @@ def cmd_experiment(args) -> int:
         extra_cols = ()
     else:
         raise ConfigError("pass --preset fig1|fig2 or --config FILE")
-    out = open(args.out, "w", newline="", encoding="utf-8") if args.out else sys.stdout
-    try:
+    with _output(args.out) as out:
         writer = csv.writer(out)
         writer.writerow(list(RESULT_COLUMNS) + list(extra_cols))
         for meta, reports in run_cells(cells):
@@ -303,9 +327,6 @@ def cmd_experiment(args) -> int:
                 row += [_fmt(meta[c]) for c in extra_cols]
                 writer.writerow(row)
             out.flush()
-    finally:
-        if out is not sys.stdout:
-            out.close()
     return 0
 
 
@@ -356,15 +377,11 @@ def cmd_solve(args) -> int:
             rows.append([tok, expected_true_discoveries(n, args.alpha, series, model)])
     else:
         raise ConfigError(f"unknown solver {args.solver!r}")
-    out = open(args.out, "w", newline="", encoding="utf-8") if args.out else sys.stdout
-    try:
+    with _output(args.out) as out:
         writer = csv.writer(out)
         writer.writerow(header)
         for row in rows:
             writer.writerow([_fmt(v) for v in row])
-    finally:
-        if out is not sys.stdout:
-            out.close()
     return 0
 
 

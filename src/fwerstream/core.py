@@ -125,6 +125,16 @@ class Schedule:
     def constant(self) -> float:
         return self._const
 
+    @property
+    def sequence(self) -> list[float] | None:
+        return self._seq
+
+    def head(self, n: int) -> np.ndarray | None:
+        """The values of steps 1..n (a sequence has at least n), or None for a callable."""
+        if self._fn is not None:
+            return None
+        return np.full(n, self._const) if self._seq is None else np.array(self._seq[:n])
+
     def needs_prefix(self) -> bool:
         return self._fn is not None
 
@@ -212,8 +222,8 @@ class OnlineProcedure:
         self.thresholds = None  # (tau, lambda) when both are constant
         if self._tau.is_constant and self._lam.is_constant:
             self.thresholds = self._check(self._tau.constant, self._lam.constant)
-        elif self._tau.is_constant:
-            self._check(self._tau.constant)
+        else:
+            self._check_schedules()
 
         self.lags = lags if spec.lagged else None
         self.weights = recycled = None
@@ -233,6 +243,25 @@ class OnlineProcedure:
         if self.spec.family != "spending" and tau < self.alpha:
             raise ConfigError(f"{self.kind} requires tau >= alpha, got tau={tau} < alpha={self.alpha}")
         return tau, lam
+
+    def _check_schedules(self) -> None:
+        """Run :meth:`_check` on every step the tau and lambda schedules
+        define before the stream starts, naming the first bad step.  A
+        constant holds at every step and the check stops at the end of the
+        shorter sequence; a callable is checked step by step."""
+        n = min((len(s.sequence) for s in (self._tau, self._lam) if s.sequence is not None), default=1)
+        taus, lams = self._tau.head(n), self._lam.head(n)
+        if taus is None:
+            return
+        bad = taus < self.alpha if self.spec.family != "spending" else np.zeros(n, dtype=bool)
+        if lams is not None:
+            bad |= lams >= taus
+        if bad.any():
+            j = int(bad.argmax())
+            try:
+                self._check(float(taus[j]), 0.0 if lams is None else float(lams[j]))
+            except ConfigError as exc:
+                raise ConfigError(f"step {j + 1}: {exc}") from None
 
     def _thresholds(self, i: int, visible: int) -> tuple[float, float]:
         prefix = TracePrefix(self.trace, visible) if self._needs_prefix else None

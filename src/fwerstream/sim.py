@@ -21,6 +21,7 @@ from .config import ProcedureConfig
 from .errors import ConfigError
 from .fast import make_runner
 from .power import GaussianMixModel
+from .series import series_from_config
 
 # Stream elements (trials x horizon) simulated and run per block of trials:
 # 128 rows at T = 1000, enough to amortize the fallback runners' loop over
@@ -223,9 +224,14 @@ def grid_cells(procedures: dict[str, ProcedureConfig], points, *, trials: int, s
     model with seed ``seed + c`` and runs every procedure (label -> config)
     at ``alpha``.  Returns an iterator of (meta, procedures, sim) triples;
     each meta gains the horizon ``T`` and ``alpha``.  Every cell's
-    :class:`SimConfig` is checked before the first one is returned.
+    :class:`SimConfig`, and every procedure built at ``alpha``, is checked
+    before the first cell is returned; each procedure's series is built once
+    and shared by the cells.
     """
-    procedures = {label: replace(cfg, alpha=alpha) for label, cfg in procedures.items()}
+    procedures = {label: replace(cfg, alpha=alpha, series=series_from_config(cfg.series))
+                  for label, cfg in procedures.items()}
+    for cfg in procedures.values():
+        cfg.build()
     sims = [SimConfig(model=model, horizon=horizon, trials=trials, seed=seed + cell)
             for cell, (model, _) in enumerate(points)]
     return (({**meta, "T": horizon, "alpha": alpha}, dict(procedures), sim) for (_, meta), sim in zip(points, sims))

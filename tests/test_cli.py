@@ -139,6 +139,13 @@ class TestRun:
         out = tmp_path / "out.csv"
         assert main(["run", "--input", str(inp), "--out", str(out), "--config", str(cfg)]) == 0
 
+    def test_missing_input_exits_2_before_any_output(self, tmp_path, capsys):
+        inp, out = tmp_path / "nope.csv", tmp_path / "o.csv"
+        assert main(["run", "--input", str(inp), "--out", str(out), "--procedure", "alpha-spending",
+                     "--alpha", "0.2"]) == 2
+        assert capsys.readouterr().err.startswith(f"input error: cannot read {inp}: ")
+        assert not out.exists()
+
     def test_missing_flags_exit_3(self, tmp_path):
         inp = tmp_path / "in.csv"
         write_stream(inp, [0.5])
@@ -185,9 +192,16 @@ class TestExperiment:
 
     @pytest.mark.parametrize("key,value", [("grid", 5), ("grid", {"pi_a": ["x"]}), ("grid", {"mu_n": 5}),
                                            ("trials", 0), ("trials", 2.7), ("trials", True), ("trials", "2"),
-                                           ("seed", 1.5), ("seed", False), ("grid", {"T": 50.9})],
+                                           ("seed", 1.5), ("seed", False), ("grid", {"T": 50.9}),
+                                           ("grid", {"pi_a": [True]}), ("grid", {"pi_a": ["0.5"]}),
+                                           ("grid", {"mu_n": ["-1"]}), ("grid", {"mu_a": "4"}),
+                                           ("grid", {"mu_a": True}), ("grid", {"alpha": "0.2"}),
+                                           ("grid", {"alpha": 1.5}),
+                                           ("procedures", [{"procedure": "discard-sidak", "alpha": 0.2, "tau": 0.1}])],
                              ids=["grid", "pi_a", "mu_n", "trials", "trials-fraction", "trials-bool",
-                                  "trials-string", "seed-fraction", "seed-bool", "T-fraction"])
+                                  "trials-string", "seed-fraction", "seed-bool", "T-fraction",
+                                  "pi_a-bool", "pi_a-string", "mu_n-string", "mu_a-string", "mu_a-bool",
+                                  "alpha-string", "alpha-out-of-range", "tau-below-grid-alpha"])
     def test_malformed_config_exits_3_before_any_output(self, tmp_path, capsys, key, value):
         cfg = tmp_path / "exp.json"
         cfg.write_text(json.dumps({"procedures": [{"procedure": "alpha-spending", "alpha": 0.2}],
@@ -291,6 +305,19 @@ class TestValidate:
         assert main(["validate", "--config", str(cfg)]) == 3
         assert "lambda" in capsys.readouterr().out
 
+    def test_every_sequence_step_checked_before_the_stream(self, tmp_path, capsys):
+        cfg = tmp_path / "seq.json"
+        cfg.write_text(json.dumps({"procedure": "addis-sidak", "alpha": 0.2,
+                                   "tau": [0.5, 0.1, 0.5], "lambda": [0.25, 0.25, 0.6]}))
+        assert main(["validate", "--config", str(cfg)]) == 3
+        assert capsys.readouterr().out == ("FAIL addis-sidak: step 2: lambda must be < tau, "
+                                           "got lambda=0.25 >= tau=0.1\n")
+        inp, out = tmp_path / "in.csv", tmp_path / "o.csv"
+        write_stream(inp, [0.3, 0.6, 0.1])
+        assert main(["run", "--input", str(inp), "--out", str(out), "--config", str(cfg)]) == 3
+        assert capsys.readouterr().err.startswith("config error: step 2: lambda must be < tau")
+        assert not out.exists()
+
     def test_inadmissible_lags_fail(self, tmp_path, capsys):
         cfg = tmp_path / "lags.json"
         cfg.write_text(json.dumps({"procedure": "addis-spending-local", "alpha": 0.2,
@@ -336,6 +363,18 @@ class TestValidate:
                                        "weights": {"kind": "explicit", "rows": rows}}))
             assert main(["validate", "--config", str(cfg)]) == 3
             assert main(["run", "--input", str(inp), "--out", str(tmp_path / "o.csv"), "--config", str(cfg)]) == 3
+
+
+@pytest.mark.parametrize("argv", [["run", "--input", "in.csv", "--procedure", "alpha-spending", "--alpha", "0.2"],
+                                  ["experiment", "--preset", "fig1", "--trials", "2"], ["solve", "cstar"]],
+                         ids=["run", "experiment", "solve"])
+def test_unwritable_out_exits_3_in_every_subcommand(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    write_stream(tmp_path / "in.csv", [0.5])
+    out = tmp_path / "missing-dir" / "o.csv"
+    assert main([*argv, "--out", str(out)]) == 3
+    assert capsys.readouterr().err.startswith(f"config error: cannot write {out}: ")
+    assert not out.parent.exists()
 
 
 class TestRoundTrip:

@@ -34,6 +34,40 @@ def scipy_parts(modules) -> set[str]:
     return {m for m in modules if m == "scipy" or m.startswith("scipy.")}
 
 
+PUBLIC_NAMES = [
+    "AdaptiveSidak", "AdaptiveSpending", "AddisLocalSpending", "AddisSidak", "AddisSpending", "AlphaSpending",
+    "AuditError", "AuditReport", "BudgetError", "ConfigError", "Decision", "DiscardFallback", "DiscardSidak",
+    "DiscardSpending", "ExplicitSeries", "ExplicitWeights", "FallbackWeights", "GaussianMixModel", "LagSchedule",
+    "LaggedSeriesWeights", "LogQSeries", "MetricsReport", "OneStepWeights", "OnlineFallback", "OnlineProcedure",
+    "OnlineSidak", "PROCEDURES", "ProcedureConfig", "QSeries", "SimConfig", "Stream", "StreamError",
+    "StreamResult", "WeightSeries", "audit_trace", "clustered_pi", "cstar_threshold", "estimate_metrics",
+    "estimate_metrics_many", "expected_true_discoveries", "gen_stream", "kfwer_wrap", "make_runner", "mixture_cdf",
+    "optimal_gamma_varying", "optimal_q", "run_stream", "series_from_config",
+]
+SUBMODULES = ["addis", "audit", "config", "core", "errors", "fast", "series", "spec", "variants"]
+
+
+def test_package_import_loads_no_submodule_and_no_numpy(tmp_path):
+    modules = imported(["-c", "import fwerstream"], tmp_path)
+    assert "fwerstream" in modules
+    assert {m for m in modules if m.startswith("fwerstream.")} == set()
+    assert {m for m in modules if m.split(".")[0] in ("numpy", "scipy")} == set()
+
+
+def test_public_names_are_pinned():
+    assert fwerstream.__all__ == PUBLIC_NAMES
+
+
+def test_submodules_resolve_after_a_bare_import(tmp_path):
+    code = ("import importlib, json, sys, fwerstream\n"
+            "print(json.dumps([m for m in sys.argv[1:] if getattr(fwerstream, m) is not "
+            "importlib.import_module('fwerstream.' + m) or m not in dir(fwerstream)]))")
+    proc = subprocess.run([sys.executable, "-c", code, *SUBMODULES], capture_output=True, text=True,
+                          env=CHILD_ENV, cwd=tmp_path, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert json.loads(proc.stdout) == []
+
+
 @pytest.mark.parametrize("module", ["fwerstream", "fwerstream.cli"])
 def test_package_and_cli_load_no_scipy(tmp_path, module):
     modules = imported(["-c", f"import {module}"], tmp_path)

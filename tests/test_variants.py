@@ -124,6 +124,25 @@ class TestAddisSidak:
         with pytest.raises(ConfigError):
             AddisSidak(0.3, Q2, tau=0.25, lam=0.1)  # tau < alpha
 
+    @pytest.mark.parametrize("tau,lam,message", [
+        ([0.5, 0.5, 0.3], 0.4, "step 3: lambda must be < tau"),
+        (0.5, [0.1, 0.2, 0.5], "step 3: lambda must be < tau"),
+        ([0.5, 0.1], lambda prefix: 0.05, "step 2: addis-sidak requires tau >= alpha"),
+        ([0.5, 0.5, 0.1], [0.25, 0.25], None),  # the check stops where lambda's sequence ends
+    ], ids=["tau-sequence", "lambda-sequence", "tau-floor", "shorter-sequence"])
+    def test_sequences_checked_at_every_step_when_built(self, tau, lam, message):
+        if message is None:
+            AddisSidak(0.2, Q2, tau=tau, lam=lam)
+            return
+        with pytest.raises(ConfigError, match=message):
+            AddisSidak(0.2, Q2, tau=tau, lam=lam)
+
+    def test_callable_schedule_checked_step_by_step(self):
+        proc = AddisSidak(0.2, Q2, tau=lambda prefix: 0.5 if len(prefix) < 2 else 0.1, lam=0.05)
+        proc.run([0.9, 0.9])
+        with pytest.raises(ConfigError, match="requires tau >= alpha"):
+            proc.step(0.9)
+
 
 class TestSidakDominatesSpendingBudget:
     def test_exponential_vs_linear_levels(self):
