@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import dataclasses
 
-from .core import OnlineProcedure
+from .core import OnlineProcedure, Schedule
 from .errors import ConfigError
 from .spec import level_budget
 
@@ -26,7 +26,7 @@ from .spec import level_budget
 BATCH_KINDS = ("from-batch-ids", "batch")  # lags kinds read from the stream's batch ids
 
 
-class LagSchedule:
+class LagSchedule(Schedule):
     """Lags L_i: step i may depend on decisions with index < i - L_i only.
 
     Admissibility requires L_{i+1} <= L_i + 1 (the observable past never
@@ -36,12 +36,15 @@ class LagSchedule:
     pre-batch information.
     """
 
+    __slots__ = ("_seen", "_current", "_run")
+
     def __init__(self, constant: int | None = None, values: list[int] | None = None):
-        self._constant = constant
-        self._values = values
+        super().__init__("lag", const=constant, seq=values)
         self._seen: set = set()  # batch ids pushed so far ...
         self._current = object()  # ... the one of the open run ...
         self._run = 0  # ... and the length of that run
+
+    lag = Schedule.value
 
     @classmethod
     def constant(cls, lag: int) -> "LagSchedule":
@@ -76,28 +79,13 @@ class LagSchedule:
                 raise ConfigError(f"batch id {batch_id!r} appears in two separate runs")
             self._seen.add(batch_id)
             self._current, self._run = batch_id, 0
-        self._values.append(self._run)
+        self.seq.append(self._run)
         self._run += 1
 
-    def lag(self, i: int) -> int:
-        if self._constant is not None:
-            return self._constant
-        if i > len(self._values):
-            raise ConfigError(f"lag schedule has {len(self._values)} entries; step {i} requested")
-        return self._values[i - 1]
-
-    def values(self, start: int, stop: int) -> list[int]:
-        """The lags L_{start+1}, ..., L_stop."""
-        if self._constant is not None:
-            return [self._constant] * (stop - start)
-        if stop > len(self._values):
-            raise ConfigError(f"lag schedule has {len(self._values)} entries; {stop} requested")
-        return self._values[start:stop]
-
     def config(self) -> dict:
-        if self._constant is not None:
-            return {"kind": "constant", "value": self._constant}
-        return {"kind": "list", "values": list(self._values)}
+        if self.const is not None:
+            return {"kind": "constant", "value": self.const}
+        return {"kind": "list", "values": list(self.seq)}
 
 
 def lags_from_config(cfg, batch_ids=None) -> LagSchedule:

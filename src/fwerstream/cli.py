@@ -41,7 +41,7 @@ RESULT_COLUMNS = ("procedure", "pi_A", "mu_A", "mu_N", "T", "alpha",
 
 def _fmt(x) -> str:
     if isinstance(x, float):
-        return repr(x)
+        return repr(float(x))  # a float subclass such as np.float64 prints as a plain float
     return str(x)
 
 
@@ -274,6 +274,13 @@ def _whole(value, name: str) -> int:
     return int(value)
 
 
+def _nonempty_list(value, name: str) -> list:
+    """A config value that must be a list with at least one entry."""
+    if not (isinstance(value, list) and value):
+        raise ConfigError(f"experiment config: {name} must be a non-empty list, got {value!r}")
+    return value
+
+
 def _custom_cells(spec: dict, trials: int | None = None, seed: int | None = None):
     """The cells of an experiment config, every value of it checked first;
     ``trials`` and ``seed``, when given, override the config's."""
@@ -282,13 +289,16 @@ def _custom_cells(spec: dict, trials: int | None = None, seed: int | None = None
 
     try:
         procedures = {}
-        for p in (ProcedureConfig.from_dict(d) for d in spec["procedures"]):
+        for p in map(ProcedureConfig.from_dict, _nonempty_list(spec.get("procedures"), "procedures")):
             procedures[p.procedure if p.procedure not in procedures else f"{p.procedure}#{len(procedures)}"] = p
-        grid = spec["grid"]
+        grid = spec.get("grid")
+        if not isinstance(grid, dict):
+            raise ConfigError(f"experiment config: grid must be an object, got {grid!r}")
         mu_a = _number(grid.get("mu_a", 4.0), "grid.mu_a")
         points = [(GaussianMixModel(pi_a=_number(pi_a, "grid.pi_a"), mu_a=mu_a, mu_n=_number(mu_n, "grid.mu_n")),
                    {"pi_a": pi_a, "mu_a": mu_a, "mu_n": mu_n})
-                  for mu_n in grid.get("mu_n", [0.0]) for pi_a in grid.get("pi_a", [0.5])]
+                  for mu_n in _nonempty_list(grid.get("mu_n", [0.0]), "grid.mu_n")
+                  for pi_a in _nonempty_list(grid.get("pi_a", [0.5]), "grid.pi_a")]
         config_trials = _whole(spec.get("trials", 2000), "trials")
         config_seed = _whole(spec.get("seed", 1), "seed")
         return grid_cells(procedures, points, trials=config_trials if trials is None else trials,
@@ -334,11 +344,14 @@ def cmd_experiment(args) -> int:
 # solve
 # ----------------------------------------------------------------------
 
-def _float_list(raw: str) -> list[float]:
+def _float_list(raw: str, flag: str) -> list[float]:
     try:
-        return [float(v) for v in str(raw).split(",") if v.strip()]
+        values = [float(v) for v in str(raw).split(",") if v.strip()]
     except ValueError:
-        raise ConfigError(f"expected a comma-separated number list, got {raw!r}") from None
+        raise ConfigError(f"{flag} must be a comma-separated number list, got {raw!r}") from None
+    if not values:
+        raise ConfigError(f"{flag} must list at least one number, got {raw!r}")
+    return values
 
 
 def cmd_solve(args) -> int:
@@ -347,19 +360,19 @@ def cmd_solve(args) -> int:
     rows: list[list] = []
     if args.solver == "optimal-q":
         header = ["N", "q_star"]
-        for n in _float_list(args.n or "2,10,100,1000"):
+        for n in _float_list(args.n or "2,10,100,1000", "--n"):
             if not n.is_integer():
                 raise ConfigError(f"--n must list integers, got {n!r}")
             rows.append([int(n), optimal_q(int(n), args.mu_a, args.alpha)])
     elif args.solver == "cstar":
         header = ["pi_a", "mu_a", "mu_n", "c_star"]
-        for pi in _float_list(args.pi_a or "0.1,0.3,0.5"):
+        for pi in _float_list(args.pi_a or "0.1,0.3,0.5", "--pi-a"):
             model = GaussianMixModel(pi_a=pi, mu_a=args.mu_a, mu_n=args.mu_n)
             rows.append([pi, args.mu_a, args.mu_n, cstar_threshold(model)])
     elif args.solver == "optimal-gamma":
         header = ["i", "gamma"]
-        pi = _float_list(args.pi_a or "0.5")
-        mu = _float_list(args.mu or str(args.mu_a))
+        pi = _float_list(args.pi_a or "0.5", "--pi-a")
+        mu = _float_list(args.mu or str(args.mu_a), "--mu")
         horizon = args.horizon
         gam = optimal_gamma_varying(pi if len(pi) > 1 else pi[0],
                                     mu if len(mu) > 1 else mu[0], args.alpha, horizon)

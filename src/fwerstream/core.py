@@ -78,74 +78,66 @@ class TracePrefix(Sequence):
 
 
 class Schedule:
-    """A per-step hyperparameter: constant, explicit sequence, or callable.
+    """A per-step value: the thresholds tau_i and lambda_i, and the lags L_i.
 
-    Callables receive only the visible trace prefix (decisions the current
-    step is allowed to depend on) as a :class:`TracePrefix`, which enforces
-    predictability by construction rather than trust.
+    It holds a constant (``const``), a sequence (``seq``, step i reads entry
+    i) or, for tau and lambda only, a callable (``fn``).  A callable receives
+    only the visible trace prefix (decisions the current step is allowed to
+    depend on) as a :class:`TracePrefix`, which enforces predictability by
+    construction rather than trust.  A sequence ends: a step past its end is
+    a :class:`ConfigError`, found when that step is reached.
     """
 
-    __slots__ = ("name", "_const", "_seq", "_fn", "_lo", "_hi", "_lo_open", "_hi_open")
+    __slots__ = ("name", "const", "seq", "fn")
 
-    def __init__(self, spec, name, lo, hi, lo_open, hi_open):
-        self.name = name
-        self._lo, self._hi = lo, hi
-        self._lo_open, self._hi_open = lo_open, hi_open
-        self._const = self._seq = self._fn = None
-        if callable(spec):
-            self._fn = spec
-        elif isinstance(spec, (int, float)) and not isinstance(spec, bool):
-            self._const = self._validate(float(spec))
-        else:
-            try:
-                values = list(spec)
-                if isinstance(spec, str) or any(isinstance(v, bool) for v in values):
-                    raise TypeError
-                values = [float(v) for v in values]
-            except (TypeError, ValueError):
-                raise ConfigError(
-                    f"{name} must be a number, a sequence of numbers, or a callable, got {spec!r}"
-                ) from None
-            self._seq = [self._validate(v) for v in values]
+    def __init__(self, name: str, const=None, seq: list | None = None, fn=None):
+        self.name, self.const, self.seq, self.fn = name, const, seq, fn
 
-    def _validate(self, v: float) -> float:
-        lo_ok = v > self._lo if self._lo_open else v >= self._lo
-        hi_ok = v < self._hi if self._hi_open else v <= self._hi
+    def value(self, i: int, prefix=None):
+        """The value at step i; ``prefix`` is what a callable sees."""
+        if self.const is not None:
+            return self.const
+        if self.seq is None:
+            return self.fn(prefix)
+        if i > len(self.seq):
+            raise ConfigError(f"{self.name} schedule has {len(self.seq)} entries; step {i} requested")
+        return self.seq[i - 1]
+
+    def values(self, start: int, stop: int) -> list:
+        """The values of steps start+1, ..., stop (not for a callable)."""
+        if self.const is not None:
+            return [self.const] * (stop - start)
+        if stop > len(self.seq):
+            self.value(max(start, len(self.seq)) + 1)  # raises: the first step past the end
+        return self.seq[start:stop]
+
+
+def threshold_schedule(spec, name: str, lo: float, hi: float, lo_open: bool, hi_open: bool) -> Schedule:
+    """The tau or lambda schedule of ``spec``, a number, a sequence of numbers
+    or a callable, each value inside the interval from ``lo`` to ``hi``
+    (``lo_open``/``hi_open`` exclude an end); a callable's values are checked
+    as it returns them."""
+
+    def check(v: float) -> float:
+        lo_ok = v > lo if lo_open else v >= lo
+        hi_ok = v < hi if hi_open else v <= hi
         if not (math.isfinite(v) and lo_ok and hi_ok):
-            lo_b = "(" if self._lo_open else "["
-            hi_b = ")" if self._hi_open else "]"
-            raise ConfigError(f"{self.name} must lie in {lo_b}{self._lo}, {self._hi}{hi_b}, got {v}")
+            lo_b, hi_b = "(" if lo_open else "[", ")" if hi_open else "]"
+            raise ConfigError(f"{name} must lie in {lo_b}{lo}, {hi}{hi_b}, got {v}")
         return v
 
-    @property
-    def is_constant(self) -> bool:
-        return self._const is not None
-
-    @property
-    def constant(self) -> float:
-        return self._const
-
-    @property
-    def sequence(self) -> list[float] | None:
-        return self._seq
-
-    def head(self, n: int) -> np.ndarray | None:
-        """The values of steps 1..n (a sequence has at least n), or None for a callable."""
-        if self._fn is not None:
-            return None
-        return np.full(n, self._const) if self._seq is None else np.array(self._seq[:n])
-
-    def needs_prefix(self) -> bool:
-        return self._fn is not None
-
-    def value(self, i: int, visible_prefix) -> float:
-        if self._const is not None:
-            return self._const
-        if self._seq is not None:
-            if i > len(self._seq):
-                raise ConfigError(f"{self.name} schedule has {len(self._seq)} entries; step {i} requested")
-            return self._seq[i - 1]
-        return self._validate(float(self._fn(visible_prefix)))
+    if callable(spec):
+        return Schedule(name, fn=lambda prefix: check(float(spec(prefix))))
+    if isinstance(spec, (int, float)) and not isinstance(spec, bool):
+        return Schedule(name, const=check(float(spec)))
+    try:
+        values = list(spec)
+        if isinstance(spec, str) or any(isinstance(v, bool) for v in values):
+            raise TypeError
+        values = [float(v) for v in values]
+    except (TypeError, ValueError):
+        raise ConfigError(f"{name} must be a number, a sequence of numbers, or a callable, got {spec!r}") from None
+    return Schedule(name, seq=[check(v) for v in values])
 
 
 class StreamState:
@@ -216,12 +208,12 @@ class OnlineProcedure:
 
         tau = (DEFAULT_TAU if tau is None else tau) if spec.discards else 1.0
         lam = (spec.lam if lam is None else lam) if spec.adapts else 0.0
-        self._tau = Schedule(tau, "tau", 0.0, 1.0, lo_open=True, hi_open=False)
-        self._lam = Schedule(lam, "lambda", 0.0, 1.0, lo_open=False, hi_open=True)
-        self._needs_prefix = self._tau.needs_prefix() or self._lam.needs_prefix()
+        self._tau = threshold_schedule(tau, "tau", 0.0, 1.0, lo_open=True, hi_open=False)
+        self._lam = threshold_schedule(lam, "lambda", 0.0, 1.0, lo_open=False, hi_open=True)
+        self._needs_prefix = self._tau.fn is not None or self._lam.fn is not None
         self.thresholds = None  # (tau, lambda) when both are constant
-        if self._tau.is_constant and self._lam.is_constant:
-            self.thresholds = self._check(self._tau.constant, self._lam.constant)
+        if self._tau.const is not None and self._lam.const is not None:
+            self.thresholds = self._check(self._tau.const, self._lam.const)
         else:
             self._check_schedules()
 
@@ -249,10 +241,11 @@ class OnlineProcedure:
         define before the stream starts, naming the first bad step.  A
         constant holds at every step and the check stops at the end of the
         shorter sequence; a callable is checked step by step."""
-        n = min((len(s.sequence) for s in (self._tau, self._lam) if s.sequence is not None), default=1)
-        taus, lams = self._tau.head(n), self._lam.head(n)
-        if taus is None:
+        if self._tau.fn is not None:
             return
+        n = min((len(s.seq) for s in (self._tau, self._lam) if s.seq is not None), default=1)
+        taus = np.array(self._tau.values(0, n))
+        lams = None if self._lam.fn is not None else np.array(self._lam.values(0, n))
         bad = taus < self.alpha if self.spec.family != "spending" else np.zeros(n, dtype=bool)
         if lams is not None:
             bad |= lams >= taus

@@ -82,10 +82,11 @@ def detection_probability(levels, mu_a) -> np.ndarray:
     return ndtr(z + mu_a)
 
 
-def _finite_sum(n: int, alpha: float, series: WeightSeries, mu: float) -> float:
+def _finite_sum(n: int, alpha: float, series: WeightSeries, mu: float, start: int = 0) -> float:
+    """sum_{start < i <= n} Phi(Phi^-1(alpha*gamma_i) + mu), in chunks of 2^20 terms."""
     total = 0.0
     chunk = 1 << 20
-    for lo in range(0, n, chunk):
+    for lo in range(start, n, chunk):
         gam = series.weights_upto(min(lo + chunk, n))[lo:]
         total += float(np.sum(detection_probability(alpha * gam, mu)))
     return total
@@ -163,14 +164,12 @@ def _infinite_q_sum(alpha: float, series: QSeries, mu: float, abs_tol: float) ->
         width = upper - lower
         total_lo = partial + max(lower, 0.0)
         if width <= max(abs_tol, 1e-12 * total_lo):
-            return partial + 0.5 * (lower + upper)
+            return float(partial + 0.5 * (lower + upper))  # c_level makes the bracket np.float64
         if m >= (1 << 27):
             raise RuntimeError(
                 f"truncation bracket for q={q} stuck at width {width} after {m} terms"
             )
-        partial += float(
-            np.sum(detection_probability(alpha * series.weights_upto(2 * m)[m:], mu))
-        )
+        partial += _finite_sum(2 * m, alpha, series, mu, start=m)
         m *= 2
 
 
@@ -195,7 +194,7 @@ def expected_true_discoveries(n, alpha, series, model: GaussianMixModel, *, abs_
         if isinstance(series, QSeries):
             return pi * _infinite_q_sum(alpha, series, mu, abs_tol / max(pi, 1e-300))
         raise ConfigError(f"infinite horizon unsupported for series kind {series.kind!r}")
-    if not (isinstance(n, int) and n >= 0):
+    if isinstance(n, bool) or not (isinstance(n, int) and n >= 0):
         raise ConfigError(f"n must be a nonnegative integer or infinity, got {n!r}")
     return pi * _finite_sum(n, alpha, series, mu)
 
@@ -235,47 +234,6 @@ def optimal_q(n: int, mu_a: float, alpha: float, *, q_max: float = 50.0, tol: fl
         if hi - q_star > 10.0 * tol or hi >= 1e5:
             return q_star
         hi *= 2.0  # maximizer pinned to the edge: widen and retry
-
-
-def _zeta_prime(q: float, rtol: float = 1e-10) -> float:
-    """d/dq of sum i^-q, i.e. -sum_{i>=2} i^-q * log(i), bracketed like the
-    normalizer (terms are decreasing and convex beyond small i)."""
-
-    def term(x: np.ndarray) -> np.ndarray:
-        return x ** (-q) * np.log(x)
-
-    def tail_int(a: float) -> float:
-        return a ** (1.0 - q) * (math.log(a) / (q - 1.0) + 1.0 / (q - 1.0) ** 2)
-
-    m = 1 << 12
-    s = float(np.sum(term(np.arange(2.0, m + 1.0))))
-    while True:
-        lower = tail_int(m + 1.0) + 0.5 * float(term(np.array([m + 1.0]))[0])
-        upper = tail_int(m + 0.5)
-        if upper - lower <= rtol * (s + lower):
-            return -(s + 0.5 * (lower + upper))
-        s += float(np.sum(term(np.arange(m + 1.0, 2.0 * m + 1.0))))
-        m *= 2
-
-
-def expected_discoveries_slope(q: float, n: int, mu_a: float, alpha: float, pi_a: float = 1.0) -> float:
-    """Analytic d/dq of the expected-discovery curve for a q-series.
-
-    Used as a cross-check on the :func:`optimal_q` optimum: the slope is
-    positive below q* and negative above.  Derivation: each term of the
-    curve is Phi(z_i + mu) with z_i = Phi^-1(alpha*gamma_i(q)), and
-    d gamma_i/dq = -gamma_i (log i + zeta'(q)/zeta(q)), so
-
-        dE/dq = -pi * exp(-mu^2/2) * sum_i alpha*gamma_i
-                 * exp(-mu * z_i) * (log i + zeta'(q)/zeta(q)).
-    """
-    series = QSeries(q)
-    gam = series.weights_upto(n)
-    levels = alpha * gam
-    z = ndtri(levels)
-    ratio = _zeta_prime(q) / series.normalizer
-    body = levels * np.exp(-mu_a * z) * (np.log(np.arange(1.0, n + 1.0)) + ratio)
-    return -pi_a * math.exp(-0.5 * mu_a * mu_a) * float(np.sum(body))
 
 
 # ----------------------------------------------------------------------
@@ -338,7 +296,7 @@ def optimal_gamma_varying(pi_seq, mu_seq, alpha, horizon: int) -> np.ndarray:
     give exactly uniform weights.  Infinite-horizon feasibility is the
     caller's concern; this solves the finite-horizon problem.
     """
-    if not (isinstance(horizon, int) and horizon >= 1):
+    if isinstance(horizon, bool) or not (isinstance(horizon, int) and horizon >= 1):
         raise ConfigError(f"horizon must be a positive integer, got {horizon!r}")
     alpha = _scalar(alpha, "alpha")
     if not 0.0 < alpha < 1.0:

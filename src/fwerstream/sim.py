@@ -42,13 +42,13 @@ class SimConfig:
     block_size: int = 1
 
     def __post_init__(self):
-        if not (isinstance(self.horizon, int) and self.horizon >= 1):
+        if isinstance(self.horizon, bool) or not (isinstance(self.horizon, int) and self.horizon >= 1):
             raise ConfigError(f"horizon must be a positive integer, got {self.horizon!r}")
-        if not (isinstance(self.trials, int) and self.trials >= 1):
+        if isinstance(self.trials, bool) or not (isinstance(self.trials, int) and self.trials >= 1):
             raise ConfigError(f"trials must be a positive integer, got {self.trials!r}")
-        if not isinstance(self.seed, int):
+        if isinstance(self.seed, bool) or not isinstance(self.seed, int):
             raise ConfigError(f"seed must be an integer, got {self.seed!r}")
-        if not (isinstance(self.block_size, int) and self.block_size >= 1):
+        if isinstance(self.block_size, bool) or not (isinstance(self.block_size, int) and self.block_size >= 1):
             raise ConfigError(f"block_size must be a positive integer, got {self.block_size!r}")
         try:
             self.model.pi_vector(self.horizon)

@@ -213,6 +213,20 @@ class TestAddisLocal:
             LagSchedule.from_list([0, 2, 0])
         LagSchedule.from_list([0, 1, 2, 0, 1])  # admissible
 
+    def test_lag_schedule_reads_like_a_schedule(self):
+        const, listed = LagSchedule.constant(2), LagSchedule.from_list([0, 1, 2, 0])
+        batched = LagSchedule.from_batch_ids(["a", "a"])
+        batched.push("b")
+        assert [const.lag(i) for i in (1, 5, 10**9)] == [2, 2, 2]
+        assert const.values(3, 6) == [2, 2, 2] and listed.values(1, 4) == [1, 2, 0] == listed.seq[1:]
+        assert [batched.lag(i) for i in (1, 2, 3)] == [0, 1, 0] == batched.values(0, 3)
+        assert const.config() == {"kind": "constant", "value": 2}
+        assert batched.config() == {"kind": "list", "values": [0, 1, 0]}
+        for read, step in ((lambda: listed.lag(5), 5), (lambda: listed.values(2, 6), 5),
+                           (lambda: listed.values(5, 7), 6)):  # the first step past the end
+            with pytest.raises(ConfigError, match=rf"^lag schedule has 4 entries; step {step} requested$"):
+                read()
+
     def test_lag_list_shorter_than_stream(self):
         proc = AddisLocalSpending(0.2, Q2, lags=LagSchedule.from_list([0, 1]))
         proc.step(0.4)

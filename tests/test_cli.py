@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -12,7 +13,7 @@ import zlib
 import numpy as np
 import pytest
 
-from fwerstream import PROCEDURES, ProcedureConfig, QSeries, cli, fast
+from fwerstream import PROCEDURES, GaussianMixModel, ProcedureConfig, QSeries, cli, expected_true_discoveries, fast
 from fwerstream.cli import main
 
 Q2 = QSeries(2.0)
@@ -190,25 +191,38 @@ class TestExperiment:
         assert "0.1" in f_values and "1.0" in f_values
         assert len(rows) == 1 + (9 + 9) * 4
 
-    @pytest.mark.parametrize("key,value", [("grid", 5), ("grid", {"pi_a": ["x"]}), ("grid", {"mu_n": 5}),
-                                           ("trials", 0), ("trials", 2.7), ("trials", True), ("trials", "2"),
-                                           ("seed", 1.5), ("seed", False), ("grid", {"T": 50.9}),
-                                           ("grid", {"pi_a": [True]}), ("grid", {"pi_a": ["0.5"]}),
-                                           ("grid", {"mu_n": ["-1"]}), ("grid", {"mu_a": "4"}),
-                                           ("grid", {"mu_a": True}), ("grid", {"alpha": "0.2"}),
-                                           ("grid", {"alpha": 1.5}),
-                                           ("procedures", [{"procedure": "discard-sidak", "alpha": 0.2, "tau": 0.1}])],
-                             ids=["grid", "pi_a", "mu_n", "trials", "trials-fraction", "trials-bool",
-                                  "trials-string", "seed-fraction", "seed-bool", "T-fraction",
-                                  "pi_a-bool", "pi_a-string", "mu_n-string", "mu_a-string", "mu_a-bool",
-                                  "alpha-string", "alpha-out-of-range", "tau-below-grid-alpha"])
-    def test_malformed_config_exits_3_before_any_output(self, tmp_path, capsys, key, value):
+    # named: what the error message must name
+    @pytest.mark.parametrize("key,value,named", [
+        ("grid", 5, "grid must be an object"), ("grid", {"pi_a": ["x"]}, "grid.pi_a"),
+        ("grid", {"mu_n": 5}, "grid.mu_n must be a non-empty list"), ("trials", 0, "trials"),
+        ("trials", 2.7, "trials"), ("trials", True, "trials"), ("trials", "2", "trials"), ("seed", 1.5, "seed"),
+        ("seed", False, "seed"), ("grid", {"T": 50.9}, "grid.T"), ("grid", {"pi_a": [True]}, "grid.pi_a"),
+        ("grid", {"pi_a": ["0.5"]}, "grid.pi_a"), ("grid", {"mu_n": ["-1"]}, "grid.mu_n"),
+        ("grid", {"mu_a": "4"}, "grid.mu_a"), ("grid", {"mu_a": True}, "grid.mu_a"),
+        ("grid", {"alpha": "0.2"}, "grid.alpha"), ("grid", {"alpha": 1.5}, "alpha"),
+        ("procedures", [{"procedure": "discard-sidak", "alpha": 0.2, "tau": 0.1}], "tau"),
+        ("grid", {"pi_a": 0.5}, "grid.pi_a must be a non-empty list, got 0.5"),
+        ("grid", {"pi_a": "0.5"}, "grid.pi_a must be a non-empty list, got '0.5'"),
+        ("grid", [1], "grid must be an object, got [1]"),
+        ("procedures", "alpha-spending", "procedures must be a non-empty list, got 'alpha-spending'"),
+        ("procedures", [], "procedures must be a non-empty list, got []"),
+        ("grid", {"pi_a": []}, "grid.pi_a must be a non-empty list, got []"),
+        ("grid", {"mu_n": []}, "grid.mu_n must be a non-empty list, got []"),
+    ], ids=["grid", "pi_a", "mu_n", "trials", "trials-fraction", "trials-bool",
+            "trials-string", "seed-fraction", "seed-bool", "T-fraction",
+            "pi_a-bool", "pi_a-string", "mu_n-string", "mu_a-string", "mu_a-bool",
+            "alpha-string", "alpha-out-of-range", "tau-below-grid-alpha",
+            "pi_a-number", "pi_a-text", "grid-list", "procedures-text", "procedures-empty",
+            "pi_a-empty", "mu_n-empty"])
+    def test_malformed_config_exits_3_before_any_output(self, tmp_path, capsys, key, value, named):
         cfg = tmp_path / "exp.json"
         cfg.write_text(json.dumps({"procedures": [{"procedure": "alpha-spending", "alpha": 0.2}],
                                    "grid": {}, "trials": 2, key: value}))
         out = tmp_path / "r.csv"
         assert main(["experiment", "--config", str(cfg), "--out", str(out)]) == 3
-        assert capsys.readouterr().err.startswith("config error: ")
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ")
+        assert named in err
         assert not out.exists()
 
     def _one_cell(self, tmp_path, trials, seed):
@@ -276,6 +290,24 @@ class TestSolve:
 
     def test_unknown_solver_exit_3(self):
         assert main(["solve", "newton"]) == 3
+
+    def test_infinite_horizon_row_is_a_plain_float(self, tmp_path):
+        out = tmp_path / "e.csv"
+        assert main(["solve", "expected-discoveries", "--n", "10,inf", "--out", str(out)]) == 0
+        rows = read_csv(out)[1:]
+        assert [n for n, _ in rows] == ["10", "inf"]
+        assert all(math.isfinite(float(v)) for _, v in rows)  # not "np.float64(...)"
+        model = GaussianMixModel(pi_a=0.5, mu_a=4.0, mu_n=0.0)
+        assert rows[0][1] == repr(expected_true_discoveries(10, 0.2, {"kind": "q", "q": 2.0}, model))
+
+    @pytest.mark.parametrize("argv", [["optimal-gamma", "--pi-a", ","], ["optimal-gamma", "--mu", ","],
+                                      ["cstar", "--pi-a", ","], ["optimal-q", "--n", ","]],
+                             ids=["optimal-gamma-pi-a", "optimal-gamma-mu", "cstar-pi-a", "optimal-q-n"])
+    def test_empty_list_exits_3_naming_the_flag(self, tmp_path, capsys, argv):
+        out = tmp_path / "s.csv"
+        assert main(["solve", *argv, "--out", str(out)]) == 3
+        assert capsys.readouterr().err == f"config error: {argv[1]} must list at least one number, got ','\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("solver,n", [("expected-discoveries", "10,abc"), ("optimal-q", "2.5")])
     def test_n_that_is_not_an_integer_exits_3(self, tmp_path, capsys, solver, n):

@@ -14,7 +14,7 @@ from fwerstream import (
     optimal_gamma_varying,
     optimal_q,
 )
-from fwerstream.power import expected_discoveries_slope, mixture_cdf
+from fwerstream.power import mixture_cdf
 
 from test_series import brute_force_zeta
 
@@ -96,6 +96,16 @@ class TestExpectedDiscoveries:
         interior_min = (vals[1:-1] < vals[:-2]) & (vals[1:-1] < vals[2:])
         assert not interior_min.any()
 
+    @pytest.mark.parametrize("flag", [True, False])
+    def test_boolean_n_rejected(self, flag):
+        with pytest.raises(ConfigError, match="^n must be a nonnegative integer"):
+            expected_true_discoveries(flag, 0.2, Q2_CFG, GaussianMixModel(pi_a=1.0, mu_a=4.0, mu_n=0.0))
+
+    def test_values_are_python_floats(self):
+        model = GaussianMixModel(pi_a=0.5, mu_a=4.0, mu_n=0.0)
+        for n in (0, 10, math.inf):
+            assert type(expected_true_discoveries(n, 0.2, Q2_CFG, model)) is float
+
     def test_bounded_by_pi_n(self):
         model = GaussianMixModel(pi_a=0.4, mu_a=4.0, mu_n=0.0)
         v = expected_true_discoveries(100, 0.2, Q2_CFG, model)
@@ -130,20 +140,6 @@ class TestOptimalQ:
     def test_alpha_domain(self):
         with pytest.raises(ConfigError):
             optimal_q(10, 4.0, 0.6)
-
-    def test_slope_crosses_zero_at_optimum(self):
-        q_star = optimal_q(10, 4.0, 0.2)
-        assert expected_discoveries_slope(q_star - 0.05, 10, 4.0, 0.2) > 0.0
-        assert expected_discoveries_slope(q_star + 0.05, 10, 4.0, 0.2) < 0.0
-
-    def test_slope_matches_finite_differences(self):
-        model = GaussianMixModel(pi_a=1.0, mu_a=4.0, mu_n=0.0)
-        h = 1e-6
-        for q in (1.3, 2.0, 3.5):
-            up = expected_true_discoveries(20, 0.2, {"kind": "q", "q": q + h}, model)
-            dn = expected_true_discoveries(20, 0.2, {"kind": "q", "q": q - h}, model)
-            fd = (up - dn) / (2.0 * h)
-            assert expected_discoveries_slope(q, 20, 4.0, 0.2) == pytest.approx(fd, rel=1e-4)
 
 
 class TestCstar:
@@ -230,3 +226,8 @@ class TestOptimalGammaVarying:
             optimal_gamma_varying(0.5, -1.0, 0.2, 3)
         with pytest.raises(ConfigError):
             optimal_gamma_varying(0.5, 4.0, 0.2, 0)
+
+    @pytest.mark.parametrize("flag", [True, False])
+    def test_boolean_horizon_rejected(self, flag):
+        with pytest.raises(ConfigError, match="^horizon must be a positive integer"):
+            optimal_gamma_varying(0.5, 4.0, 0.2, flag)

@@ -91,6 +91,13 @@ class TestGenStream:
             SimConfig(model=GaussianMixModel(pi_a=np.full(5, 0.5), mu_a=4.0, mu_n=0.0),
                       horizon=6, trials=1, seed=0)
 
+    @pytest.mark.parametrize("field", ["horizon", "trials", "seed", "block_size"])
+    @pytest.mark.parametrize("flag", [True, False])
+    def test_boolean_counts_rejected(self, field, flag):
+        counts = {"horizon": 5, "trials": 1, "seed": 0, field: flag}
+        with pytest.raises(ConfigError, match=f"^{field} must be "):
+            SimConfig(model=GaussianMixModel(pi_a=0.5, mu_a=4.0, mu_n=0.0), **counts)
+
 
 class TestEstimateMetrics:
     def test_all_null_fwer_within_band(self):
