@@ -287,6 +287,8 @@ def _custom_cells(spec: dict, trials: int | None = None, seed: int | None = None
     from .power import GaussianMixModel
     from .sim import grid_cells
 
+    if not isinstance(spec, dict):
+        raise ConfigError(f"experiment config must be an object, got {spec!r}")
     try:
         procedures = {}
         for p in map(ProcedureConfig.from_dict, _nonempty_list(spec.get("procedures"), "procedures")):

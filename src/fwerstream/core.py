@@ -148,48 +148,47 @@ class StreamState:
     (:func:`fwerstream.audit.audit_trace`) all advance this one object, so a
     stream can be decided a step or a chunk at a time, by either path, from
     where the last one stopped.  It holds the number of steps taken, the
-    number of them counted (selected and not candidates), for lagged rows the
-    counted prefix over the lag window, the :class:`RecycleBuffer` of fallback
-    rows and the audit's running prefix sum.
+    window of counted-step prefix sums that the index rule of
+    :data:`fwerstream.spec.SPECS` reads (every row has one, with lag 0 on
+    rows that are not lagged; ``window[-1]`` counts all the steps taken),
+    the :class:`RecycleBuffer` of fallback rows and the audit's running
+    prefix sum.
     """
 
-    __slots__ = ("i", "counted", "window", "window_start", "recycled", "audit_sum")
+    __slots__ = ("i", "window", "window_start", "recycled", "audit_sum")
 
-    def __init__(self, lagged: bool, recycled=None):
+    TRIM = 64  # a consumed prefix this long, and half the window, is dropped in one go
+
+    def __init__(self, recycled=None):
         self.i = 0  # steps taken: the next step has index i + 1
-        self.counted = 0
-        # lagged rows: window[j] = counted steps among the first window_start + j
-        self.window = [0] if lagged else None
+        self.window = [0]  # window[j] = counted steps among the first window_start + j
         self.window_start = 0
         self.recycled = recycled
         self.audit_sum = 0.0
 
-    def counted_before(self, visible: int) -> int:
-        """Counted steps among the first ``visible``, for a lagged row.
+    def advance(self, count: bool, visible: int) -> None:
+        """Record one more step, counted or not, that saw the first ``visible`` steps.
 
         Lag schedules are admissible (L_{i+1} <= L_i + 1), so no later step
-        sees fewer steps; the prefix before ``visible`` is dropped once it is
-        half the window, which keeps the window within twice the lag.
+        sees fewer steps; the prefix before ``visible`` is dropped once it
+        holds ``TRIM`` entries and half the window, in amortized O(1), so the
+        window holds at most 2 * max(L + 2, ``TRIM``) entries when no lag
+        exceeds L.
         """
-        j = visible - self.window_start
-        if j and 2 * j >= len(self.window):
-            del self.window[:j]
-            self.window_start, j = visible, 0
-        return self.window[j]
-
-    def advance(self, count: bool) -> None:
-        """Record one more step, counted or not."""
         self.i += 1
-        self.counted += count
-        if self.window is not None:
-            self.window.append(self.counted)
+        window = self.window
+        window.append(window[-1] + count)
+        j = visible - self.window_start
+        if j >= self.TRIM and 2 * j >= len(window):
+            del window[:j]
+            self.window_start = visible
 
 
 class OnlineProcedure:
     """Scheduler for the row of :data:`fwerstream.spec.SPECS` named by ``kind``.
 
     Holds the level budget, the weight series, the tau/lambda schedules, the
-    running :class:`StreamState` (index counter, lag window, recycling buffer)
+    running :class:`StreamState` (step count, counted-step window, recycling buffer)
     and the append-only trace.  Subclasses only fix ``kind`` and a public
     constructor signature.
     """
@@ -226,7 +225,7 @@ class OnlineProcedure:
                 weights = OneStepWeights()
             self.weights = weights_from_config(weights, self.series)
             recycled = RecycleBuffer(self.weights)  # indexed by t
-        self.state = StreamState(self.lags is not None, recycled)
+        self.state = StreamState(recycled)
         self._adapts = spec.adapts
 
     def _check(self, tau: float, lam: float = 0.0) -> tuple[float, float]:
@@ -275,14 +274,10 @@ class OnlineProcedure:
         return [self.step(p) for p in pvalues]
 
     def _step(self, i: int, p: float) -> Decision:
-        lags, state = self.lags, self.state
-        if lags is None:
-            visible = i - 1
-            t = 1 + state.counted
-        else:
-            lag = lags.lag(i)
-            visible = max(0, i - 1 - lag)
-            t = 1 + min(lag, i - 1) + state.counted_before(visible)
+        state = self.state
+        lag = 0 if self.lags is None else min(self.lags.lag(i), i - 1)
+        visible = i - 1 - lag
+        t = 1 + lag + state.window[visible - state.window_start]
         tau, lam = self.thresholds or self._thresholds(i, visible)
         a = level_map(self.spec.family, self.budget, tau, lam, self.series.weight(t))
         if state.recycled is not None:
@@ -294,7 +289,7 @@ class OnlineProcedure:
         rejected = p <= a and a > 0.0
         if rejected and state.recycled is not None:
             state.recycled.reject(t, a)
-        state.advance(selected and not candidate)
+        state.advance(selected and not candidate, visible)
         return Decision(i, p, a, rejected, selected, candidate, tau, lam)
 
     def _finalize(self, a: float, tau: float = 1.0) -> float:

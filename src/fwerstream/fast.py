@@ -6,11 +6,15 @@ maps one p-value stream of shape (T,), or a block of streams of shape
 Given a scheduler's :class:`~fwerstream.core.StreamState`, it decides the
 next chunk of that scheduler's stream instead and advances the state; the
 index t, and with it the level table, counts from the start of the stream.
-For constant tau and lambda the runner computes the index rule of the
-procedure's row in :data:`fwerstream.spec.SPECS` with the same operations
+For constant tau and lambda the runner computes the index rule of
+:mod:`fwerstream.spec`, one rule for every row, with the same operations
 as the step scheduler, and its level through the step's own
 :func:`fwerstream.spec.level_map`, so both give bit-identical traces;
 anything fancier falls back to the step-by-step scheduler, row by row.
+Each call builds the counted-step prefix sums of its chunk or block once,
+continuing the state's window (a fresh stream starts from ``[0]``), and
+reads t - 1 from them: the counted steps before i - L_i, plus min(L_i,
+i-1), which for lag 0 is a view of the sums.
 
 Spending and Sidak levels depend on the series index t alone, so each
 runner evaluates the level map once per t into a memoized table and
@@ -20,8 +24,9 @@ are computed and appended.  Fallback levels carry recycled mass, so
 index of the selected steps) with every row of the block at the same m,
 so the loop's numpy calls are shared by all the rows (the simulation
 passes 128 at T = 1000): a row that rejects at m adds
-``a * weights.span(m, .)`` to its own positions m+1, ....  Each position
-therefore sums its terms in ascending m, the order in which
+``a * weights.span(m, .)`` to its own positions m+1, ..., and each step
+then reads the level of its position t.  Each position therefore sums its
+terms in ascending m, the order in which
 :class:`fwerstream.core.RecycleBuffer` adds them, and the block rows stay
 bit-identical to the step scheduler.  One-step weights write position m+1
 with one masked multiply instead.  A chunk of a carried stream reads and
@@ -140,48 +145,35 @@ def make_runner(cfg: ProcedureConfig, batch_ids=None):
             raise StreamError("a carried state continues one stream: pass a 1-d chunk")
         block = np.atleast_2d(p)  # a single stream is a block of one row
         rows, n = block.shape
-        i0, c0 = (0, 0) if state is None else (state.i, state.counted)
-        if lags is not None:  # read first: a lag schedule that ends inside the chunk leaves the state as it was
-            lag = np.asarray(lags.values(i0, i0 + n), dtype=np.intp)
+        i0, window, start = (0, [0], 0) if state is None else (state.i, state.window, state.window_start)
         selected = block <= tau if spec.discards else np.broadcast_to(True, block.shape)
         candidate = block <= lam if spec.adapts else np.broadcast_to(False, block.shape)
-        if spec.family == "fallback" and state is None:
-            t0 = None  # _recycle counts each row's positions itself
-        elif lags is None and not (spec.discards or spec.adapts):  # every step is counted
-            t0 = np.broadcast_to(np.arange(c0, c0 + n), block.shape)  # series index t - 1
-            counted = c0 + n
-        else:
-            # prefix[:, j] = counted steps among the first start + j, from the carried window on
-            if lags is None:
-                window, start = [c0], i0
-            elif state is None:
-                window, start = [0], 0
-            else:
-                window, start = state.window, state.window_start
-            w = len(window)
-            itype = np.int32 if i0 + n < 2**31 else np.intp  # holds every count, at most i0 + n
-            prefix = np.empty((rows, w + n), dtype=itype)
-            prefix[:, :w] = window
-            np.cumsum(selected & ~candidate if spec.adapts else selected, axis=1, dtype=itype, out=prefix[:, w:])
-            prefix[:, w:] += window[-1]
-            counted = int(prefix[0, -1])
-            if lags is None:
-                t0 = prefix[:, :n]
-            else:
-                idx = np.arange(i0, i0 + n, dtype=np.intp)  # i - 1
-                visible = np.maximum(0, idx - lag)
-                t0 = prefix[:, visible - start]
-                t0 += np.minimum(lag, idx)
+        # prefix[:, j] = counted steps among the first start + j, from the carried window on
+        w = len(window)
+        itype = np.int32 if i0 + n < 2**31 else np.intp  # holds every count, at most i0 + n
+        prefix = np.empty((rows, w + n), dtype=itype)
+        prefix[:, :w] = window
+        np.cumsum(selected & ~candidate if spec.adapts else selected, axis=1, dtype=itype, out=prefix[:, w:])
+        prefix[:, w:] += window[-1]
+        # t - 1 = lag + the counted steps among the first i - 1 - lag, lag = min(L_i, i-1) (spec.py)
+        if lags is None:  # lag 0: a view
+            t0 = prefix[:, w - 1 : w - 1 + n]
+        else:  # a lag schedule that ends inside the chunk raises here, before the state changes
+            idx = np.arange(i0, i0 + n, dtype=np.intp)  # i - 1
+            lag = np.minimum(np.asarray(lags.values(i0, i0 + n), dtype=np.intp), idx)
+            visible = idx - lag
+            t0 = prefix[:, visible - start]
+            t0 += lag
         if spec.family != "fallback":
             levels = level_table(int(t0.max(initial=0)) + 1)[t0]
         elif state is None:
-            levels = _recycle(block, selected, tau, level_table(n), weights)
+            levels = _recycle(block, selected, t0, tau, level_table(n), weights)
         else:
-            levels = _recycle_carried(p, selected[0], t0[0], c0, tau, level_table(i0 + n), state.recycled)
-        if state is not None and n:
-            state.i, state.counted = i0 + n, counted
-            if lags is not None:
-                state.window, state.window_start = prefix[0, visible[-1] - start:].tolist(), int(visible[-1])
+            levels = _recycle_carried(p, selected[0], t0[0], window[-1], tau, level_table(i0 + n), state.recycled)
+        if state is not None and n:  # keep the window from what the last step sees on
+            last = i0 + n - 1 if lags is None else int(visible[-1])
+            state.i = i0 + n
+            state.window, state.window_start = prefix[0, last - start :].tolist(), last
         rejected = block <= levels
         rejected &= levels > 0.0
         return StreamResult(cfg.procedure, cfg.alpha, cfg.k, p, levels.reshape(p.shape),
@@ -191,14 +183,15 @@ def make_runner(cfg: ProcedureConfig, batch_ids=None):
     return run
 
 
-def _recycle(p, selected, tau, base, weights):
+def _recycle(p, selected, t0, tau, base, weights):
     """Fallback levels tau * (base_t + recycled(t)) of a block of streams, by
     counted position (see the module docstring); ``base`` is 0-based in t.
     Column m-1 of ``pc`` holds each row's p-value at its m-th selected step;
     a non-selected step reads the level of the position it waits at.
 
     The mass by position is kept in the first columns of the levels array,
-    which each row then spreads over its steps in place.  A span add takes
+    which each row then spreads over its steps in place: step i reads
+    position t = ``t0[i-1]`` + 1, from the runner's index rule.  A span add takes
     at most ``SPAN_ADD_ELEMENTS`` cells at a time, so its temporaries stay
     small on a block of many rows.  One-step weights recycle a rejected level
     to the next position only, so position m+1 starts from
@@ -235,9 +228,7 @@ def _recycle(p, selected, tau, base, weights):
                 rg = r[g : g + group]
                 out[rg, j + 1 : j + 1 + span.size] += a[rg, None] * span
     if tau < 1.0:
-        for row, sel in zip(levels, selected):
-            t = np.cumsum(sel)
-            t -= sel  # the position each step reads: the selected steps before it
+        for row, t in zip(levels, t0):
             row[:] = row[t]
     return levels
 

@@ -46,8 +46,8 @@ class SimConfig:
             raise ConfigError(f"horizon must be a positive integer, got {self.horizon!r}")
         if isinstance(self.trials, bool) or not (isinstance(self.trials, int) and self.trials >= 1):
             raise ConfigError(f"trials must be a positive integer, got {self.trials!r}")
-        if isinstance(self.seed, bool) or not isinstance(self.seed, int):
-            raise ConfigError(f"seed must be an integer, got {self.seed!r}")
+        if isinstance(self.seed, bool) or not (isinstance(self.seed, int) and self.seed >= 0):
+            raise ConfigError(f"seed must be a nonnegative integer, got {self.seed!r}")
         if isinstance(self.block_size, bool) or not (isinstance(self.block_size, int) and self.block_size >= 1):
             raise ConfigError(f"block_size must be a positive integer, got {self.block_size!r}")
         try:

@@ -225,6 +225,32 @@ class TestExperiment:
         assert named in err
         assert not out.exists()
 
+    def test_config_that_is_not_an_object_exits_3(self, tmp_path, capsys):
+        cfg = tmp_path / "exp.json"
+        cfg.write_text("[1]")
+        out = tmp_path / "r.csv"
+        assert main(["experiment", "--config", str(cfg), "--out", str(out)]) == 3
+        assert "experiment config must be an object, got [1]" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [["--preset", "fig1", "--seed", "-1"], ["--config", "CONFIG", "--seed", "-1"],
+                                      ["--config", "CONFIG-1"]], ids=["fig1-flag", "config-flag", "config-key"])
+    @pytest.mark.parametrize("to_file", [True, False], ids=["out", "stdout"])
+    def test_negative_seed_exits_3_before_any_output(self, tmp_path, capsys, argv, to_file):
+        configs = {"CONFIG": self._one_cell(tmp_path, trials=2, seed=1),
+                   "CONFIG-1": self._one_cell(tmp_path, trials=2, seed=-1)}
+        argv = [configs.get(a, a) for a in argv]
+        out = tmp_path / "r.csv"
+        assert main(["experiment", *argv, "--trials", "2", *(["--out", str(out)] if to_file else [])]) == 3
+        captured = capsys.readouterr()
+        assert "seed must be a nonnegative integer, got -1" in captured.err
+        assert captured.out == "" and not out.exists()
+
+    def test_fig2_seed_offset_keeps_a_negative_seed_valid(self, tmp_path):
+        # fig2's cells draw from seed + 10000, so --seed -1 gives nonnegative cell seeds
+        rows = self._rows(tmp_path, ["--preset", "fig2", "--trials", "2", "--seed", "-1"])
+        assert len(rows) == 1 + (9 + 9) * 4
+
     def _one_cell(self, tmp_path, trials, seed):
         cfg = tmp_path / f"exp-{trials}-{seed}.json"
         cfg.write_text(json.dumps({"procedures": [{"procedure": "alpha-spending", "alpha": 0.2}],
@@ -620,6 +646,33 @@ class TestStreamingRun:
         assert f"line {bad + 1}" in capsys.readouterr().err
         cfg = ProcedureConfig(procedure="addis-spending", alpha=0.2)
         assert out.read_bytes() == per_record_csv(cfg, ps[: bad - 1].tolist())
+
+    @pytest.mark.parametrize("kind", ["tau", "lag"])
+    def test_short_schedule_stops_after_its_last_step(self, tmp_path, capsys, kind):
+        # the schedule ends inside the second chunk: a tau list takes the scalar step, a lag
+        # list the runner, which refuses the chunk, then the scalar step, which stops at its end
+        short = cli.RUN_CHUNK + 904
+        n = short + 1000
+        ps = _hot_stream(n, 12)
+        inp = tmp_path / "in.csv"
+        write_stream(inp, ps)
+
+        def flags(length):
+            if kind == "tau":
+                cfg = tmp_path / f"c{length}.json"
+                cfg.write_text(json.dumps({"procedure": "discard-spending", "alpha": 0.2,
+                                           "tau": ([0.3, 0.5, 0.9] * n)[:length]}))
+                return ["--config", str(cfg)]
+            lags = ",".join(map(str, ([0, 1, 2, 3, 4, 0, 1, 0] * n)[:length]))
+            return ["--procedure", "addis-spending-local", "--alpha", "0.2", "--lags", lags]
+
+        full, out = tmp_path / "full.csv", tmp_path / "out.csv"
+        assert main(["run", "--input", str(inp), "--out", str(full), *flags(n)]) == 0
+        assert main(["run", "--input", str(inp), "--out", str(out), *flags(short)]) == 3
+        assert f"{kind} schedule has {short} entries; step {short + 1} requested" in capsys.readouterr().err
+        rows = full.read_bytes().splitlines(keepends=True)
+        assert b",1,1," in b"".join(rows[1 : short + 1])  # the stream rejects before the schedule ends
+        assert out.read_bytes() == b"".join(rows[: short + 1])  # the header and rows 1 .. short
 
     def test_memory_stays_bounded_on_a_long_stream(self, tmp_path):
         # run keeps nothing per record once it is written; keeping each Decision would take about 47 MB here

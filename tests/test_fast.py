@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from fwerstream import ProcedureConfig, make_runner
-from fwerstream.core import RecycleBuffer
+from fwerstream.core import RecycleBuffer, StreamState
 from fwerstream.errors import StreamError
 from fwerstream.fast import from_decisions
 
@@ -267,6 +267,44 @@ def test_chunks_and_steps_continue_one_state(cfg):
         i = min(i + size, p.size)
     assert i == p.size and proc.t == p.size
     assert got == [(d.alpha, d.rejected, d.selected, d.candidate) for d in want]
+
+
+WINDOW_CASES = [  # (config, the largest lag of its stream)
+    (ProcedureConfig(procedure="discard-spending", alpha=0.2, tau=0.5), 0),
+    (ProcedureConfig(procedure="addis-spending-local", alpha=0.2, lags={"kind": "constant", "value": 3}), 3),
+    (ProcedureConfig(procedure="addis-spending-local", alpha=0.2, lags={"kind": "constant", "value": 100}), 100),
+    (ProcedureConfig(procedure="addis-spending-local", alpha=0.2, lags={"kind": "from-batch-ids"}), 15),
+]
+
+
+@pytest.mark.parametrize("how", ["steps", "chunks-and-steps"])
+@pytest.mark.parametrize("cfg,max_lag", WINDOW_CASES, ids=["discard", "lag-3", "lag-100", "batch-lags"])
+def test_window_stays_bounded_on_a_long_stream(cfg, max_lag, how):
+    # with lags up to L the window holds at most 2 * max(L + 2, TRIM) prefix sums, whatever the stream's length
+    bound = 2 * max(max_lag + 2, StreamState.TRIM)
+    n = 10**5
+    rng = np.random.default_rng(13)
+    p = rng.random(n)
+    batch_ids = None
+    if cfg.wants_batch_lags():  # batches of 1 to 16 records: lags up to 15
+        batch_ids = np.repeat(np.arange(n), rng.integers(1, max_lag + 2, size=n))[:n].tolist()
+    proc = cfg.build(batch_ids=batch_ids)
+    run = make_runner(cfg, batch_ids=batch_ids) if how != "steps" else None
+    longest, i = 0, 0
+    while i < n:
+        if run is not None:  # a chunk of a drawn size, then a drawn number of single steps
+            size = int(rng.integers(0, 3000))
+            run(p[i : i + size], state=proc.state)
+            i = min(i + size, n)
+            longest = max(longest, len(proc.state.window))
+        steps = n - i if run is None else int(rng.integers(0, 200))
+        for x in p[i : i + steps].tolist():
+            proc.step(x)
+            proc.trace.clear()  # no callable schedule reads the trace
+            longest = max(longest, len(proc.state.window))
+            i += 1
+    assert proc.t == n
+    assert longest <= bound
 
 
 def test_a_carried_state_takes_one_stream():
