@@ -17,6 +17,7 @@ lagged position).
 from __future__ import annotations
 
 import dataclasses
+import itertools
 
 from .core import OnlineProcedure, Schedule
 from .errors import ConfigError
@@ -36,13 +37,12 @@ class LagSchedule(Schedule):
     pre-batch information.
     """
 
-    __slots__ = ("_seen", "_current", "_run")
+    __slots__ = ("_seen", "_current")
 
     def __init__(self, constant: int | None = None, values: list[int] | None = None):
         super().__init__("lag", const=constant, seq=values)
         self._seen: set = set()  # batch ids pushed so far ...
-        self._current = object()  # ... the one of the open run ...
-        self._run = 0  # ... and the length of that run
+        self._current = object()  # ... and the one of the open run
 
     lag = Schedule.value
 
@@ -68,19 +68,24 @@ class LagSchedule(Schedule):
     @classmethod
     def from_batch_ids(cls, batch_ids) -> "LagSchedule":
         lags = cls(values=[])
-        for b in batch_ids:
-            lags.push(b)
+        lags.extend(batch_ids)
         return lags
+
+    def extend(self, batch_ids) -> None:
+        """Append the lags of more items, given their batch ids, a run of equal ids
+        at a time; an id of an earlier run raises before its run is appended."""
+        for batch_id, run in itertools.groupby(batch_ids):
+            start = self.seq[-1] + 1 if batch_id == self._current else 0  # 0: a new run starts
+            if not start:
+                if batch_id in self._seen:
+                    raise ConfigError(f"batch id {batch_id!r} appears in two separate runs")
+                self._seen.add(batch_id)
+                self._current = batch_id
+            self.seq.extend(range(start, start + len(list(run))))
 
     def push(self, batch_id) -> None:
         """Append the lag of one more item, given its batch id."""
-        if batch_id != self._current:
-            if batch_id in self._seen:
-                raise ConfigError(f"batch id {batch_id!r} appears in two separate runs")
-            self._seen.add(batch_id)
-            self._current, self._run = batch_id, 0
-        self.seq.append(self._run)
-        self._run += 1
+        self.extend((batch_id,))
 
     def config(self) -> dict:
         if self.const is not None:

@@ -68,42 +68,65 @@ def _output(path: str | None):
 RUN_CHUNK = 4096
 
 
-def _iter_records(fh, fmt: str):
-    """Yield (line_no, raw p, batch_id) tuples of the open file ``fh``;
-    ``cmd_run`` checks the p-value."""
+def _csv_parsers(header: list[str]):
+    """The parsers of the rows under ``header``: of a chunk, to its raw p and batch id
+    columns (a short row raises); of one row, to its raw p and batch id, or None if blank."""
+    cols = [c.strip().lower() for c in header]
+    if "p" not in cols:
+        raise StreamError("line 1: CSV header must contain a 'p' column")
+    p_at = cols.index("p")
+    batch_at = cols.index("batch_id") if "batch_id" in cols else None
+
+    def columns(rows):
+        batches = [None] * len(rows) if batch_at is None else [row[batch_at].strip() or None for row in rows]
+        return [row[p_at] for row in rows], batches
+
+    def record(row):
+        if not any(map(str.strip, row)):  # a blank line
+            return None
+        if len(row) <= p_at:
+            raise StreamError("missing 'p' value")
+        batch = row[batch_at].strip() if batch_at is not None and len(row) > batch_at else None
+        return row[p_at], batch or None
+
+    return columns, record
+
+
+def _jsonl_record(line: str):
+    """The raw p and batch id of one JSONL line, or None if it is blank."""
+    if not line.strip():
+        return None
+    try:
+        rec = json.loads(line)
+    except ValueError as exc:  # a JSONDecodeError, or an integer too long to convert
+        raise StreamError(f"invalid JSON ({getattr(exc, 'msg', exc)})") from None
+    if not isinstance(rec, dict) or "p" not in rec:
+        raise StreamError("expected an object with a 'p' field")
+    p, batch = rec["p"], rec.get("batch_id")
+    if isinstance(p, bool):
+        raise StreamError(f"p-value {p!r} is a boolean, not a number")
+    if batch is not None and (isinstance(batch, bool) or not isinstance(batch, (str, int))):
+        raise StreamError(f"batch_id {batch!r} must be a string or an integer")
+    return p, batch
+
+
+def _iter_records(fh, fmt: str, lags):
+    """Yield the records of the open file ``fh`` a chunk of ``RUN_CHUNK`` lines at a time, as
+    ``_read_chunk`` gives them; a JSONL chunk's columns come from its record parser."""
     if fmt == "jsonl":
-        for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise StreamError(f"line {line_no}: invalid JSON ({exc.msg})") from None
-            if not isinstance(rec, dict) or "p" not in rec:
-                raise StreamError(f"line {line_no}: expected an object with a 'p' field")
-            p, batch = rec["p"], rec.get("batch_id")
-            if isinstance(p, bool):
-                raise StreamError(f"line {line_no}: p-value {p!r} is a boolean, not a number")
-            if batch is not None and (isinstance(batch, bool) or not isinstance(batch, (str, int))):
-                raise StreamError(f"line {line_no}: batch_id {batch!r} must be a string or an integer")
-            yield line_no, p, batch
+        lines, first, parsers = fh, 1, (lambda chunk: zip(*map(_jsonl_record, chunk)), _jsonl_record)
     else:
-        reader = csv.reader(fh)
-        header = next(reader, None)
+        lines = csv.reader(fh)
+        header = next(lines, None)
         if header is None:
             return
-        cols = [c.strip().lower() for c in header]
-        if "p" not in cols:
-            raise StreamError("line 1: CSV header must contain a 'p' column")
-        p_at = cols.index("p")
-        batch_at = cols.index("batch_id") if "batch_id" in cols else None
-        for line_no, row in enumerate(reader, start=2):
-            if not any(map(str.strip, row)):  # a blank line
-                continue
-            if len(row) <= p_at:
-                raise StreamError(f"line {line_no}: missing 'p' value")
-            batch = row[batch_at].strip() if batch_at is not None and len(row) > batch_at else None
-            yield line_no, row[p_at], batch or None
+        first, parsers = 2, _csv_parsers(header)
+    for first in itertools.count(first, RUN_CHUNK):
+        if not (chunk := list(itertools.islice(lines, RUN_CHUNK))):
+            return
+        records = _read_chunk(first, chunk, *parsers, lags)
+        del chunk  # the lines are not kept while their records are decided and written
+        yield records
 
 
 def _load_json(path: str):
@@ -169,40 +192,51 @@ def _procedure_from_args(args) -> ProcedureConfig:
     )
 
 
-def _read_chunk(records, lags) -> tuple[list[float], StreamError | None]:
-    """The checked p-values of the next ``RUN_CHUNK`` records, pushing each
-    batch id into ``lags`` (if given), and the error of a malformed record
-    that stopped the chunk short, if any."""
-    ps = []
+def _read_chunk(first: int, lines: list, columns, record, lags) -> tuple[np.ndarray, StreamError | None]:
+    """The checked p-values of the lines numbered from ``first``, their batch ids pushed into
+    ``lags`` (if given), and the error of the first malformed record, which ends them short.
+    ``columns`` parses the whole chunk; one that fails goes through ``record`` line by line."""
     try:
-        for line_no, p, batch_id in itertools.islice(records, RUN_CHUNK):
-            if lags is not None:
-                if batch_id is None:
-                    raise StreamError(f"line {line_no}: --lags batch needs a batch_id column")
-                try:
-                    lags.push(batch_id)
-                except ConfigError as exc:
-                    raise StreamError(f"line {line_no}: {exc}") from None
-            try:
-                ps.append(_check_p(p))
-            except StreamError as exc:
-                raise StreamError(f"line {line_no}: {exc}") from None
-    except StreamError as exc:
-        return ps, exc
-    return ps, None
+        raw, batches = columns(lines)
+        ps = np.array(list(map(float, raw)))
+        if (lags is not None and None in batches) or not (ps.min() >= 0.0 and ps.max() <= 1.0):
+            raise ValueError("a missing batch id, or a p-value outside [0, 1]")  # a NaN fails both bounds
+        at, error = range(first, first + len(ps)), None
+    except (LookupError, OverflowError, StreamError, TypeError, ValueError):
+        ps, batches, at, error = [], [], [], None
+        try:
+            for line_no, line in enumerate(lines, start=first):
+                if (rec := record(line)) is None:
+                    continue
+                if lags is not None and rec[1] is None:
+                    raise StreamError("--lags batch needs a batch_id column")
+                batches.append(rec[1])  # a batch id is pushed before its p-value is checked
+                at.append(line_no)
+                ps.append(_check_p(rec[0]))
+        except StreamError as exc:
+            error = StreamError(f"line {line_no}: {exc}")
+        ps = np.array(ps, dtype=np.float64)
+    if lags is not None:
+        before = len(lags.seq)
+        try:
+            lags.extend(batches)
+        except ConfigError as exc:
+            bad = len(lags.seq) - before
+            return ps[:bad], StreamError(f"line {at[bad]}: {exc}")
+    return ps, error
 
 
-def _decide(cfg: ProcedureConfig, scheduler, runner, ps: list[float]):
+def _decide(cfg: ProcedureConfig, scheduler, runner, ps: np.ndarray):
     """Decide one chunk on the scheduler's state: the decisions as columns,
     and the error that stopped them short of the chunk's end, if any."""
     if runner is not None:
         try:
-            return runner(np.array(ps), state=scheduler.state), None
+            return runner(ps, state=scheduler.state), None
         except ConfigError:
             pass  # a lag list that ends inside the chunk: the scalar step finds the step it ends at
     error = None
     try:
-        for p in ps:
+        for p in ps.tolist():
             scheduler.step(p)
     except (ConfigError, BudgetError) as exc:
         error = exc
@@ -211,11 +245,12 @@ def _decide(cfg: ProcedureConfig, scheduler, runner, ps: list[float]):
     return decided, error
 
 
-def _write_rows(writer, start: int, ps: list[float], decided) -> None:
-    """Write the decisions of steps start+1, ..., start+len(ps), one row each."""
-    n = len(ps)
+def _write_rows(out, start: int, decided, n: int) -> None:
+    """Write the first n decisions, steps start+1, ..., start+n, one row each,
+    with one write: the bytes of csv.writer, which quotes no number."""
     flags = (getattr(decided, c)[:n].astype(np.int8).tolist() for c in ("rejected", "selected", "candidate"))
-    writer.writerows(zip(range(start + 1, start + n + 1), ps, decided.levels[:n].tolist(), *flags))
+    rows = zip(range(start + 1, start + n + 1), decided.p[:n].tolist(), decided.levels[:n].tolist(), *flags)
+    out.write("".join(map("%d,%r,%r,%d,%d,%d\r\n".__mod__, rows)))
 
 
 def cmd_run(args) -> int:
@@ -232,26 +267,21 @@ def cmd_run(args) -> int:
     # constant tau and lambda: chunks go through the runner; else through the scalar step
     runner = fast.make_runner(cfg) if scheduler.thresholds is not None else None
     try:
-        fh = open(args.input, "r", encoding="utf-8")
+        fh = open(args.input, "r", encoding="utf-8-sig")  # utf-8-sig: a leading byte-order mark is dropped
     except OSError as exc:
         raise StreamError(f"cannot read {args.input}: {exc}") from None
     with fh, _output(args.out) as out:
-        records = _iter_records(fh, fmt)
-        writer = csv.writer(out)
-        writer.writerow(["index", "p", "alpha_i", "rejected", "selected", "candidate"])
-        while True:
-            ps, bad_line = _read_chunk(records, lags)
+        out.write("index,p,alpha_i,rejected,selected,candidate\r\n")
+        for ps, bad_line in _iter_records(fh, fmt, lags):
             start = state.i
             decided, error = _decide(cfg, scheduler, runner, ps)
             report = audit_trace(decided, cfg, state)
             stop = len(decided) if report.passed else report.first_bad_index - 1 - start
-            _write_rows(writer, start, ps[:stop], decided)
+            _write_rows(out, start, decided, stop)
             report.raise_if_failed()
             for exc in (error, bad_line):
                 if exc is not None:
                     raise exc
-            if len(ps) < RUN_CHUNK:
-                break
         out.flush()
     return 0
 

@@ -49,7 +49,7 @@ class Decision:
 def _check_p(p) -> float:
     try:
         p = float(p)
-    except (TypeError, ValueError):
+    except (OverflowError, TypeError, ValueError):  # OverflowError: an integer too large for a float
         raise StreamError(f"p-value must be a real number, got {p!r}") from None
     if math.isnan(p) or p < 0.0 or p > 1.0:
         raise StreamError(f"p-value must lie in [0, 1], got {p}")

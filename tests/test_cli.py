@@ -152,6 +152,22 @@ class TestRun:
         write_stream(inp, [0.5])
         assert main(["run", "--input", str(inp)]) == 3
 
+    @pytest.mark.parametrize("ext", ["csv", "jsonl"])
+    def test_leading_byte_order_mark_is_dropped(self, tmp_path, ext):
+        # spreadsheet exports often start with a UTF-8 byte-order mark
+        ps = np.random.default_rng(8).random(50)
+        plain, marked = tmp_path / f"plain.{ext}", tmp_path / f"marked.{ext}"
+        if ext == "csv":
+            write_stream(plain, ps, batch_ids=[f"b{i // 4}" for i in range(50)])
+        else:
+            plain.write_text("".join(json.dumps({"p": p, "batch_id": i // 4}) + "\n" for i, p in enumerate(ps.tolist())))
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        flags = ["--procedure", "addis-spending-local", "--alpha", "0.2", "--lags", "batch"]
+        for inp in (plain, marked):
+            assert main(["run", "--input", str(inp), "--out", str(tmp_path / f"{inp.stem}.out"), *flags]) == 0
+        assert (tmp_path / "marked.out").read_bytes() == (tmp_path / "plain.out").read_bytes()
+        assert len(read_csv(tmp_path / "marked.out")) == 51
+
 
 class TestExperiment:
     def test_tiny_custom_grid_deterministic(self, tmp_path):
@@ -568,6 +584,47 @@ def _cases():
 CASES = _cases()
 
 
+def _csv_line(p, batch, kind=None):
+    """One record of a batch_id,p CSV; ``kind`` names what is wrong with it."""
+    value = {"non-number": "abc", "nan": "nan", "above-one": "1.5", "repeated-batch-id-and-bad-p": "1.5"}.get(kind, repr(p))
+    if kind == "missing-p":
+        return batch
+    batch = {"missing-batch-id": " ", "repeated-batch-id": "b0", "repeated-batch-id-and-bad-p": "b0"}.get(kind, batch)
+    return f"{batch},{value}"
+
+
+def _jsonl_line(p, batch, kind=None):
+    """One record of a JSONL stream; ``kind`` names what is wrong with it."""
+    if kind == "invalid-json":
+        return '{"p": 0.5, "batch_id": '
+    if kind == "overlong-integer":  # more digits than Python converts to an int
+        return '{"p": %s, "batch_id": %s}' % ("1" * 5000, json.dumps(batch))
+    rec = {"p": {"boolean-p": True, "huge-integer": 10**400}.get(kind, p), "batch_id": batch}
+    if kind == "missing-p-field":
+        del rec["p"]
+    return json.dumps(rec)
+
+
+MALFORMED = [  # (kind, format, record writer, the error message after "line N: ")
+    ("non-number", "csv", _csv_line, "p-value must be a real number, got 'abc'"),
+    ("nan", "csv", _csv_line, "p-value must lie in [0, 1], got nan"),
+    ("above-one", "csv", _csv_line, "p-value must lie in [0, 1], got 1.5"),
+    ("missing-p", "csv", _csv_line, "missing 'p' value"),
+    ("missing-batch-id", "csv", _csv_line, "--lags batch needs a batch_id column"),
+    ("repeated-batch-id", "csv", _csv_line, "batch id 'b0' appears in two separate runs"),
+    # a batch id is pushed before its p-value is checked
+    ("repeated-batch-id-and-bad-p", "csv", _csv_line, "batch id 'b0' appears in two separate runs"),
+    ("invalid-json", "jsonl", _jsonl_line, "invalid JSON (Expecting value)"),
+    ("missing-p-field", "jsonl", _jsonl_line, "expected an object with a 'p' field"),
+    ("boolean-p", "jsonl", _jsonl_line, "p-value True is a boolean, not a number"),
+    ("huge-integer", "jsonl", _jsonl_line, "p-value must be a real number"),
+    ("overlong-integer", "jsonl", _jsonl_line, "invalid JSON (Exceeds the limit"),
+]
+# the first record has no earlier run to repeat
+AT_EDGES = [(*m, pos) for m in MALFORMED for pos in (1, cli.RUN_CHUNK - 1, cli.RUN_CHUNK, cli.RUN_CHUNK + 1)
+            if not (m[0].startswith("repeated") and pos == 1)]
+
+
 class TestStreamingRun:
     @pytest.mark.parametrize("label,cfg,flags,batch", CASES, ids=[c[0] for c in CASES])
     def test_chunks_give_the_per_record_output(self, tmp_path, monkeypatch, label, cfg, flags, batch):
@@ -673,6 +730,37 @@ class TestStreamingRun:
         rows = full.read_bytes().splitlines(keepends=True)
         assert b",1,1," in b"".join(rows[1 : short + 1])  # the stream rejects before the schedule ends
         assert out.read_bytes() == b"".join(rows[: short + 1])  # the header and rows 1 .. short
+
+    @pytest.mark.parametrize("kind,ext,line,message,pos", AT_EDGES, ids=[f"{c[0]}-{c[4]}" for c in AT_EDGES])
+    def test_malformed_record_at_a_chunk_edge(self, tmp_path, capsys, kind, ext, line, message, pos):
+        # a blank line before the bad record, which is record pos, on either side of a chunk boundary
+        n = cli.RUN_CHUNK + 100
+        ps = _hot_stream(n, pos).tolist()
+        batch_ids = [f"b{i // 3}" for i in range(n)]
+        good = [line(p, b) for p, b in zip(ps, batch_ids)]
+        bad = line(ps[pos - 1], batch_ids[pos - 1], kind)
+        inp = tmp_path / f"in.{ext}"
+        header = ["batch_id,p"] if ext == "csv" else []
+        inp.write_text("\n".join(header + good[: pos - 1] + ["", bad] + good[pos:]) + "\n")
+        out = tmp_path / "out.csv"
+        assert main(["run", "--input", str(inp), "--out", str(out), "--procedure", "addis-spending-local",
+                     "--alpha", "0.2", "--lags", "batch"]) == 2
+        bad_line = pos + 1 + len(header)  # the header and the blank line come before it
+        assert f"input error: line {bad_line}: {message}" in capsys.readouterr().err
+        cfg = ProcedureConfig(procedure="addis-spending-local", alpha=0.2, lags={"kind": "from-batch-ids"})
+        assert out.read_bytes() == per_record_csv(cfg, ps[: pos - 1], batch_ids[: pos - 1])
+
+    def test_stdout_gets_the_bytes_of_the_out_file(self, tmp_path):
+        inp, out = tmp_path / "in.csv", tmp_path / "out.csv"
+        n = cli.RUN_CHUNK + 300
+        write_stream(inp, _hot_stream(n, 9), batch_ids=[f"b{i // 5}" for i in range(n)])
+        argv = [sys.executable, "-m", "fwerstream", "run", "--input", str(inp), "--procedure", "addis-spending-local",
+                "--alpha", "0.2", "--lags", "batch"]
+        to_stdout = subprocess.run(argv, capture_output=True, env=CHILD_ENV)
+        to_file = subprocess.run(argv + ["--out", str(out)], capture_output=True, env=CHILD_ENV)
+        assert to_stdout.returncode == to_file.returncode == 0 and to_file.stdout == b""
+        assert to_stdout.stdout == out.read_bytes()
+        assert to_stdout.stdout.count(b"\r\n") == n + 1 and to_stdout.stdout.count(b"\n") == n + 1
 
     def test_memory_stays_bounded_on_a_long_stream(self, tmp_path):
         # run keeps nothing per record once it is written; keeping each Decision would take about 47 MB here
