@@ -114,19 +114,30 @@ def _iter_records(fh, fmt: str, lags):
     """Yield the records of the open file ``fh`` a chunk of ``RUN_CHUNK`` lines at a time, as
     ``_read_chunk`` gives them; a JSONL chunk's columns come from its record parser."""
     if fmt == "jsonl":
-        lines, first, parsers = fh, 1, (lambda chunk: zip(*map(_jsonl_record, chunk)), _jsonl_record)
+        lines, parsers = fh, (lambda chunk: zip(*map(_jsonl_record, chunk)), _jsonl_record)
     else:
         lines = csv.reader(fh)
         header = next(lines, None)
         if header is None:
             return
-        first, parsers = 2, _csv_parsers(header)
-    for first in itertools.count(first, RUN_CHUNK):
-        if not (chunk := list(itertools.islice(lines, RUN_CHUNK))):
-            return
-        records = _read_chunk(first, chunk, *parsers, lags)
+        parsers = _csv_parsers(header)
+    last = 0 if fmt == "jsonl" else lines.line_num  # physical lines read before the chunk
+    while chunk := list(itertools.islice(lines, RUN_CHUNK)):
+        end = last + len(chunk) if fmt == "jsonl" else lines.line_num
+        at = range(last + 1, end + 1) if end - last == len(chunk) else _row_lines(last + 1, chunk)
+        records = _read_chunk(at, chunk, *parsers, lags)
         del chunk  # the lines are not kept while their records are decided and written
         yield records
+        last = end
+
+
+def _row_lines(first: int, rows: list) -> list[int]:
+    """The line each CSV row starts on, from line ``first`` on, when a quoted field
+    spans lines: the file reads each line break in a field as one newline."""
+    starts = [first]
+    for row in rows[:-1]:
+        starts.append(starts[-1] + 1 + sum(field.count("\n") for field in row))
+    return starts
 
 
 def _load_json(path: str):
@@ -192,8 +203,8 @@ def _procedure_from_args(args) -> ProcedureConfig:
     )
 
 
-def _read_chunk(first: int, lines: list, columns, record, lags) -> tuple[np.ndarray, StreamError | None]:
-    """The checked p-values of the lines numbered from ``first``, their batch ids pushed into
+def _read_chunk(at, lines: list, columns, record, lags) -> tuple[np.ndarray, StreamError | None]:
+    """The checked p-values of the lines numbered ``at``, their batch ids pushed into
     ``lags`` (if given), and the error of the first malformed record, which ends them short.
     ``columns`` parses the whole chunk; one that fails goes through ``record`` line by line."""
     try:
@@ -201,21 +212,21 @@ def _read_chunk(first: int, lines: list, columns, record, lags) -> tuple[np.ndar
         ps = np.array(list(map(float, raw)))
         if (lags is not None and None in batches) or not (ps.min() >= 0.0 and ps.max() <= 1.0):
             raise ValueError("a missing batch id, or a p-value outside [0, 1]")  # a NaN fails both bounds
-        at, error = range(first, first + len(ps)), None
+        error = None
     except (LookupError, OverflowError, StreamError, TypeError, ValueError):
-        ps, batches, at, error = [], [], [], None
+        ps, batches, kept, error = [], [], [], None
         try:
-            for line_no, line in enumerate(lines, start=first):
+            for line_no, line in zip(at, lines):
                 if (rec := record(line)) is None:
                     continue
                 if lags is not None and rec[1] is None:
                     raise StreamError("--lags batch needs a batch_id column")
                 batches.append(rec[1])  # a batch id is pushed before its p-value is checked
-                at.append(line_no)
+                kept.append(line_no)
                 ps.append(_check_p(rec[0]))
         except StreamError as exc:
             error = StreamError(f"line {line_no}: {exc}")
-        ps = np.array(ps, dtype=np.float64)
+        ps, at = np.array(ps, dtype=np.float64), kept
     if lags is not None:
         before = len(lags.seq)
         try:

@@ -30,7 +30,11 @@ terms in ascending m, the order in which
 :class:`fwerstream.core.RecycleBuffer` adds them, and the block rows stay
 bit-identical to the step scheduler.  One-step weights write position m+1
 with one masked multiply instead.  A chunk of a carried stream reads and
-feeds the state's ``RecycleBuffer`` itself (:func:`_recycle_carried`).
+feeds the state's ``RecycleBuffer`` itself (:func:`_recycle_carried`), one
+rejection run at a time: the positions up to a run's first rejection in one
+array read, the rest of the run one position at a time with the same two
+float operations, so a run of r rejections costs r buffer adds and the
+chunk is read again only after the run ends.
 """
 
 from __future__ import annotations
@@ -237,11 +241,17 @@ def _recycle_carried(p, selected, t0, c0, tau, base, recycled):
     """Fallback levels of one stream's chunk, continued from ``recycled``, the
     :class:`~fwerstream.core.RecycleBuffer` of its first ``c0`` positions.
 
-    Positions c0+1, ... are read from the buffer a run at a time: every level
-    up to the run's first rejection is final, and that rejection goes into
-    the buffer, as the scalar step puts it there, before the levels after it
-    are read again.  Each position therefore sums its recycled terms in
-    ascending k, the order of the scalar step.
+    Each pass of the loop decides one stretch and the rejection run that ends
+    it.  The stretch is read from the buffer in one array: every level up to
+    its first rejection is final, and that rejection goes into the buffer,
+    as the scalar step puts it there.  The positions after it are then
+    decided one at a time in Python floats, each rejection going into the
+    buffer before the next position is read, until one does not reject; the
+    next pass reads the rest of the chunk from there.  A run of r rejections
+    thus costs r buffer adds and no re-read of the chunk.  Both ways compute
+    ``(mass + base) * tau`` with the same two IEEE operations in the same
+    order, so the levels are bit-identical, and each position sums its
+    recycled terms in ascending k, the order of the scalar step.
     """
     if not p.size:
         return np.empty(0)
@@ -263,6 +273,15 @@ def _recycle_carried(p, selected, t0, c0, tau, base, recycled):
         levels[q : q + r] = run[:r]
         recycled.reject(c0 + q + r, float(run[r - 1]))
         q += r
+        while q < pc.size:  # the rejection run goes on while position q rejects
+            a = recycled.mass(c0 + 1 + q) + float(base[c0 + q])
+            if tau != 1.0:
+                a *= tau
+            if not (pc[q] <= a and a > 0.0):
+                break
+            levels[q] = a
+            recycled.reject(c0 + 1 + q, a)
+            q += 1
     return levels if tau == 1.0 else levels[t0 - c0]
 
 

@@ -623,6 +623,15 @@ MALFORMED = [  # (kind, format, record writer, the error message after "line N: 
 # the first record has no earlier run to repeat
 AT_EDGES = [(*m, pos) for m in MALFORMED for pos in (1, cli.RUN_CHUNK - 1, cli.RUN_CHUNK, cli.RUN_CHUNK + 1)
             if not (m[0].startswith("repeated") and pos == 1)]
+# CSV lines where a quoted field spans lines, run flags, records decided before the bad one, and the error
+MULTI_LINE = [
+    (["p", '"0.1', '"', "abc"], [], 1, "line 4: p-value must be a real number, got 'abc'"),
+    (["p,batch_id", "0.1,a", '0.2,"b', 'c"', "0.3,a"], ["--lags", "batch"], 2,
+     "line 5: batch id 'a' appears in two separate runs"),
+    # line breaks in two chunks of two rows, a blank line, and a bad record that itself spans lines
+    (["p", '"0.1', "", '"', "0.2", '"0.3', '"', "", '"0.4', 'x"', "0.5"], [], 3,
+     "line 9: p-value must be a real number, got '0.4\\nx'"),
+]
 
 
 class TestStreamingRun:
@@ -749,6 +758,19 @@ class TestStreamingRun:
         assert f"input error: line {bad_line}: {message}" in capsys.readouterr().err
         cfg = ProcedureConfig(procedure="addis-spending-local", alpha=0.2, lags={"kind": "from-batch-ids"})
         assert out.read_bytes() == per_record_csv(cfg, ps[: pos - 1], batch_ids[: pos - 1])
+
+    @pytest.mark.parametrize("chunk", [2, cli.RUN_CHUNK])
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["lf", "crlf"])
+    @pytest.mark.parametrize("lines,flags,rows,message", MULTI_LINE, ids=[c[3].split(":")[0] for c in MULTI_LINE])
+    def test_error_names_the_physical_line_after_a_quoted_line_break(self, tmp_path, monkeypatch, capsys,
+                                                                     chunk, newline, lines, flags, rows, message):
+        monkeypatch.setattr(cli, "RUN_CHUNK", chunk)
+        inp, out = tmp_path / "in.csv", tmp_path / "out.csv"
+        inp.write_bytes((newline.join(lines) + newline).encode())
+        assert main(["run", "--input", str(inp), "--out", str(out), "--procedure", "addis-spending-local",
+                     "--alpha", "0.2", *flags]) == 2
+        assert f"input error: {message}" in capsys.readouterr().err
+        assert len(read_csv(out)) == 1 + rows  # the header and the records before the bad one
 
     def test_stdout_gets_the_bytes_of_the_out_file(self, tmp_path):
         inp, out = tmp_path / "in.csv", tmp_path / "out.csv"

@@ -335,3 +335,77 @@ def test_level_table_grown_by_chunks_equals_one_shot(cfg, saturated):
     assert got == want
     clamped = float(np.nextafter(1.0, 0.0)).hex()
     assert want[:saturated] == [clamped] * saturated and clamped not in want[saturated:]
+
+
+RUN_CONFIGS = [  # fallback rows whose carried chunks decide rejection runs
+    ProcedureConfig(procedure="online-fallback", alpha=0.2, series={"kind": "log-q", "q": 2.0}),
+    # each row ends two positions after its rejection, inside the run
+    ProcedureConfig(procedure="online-fallback", alpha=0.2, series={"kind": "q", "q": 2.0},
+                    weights={"kind": "explicit", "rows": [[0.5, 0.25], [1.0], [0.2, 0.2, 0.2]] * 200}),
+    ProcedureConfig(procedure="online-fallback-1", alpha=0.2, series={"kind": "log-q", "q": 2.0}),
+    ProcedureConfig(procedure="discard-fallback", alpha=0.2, series={"kind": "q", "q": 2.0}, tau=0.5),
+    ProcedureConfig(procedure="discard-fallback", alpha=0.2, series={"kind": "log-q", "q": 2.0}, tau=0.3),
+    ProcedureConfig(procedure="discard-fallback", alpha=0.2, series={"kind": "q", "q": 2.0}, tau=0.3,
+                    weights={"kind": "one-step"}),
+]
+CARRIED_CHUNK = 100  # carried chunks of 100 records: edges at 100, 200, ...
+# near-zero runs, by 0-based record: one from a chunk's first record, one to its last,
+# one across an edge, two of one record, and one followed by records above every tau
+# to the chunk's end, so that the chunk's last step only waits at the position after the run
+RUNS = [range(100, 110), range(190, 200), range(295, 305), range(350, 351), range(380, 381), range(420, 431)]
+
+
+def _run_stream(seed: int) -> np.ndarray:
+    # every level stays below alpha = 0.2, so no p-value of 0.25 or more rejects
+    p = np.random.default_rng(seed).uniform(0.25, 1.0, 600)
+    for run in RUNS:
+        p[run] = 1e-12
+    p[431:500] = 0.95
+    return p
+
+
+def _zero_base_stream() -> np.ndarray:
+    # a run of p = 0 across many chunk edges: discard-fallback's recycled level shrinks
+    # by about half per position and reaches 0 inside it; online-fallback's one-step carry
+    # holds until the 0.9 ends the run, after which a level of 0 meets p = 0 again
+    p = np.zeros(1600)
+    p[1500] = 0.9
+    p[1511:] = np.random.default_rng(4).uniform(0.25, 1.0, 89)
+    return p
+
+
+def _carried(cfg, p, size):
+    proc, run = cfg.build(), make_runner(cfg)
+    parts = [run(p[i : i + size], state=proc.state) for i in range(0, p.size, size)]
+    return np.concatenate([r.levels for r in parts]), np.concatenate([r.rejected for r in parts])
+
+
+@pytest.mark.parametrize("cfg", RUN_CONFIGS + ZERO_BASE, ids=_ids)
+def test_carried_rejection_runs_equal_the_scalar_step(cfg):
+    zero_base = any(cfg is z for z in ZERO_BASE)
+    p = _zero_base_stream() if zero_base else _run_stream(seed=9)
+    steps = cfg.build().run(p)
+    levels, rejected = _carried(cfg, p, CARRIED_CHUNK)
+    assert levels.tolist() == [d.alpha for d in steps]
+    assert rejected.tolist() == [d.rejected for d in steps]
+    if zero_base:  # a level of 0 with p = 0 after a rejection does not reject
+        zero = (levels == 0.0) & (p == 0.0)
+        assert rejected[0] and zero.any() and not rejected[zero].any()
+    else:  # the planted runs, and nothing else, reject
+        assert np.flatnonzero(rejected).tolist() == [i for run in RUNS for i in run]
+
+
+@pytest.mark.parametrize("cfg", [RUN_CONFIGS[0], RUN_CONFIGS[2], RUN_CONFIGS[3]], ids=_ids)
+def test_a_rejection_run_reads_the_buffer_a_few_times(cfg, monkeypatch):
+    # one 200-long run in a 4096-record chunk: the array read before it, the one after
+    # it, and positions inside it read one at a time, not the rest of the chunk each
+    p = np.full(4096, 0.5)
+    p[1000:1200] = 1e-12
+    proc, run = cfg.build(), make_runner(cfg)
+    recycled, calls = proc.state.recycled, []
+    masses = recycled.masses
+    monkeypatch.setattr(recycled, "masses", lambda lo, hi: calls.append((lo, hi)) or masses(lo, hi))
+    res = run(p, state=proc.state)
+    assert np.flatnonzero(res.rejected).tolist() == list(range(1000, 1200))
+    assert len(calls) <= 3
+    assert res.levels.tolist() == [d.alpha for d in cfg.build().run(p)]
