@@ -12,12 +12,12 @@ __version__ = "0.1.0"
 # module on first access (PEP 562), so ``import fwerstream`` loads no
 # submodule, numpy or scipy until a name is used.
 _HOMES = {
-    **dict.fromkeys(("AdaptiveSpending", "AddisLocalSpending", "AddisSpending", "DiscardSpending", "LagSchedule",
-                     "kfwer_wrap"), "addis"),
     **dict.fromkeys(("AuditReport", "audit_trace"), "audit"),
-    "ProcedureConfig": "config",
-    **dict.fromkeys(("AlphaSpending", "Decision", "ExplicitWeights", "FallbackWeights", "LaggedSeriesWeights",
-                     "OneStepWeights", "OnlineFallback", "OnlineProcedure", "OnlineSidak"), "core"),
+    **dict.fromkeys(("ProcedureConfig", "kfwer_wrap"), "config"),
+    **dict.fromkeys(("AdaptiveSidak", "AdaptiveSpending", "AddisLocalSpending", "AddisSidak", "AddisSpending",
+                     "AlphaSpending", "Decision", "DiscardFallback", "DiscardSidak", "DiscardSpending",
+                     "ExplicitWeights", "FallbackWeights", "LagSchedule", "LaggedSeriesWeights", "OneStepWeights",
+                     "OnlineFallback", "OnlineFallback1", "OnlineProcedure", "OnlineSidak"), "core"),
     **dict.fromkeys(("AuditError", "BudgetError", "ConfigError", "StreamError"), "errors"),
     **dict.fromkeys(("StreamResult", "make_runner", "run_stream"), "fast"),
     **dict.fromkeys(("GaussianMixModel", "cstar_threshold", "expected_true_discoveries", "mixture_cdf",
@@ -26,11 +26,11 @@ _HOMES = {
     **dict.fromkeys(("MetricsReport", "SimConfig", "Stream", "clustered_pi", "estimate_metrics",
                      "estimate_metrics_many", "gen_stream"), "sim"),
     "PROCEDURES": "spec",
-    **dict.fromkeys(("AdaptiveSidak", "AddisSidak", "DiscardFallback", "DiscardSidak"), "variants"),
 }
 _MODULES = frozenset(_HOMES.values())
 
-__all__ = sorted(_HOMES)
+# every scheduler class resolves here; OnlineFallback1 stays out of the star-import set it was never in
+__all__ = sorted(_HOMES.keys() - {"OnlineFallback1"})
 
 
 def __getattr__(name: str):

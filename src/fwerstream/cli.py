@@ -27,10 +27,9 @@ import sys
 import numpy as np
 
 from . import fast
-from .addis import LagSchedule
 from .audit import audit_trace
 from .config import ProcedureConfig
-from .core import _check_p
+from .core import LagSchedule, _check_p
 from .errors import AuditError, BudgetError, ConfigError, StreamError
 from .series import series_from_config
 from .spec import SPECS
@@ -110,24 +109,44 @@ def _jsonl_record(line: str):
     return p, batch
 
 
+def _take(lines, n: int):
+    """Up to n lines or CSV rows, and the ``csv.Error`` of the row after them if the
+    reader cannot split it (a quote left open, text after a closing quote)."""
+    chunk = []
+    try:
+        for line in itertools.islice(lines, n):
+            chunk.append(line)
+    except csv.Error as exc:
+        return chunk, exc
+    return chunk, None
+
+
 def _iter_records(fh, fmt: str, lags):
     """Yield the records of the open file ``fh`` a chunk of ``RUN_CHUNK`` lines at a time, as
-    ``_read_chunk`` gives them; a JSONL chunk's columns come from its record parser."""
+    ``_read_chunk`` gives them; a JSONL chunk's columns come from its record parser.  A CSV
+    row the reader cannot split ends the records, with an error naming the line it starts on."""
     if fmt == "jsonl":
         lines, parsers = fh, (lambda chunk: zip(*map(_jsonl_record, chunk)), _jsonl_record)
     else:
-        lines = csv.reader(fh)
-        header = next(lines, None)
+        lines = csv.reader(fh, strict=True)
+        try:
+            header = next(lines, None)
+        except csv.Error as exc:
+            raise StreamError(f"line 1: {exc}") from None
         if header is None:
             return
         parsers = _csv_parsers(header)
     last = 0 if fmt == "jsonl" else lines.line_num  # physical lines read before the chunk
-    while chunk := list(itertools.islice(lines, RUN_CHUNK)):
+    while True:
+        chunk, broken = _take(lines, RUN_CHUNK)
+        if not chunk and broken is None:
+            return
         end = last + len(chunk) if fmt == "jsonl" else lines.line_num
-        at = range(last + 1, end + 1) if end - last == len(chunk) else _row_lines(last + 1, chunk)
-        records = _read_chunk(at, chunk, *parsers, lags)
+        # the line each row starts on, and the line after the chunk starts on
+        at = range(last + 1, end + 2) if end - last == len(chunk) else _row_lines(last + 1, chunk + [[]])
+        ps, error = _read_chunk(at, chunk, *parsers, lags)
         del chunk  # the lines are not kept while their records are decided and written
-        yield records
+        yield ps, error or (broken and StreamError(f"line {at[-1]}: {broken}"))
         last = end
 
 

@@ -9,16 +9,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
-from .addis import BATCH_KINDS, AdaptiveSpending, AddisLocalSpending, AddisSpending, DiscardSpending, lags_from_config
-from .core import AlphaSpending, OnlineFallback, OnlineFallback1, OnlineSidak
+from .core import BATCH_KINDS, SCHEDULERS, lags_from_config
 from .errors import ConfigError
 from .series import series_from_config
-from .spec import PROCEDURES, SPECS
-from .variants import AdaptiveSidak, AddisSidak, DiscardFallback, DiscardSidak
-
-_SCHEDULERS = {cls.kind: cls for cls in (
-    AlphaSpending, OnlineSidak, OnlineFallback, OnlineFallback1, DiscardSpending, AdaptiveSpending, AddisSpending,
-    AddisLocalSpending, DiscardSidak, AdaptiveSidak, AddisSidak, DiscardFallback)}
+from .spec import PROCEDURES, SPECS, level_budget
 
 _ALIASES = {
     "discard": "discard-spending",
@@ -66,16 +60,10 @@ class ProcedureConfig:
         Options the procedure's row does not use are ignored.
         """
         spec = SPECS[self.procedure]
-        options = {"k": self.k}
-        if spec.discards:
-            options["tau"] = self.tau
-        if spec.adapts:
-            options["lam"] = self.lam
+        options = {name: getattr(self, name) for name in spec.options}
         if spec.lagged:
             options["lags"] = lags_from_config(self.lags, batch_ids)
-        if spec.family == "fallback":
-            options["weights"] = self.weights
-        return _SCHEDULERS[self.procedure](self.alpha, series_from_config(self.series), **options)
+        return SCHEDULERS[self.procedure](self.alpha, self.series, k=self.k, **options)
 
     def wants_batch_lags(self) -> bool:
         """True when the lags come from the stream's batch ids, not the config's."""
@@ -143,3 +131,14 @@ class ProcedureConfig:
             weights=d.get("weights", d.get("fallback_weights")),
             k=k,
         )
+
+
+def kfwer_wrap(config: ProcedureConfig, k: int) -> ProcedureConfig:
+    """Return ``config`` with its level budget inflated to k * alpha.
+
+    The wrapped procedure guarantees P(at least k false rejections) <= alpha
+    by Markov's inequality on the PFER, so only spending-family procedures
+    qualify.  k = 1 is the identity.
+    """
+    level_budget(config.procedure, config.alpha, k)
+    return replace(config, k=k)

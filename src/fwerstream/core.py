@@ -1,9 +1,8 @@
 """The online FWER scheduler, its per-step schedules and its recycling weights.
 
 :class:`OnlineProcedure` steps every row of :data:`fwerstream.spec.SPECS`;
-the public classes (alpha-spending, online Sidak and online fallback here,
-the others in :mod:`fwerstream.addis` and :mod:`fwerstream.variants`) only
-name their row.  Feed p-values one at a time via ``step`` and receive one
+:data:`SCHEDULERS` builds one public class per row, which only names it.
+Feed p-values one at a time via ``step`` and receive one
 :class:`Decision` per hypothesis.  The level assigned at step i depends only on the trace strictly before i, so the
 decision stream is a valid online procedure by construction.
 
@@ -13,6 +12,7 @@ distinct scheduler instances are independent and can run in parallel.
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -140,6 +140,99 @@ def threshold_schedule(spec, name: str, lo: float, hi: float, lo_open: bool, hi_
     return Schedule(name, seq=[check(v) for v in values])
 
 
+BATCH_KINDS = ("from-batch-ids", "batch")  # lags kinds read from the stream's batch ids
+
+
+class LagSchedule(Schedule):
+    """Lags L_i: step i may depend on decisions with index < i - L_i only.
+
+    Admissibility requires L_{i+1} <= L_i + 1 (the observable past never
+    shrinks).  Build one with :meth:`constant`, :meth:`from_list`, or
+    :meth:`from_batch_ids`; batch ids give each item a lag equal to the
+    number of earlier items in its batch, so a whole batch depends only on
+    pre-batch information.
+    """
+
+    __slots__ = ("_seen", "_current")
+
+    def __init__(self, constant: int | None = None, values: list[int] | None = None):
+        super().__init__("lag", const=constant, seq=values)
+        self._seen: set = set()  # batch ids pushed so far ...
+        self._current = object()  # ... and the one of the open run
+
+    lag = Schedule.value
+
+    @classmethod
+    def constant(cls, lag: int) -> "LagSchedule":
+        if not (isinstance(lag, int) and not isinstance(lag, bool) and lag >= 0):
+            raise ConfigError(f"constant lag must be a nonnegative integer, got {lag!r}")
+        return cls(constant=lag)
+
+    @classmethod
+    def from_list(cls, lags) -> "LagSchedule":
+        values = []
+        for i, lag in enumerate(lags, start=1):
+            if not (isinstance(lag, int) and not isinstance(lag, bool) and lag >= 0):
+                raise ConfigError(f"lag L_{i} must be a nonnegative integer, got {lag!r}")
+            if values and lag > values[-1] + 1:
+                raise ConfigError(f"inadmissible lags: L_{i} = {lag} > L_{i-1} + 1 = {values[-1] + 1}")
+            values.append(lag)
+        return cls(values=values)
+
+    @classmethod
+    def from_batch_ids(cls, batch_ids) -> "LagSchedule":
+        lags = cls(values=[])
+        lags.extend(batch_ids)
+        return lags
+
+    def extend(self, batch_ids) -> None:
+        """Append the lags of more items, given their batch ids, a run of equal ids
+        at a time; an id of an earlier run raises before its run is appended."""
+        for batch_id, run in itertools.groupby(batch_ids):
+            start = self.seq[-1] + 1 if batch_id == self._current else 0  # 0: a new run starts
+            if not start:
+                if batch_id in self._seen:
+                    raise ConfigError(f"batch id {batch_id!r} appears in two separate runs")
+                self._seen.add(batch_id)
+                self._current = batch_id
+            self.seq.extend(range(start, start + len(list(run))))
+
+    def push(self, batch_id) -> None:
+        """Append the lag of one more item, given its batch id."""
+        self.extend((batch_id,))
+
+    def config(self) -> dict:
+        if self.const is not None:
+            return {"kind": "constant", "value": self.const}
+        return {"kind": "list", "values": list(self.seq)}
+
+
+def lags_from_config(cfg, batch_ids=None) -> LagSchedule:
+    """Build a lag schedule; the from-batch-ids kind (alias ``batch``) takes
+    the config's own ``batch_ids``, else the stream's ``batch_ids``."""
+    if isinstance(cfg, LagSchedule):
+        return cfg
+    if cfg is None:
+        return LagSchedule.constant(0)
+    if isinstance(cfg, int):
+        return LagSchedule.constant(cfg)
+    if isinstance(cfg, (list, tuple)):
+        return LagSchedule.from_list(cfg)
+    if not isinstance(cfg, dict) or "kind" not in cfg:
+        raise ConfigError(f"lags config must be a dict with a 'kind', got {cfg!r}")
+    kind = str(cfg["kind"]).lower()
+    if kind == "constant":
+        return LagSchedule.constant(cfg.get("value", 0))
+    if kind == "list":
+        return LagSchedule.from_list(cfg.get("values", []))
+    if kind in BATCH_KINDS:
+        batch_ids = cfg.get("batch_ids", batch_ids)
+        if batch_ids is None:
+            raise ConfigError("lags kind 'from-batch-ids' needs batch ids: a batch_id column, or block_size > 1")
+        return LagSchedule.from_batch_ids(batch_ids)
+    raise ConfigError(f"unknown lags kind {cfg['kind']!r}")
+
+
 class StreamState:
     """The running state of one scheduler over one stream.
 
@@ -189,14 +282,18 @@ class OnlineProcedure:
 
     Holds the level budget, the weight series, the tau/lambda schedules, the
     running :class:`StreamState` (step count, counted-step window, recycling buffer)
-    and the append-only trace.  Subclasses only fix ``kind`` and a public
-    constructor signature.
+    and the append-only trace.  The classes of :data:`SCHEDULERS` only fix
+    ``kind``.  Each option is keyword-only, and one the row does not take
+    (:attr:`~fwerstream.spec.ProcedureSpec.options`) is a :class:`ConfigError`.
     """
 
-    kind = "base"
+    kind: str
 
-    def __init__(self, alpha: float, series, tau=None, lam=None, *, lags=None, weights=None, k: int = 1):
+    def __init__(self, alpha: float, series, *, tau=None, lam=None, lags=None, weights=None, k: int = 1):
         self.spec = spec = SPECS[self.kind]
+        for name, value in (("tau", tau), ("lam", lam), ("lags", lags), ("weights", weights)):
+            if value is not None and name not in spec.options:
+                raise ConfigError(f"{self.kind} takes no {name!r} option")
         if not (isinstance(alpha, (int, float)) and 0.0 < alpha < 1.0):
             raise ConfigError(f"alpha must lie in (0, 1), got {alpha!r}")
         self.alpha = float(alpha)
@@ -216,14 +313,10 @@ class OnlineProcedure:
         else:
             self._check_schedules()
 
-        self.lags = lags if spec.lagged else None
+        self.lags = lags_from_config(lags) if spec.lagged else None
         self.weights = recycled = None
         if spec.family == "fallback":
-            if spec.one_step:
-                if weights is not None:
-                    raise ConfigError(f"{self.kind} fixes one-step weights; do not pass 'weights'")
-                weights = OneStepWeights()
-            self.weights = weights_from_config(weights, self.series)
+            self.weights = weights_from_config(OneStepWeights() if spec.one_step else weights, self.series)
             recycled = RecycleBuffer(self.weights)  # indexed by t
         self.state = StreamState(recycled)
         self._adapts = spec.adapts
@@ -303,29 +396,9 @@ class OnlineProcedure:
         )
 
 
-class AlphaSpending(OnlineProcedure):
-    """Online Bonferroni: test H_i at level alpha * gamma_i."""
-
-    kind = "alpha-spending"
-
-    def __init__(self, alpha, series, *, k=1):
-        super().__init__(alpha, series, k=k)
-
-
-class OnlineSidak(OnlineProcedure):
-    """Test H_i at level 1 - (1-alpha)^gamma_i (requires independent nulls)."""
-
-    kind = "online-sidak"
-
-    def __init__(self, alpha, series, *, k=1):
-        super().__init__(alpha, series, k=k)
-
-
 class FallbackWeights:
     """Transfer weights w[k, i]: how much of a rejected level at step k is
     recycled to step i > k.  Rows are nonnegative with sum at most one."""
-
-    kind = "base"
 
     def weight(self, k: int, i: int) -> float:
         raise NotImplementedError
@@ -342,7 +415,6 @@ class FallbackWeights:
 class OneStepWeights(FallbackWeights):
     """w[k, i] = 1 if i == k+1 else 0: recycle everything to the next test."""
 
-    kind = "one-step"
     _ONE = np.ones(1)
 
     def weight(self, k: int, i: int) -> float:
@@ -357,8 +429,6 @@ class OneStepWeights(FallbackWeights):
 
 class LaggedSeriesWeights(FallbackWeights):
     """w[k, i] = gamma_{i-k} for a weight series gamma (row sums <= 1)."""
-
-    kind = "lagged-gamma"
 
     def __init__(self, series):
         self.series = series_from_config(series)
@@ -380,7 +450,6 @@ class ExplicitWeights(FallbackWeights):
     are zero (no transfer), which keeps every row sum at most one.
     """
 
-    kind = "explicit"
     _EMPTY = np.empty(0)
 
     def __init__(self, rows):
@@ -493,26 +562,7 @@ class RecycleBuffer:
         self._buf, self._kept = buf, kept
 
 
-class OnlineFallback(OnlineProcedure):
-    """Alpha-spending plus recycling: a rejected level alpha_k is transferred
-    to later tests through the weights w[k, i].
-
-    The recycled mass is the full realized level alpha_k, including any
-    mass it had itself received, so recycling chains indefinitely.
-
-    Cost: O(1) time per step and O(1) memory with one-step weights; other
-    weights add one vectorized pass over the weight span of each rejection
-    in the :class:`RecycleBuffer`, which holds O(stream length) float64.
-    """
-
-    kind = "online-fallback"
-
-    def __init__(self, alpha, series, weights=None, *, k=1):
-        super().__init__(alpha, series, weights=weights, k=k)
-
-
-class OnlineFallback1(OnlineFallback):
-    """online-fallback with its weights fixed to one-step recycling."""
-
-    kind = "online-fallback-1"
-
+# One public class per row of SPECS; each can be imported from here and from the package.
+SCHEDULERS = {kind: type(spec.name, (OnlineProcedure,), {"kind": kind, "__doc__": spec.doc, "__module__": __name__})
+              for kind, spec in SPECS.items()}
+globals().update({cls.__name__: cls for cls in SCHEDULERS.values()})

@@ -26,10 +26,11 @@ The scalar step (:class:`fwerstream.core.OnlineProcedure`), the batch runner
 (:func:`fwerstream.fast.make_runner`), the audit
 (:func:`fwerstream.audit.audit_trace`) and
 :meth:`fwerstream.config.ProcedureConfig.build` all read their rules from
-this table.  :func:`level_map` is the one copy of the level maps: the step
-calls it with one series weight, the runner with an array of them.  Only
-spending rows bound the PFER, so only they admit k-FWER budget inflation
-(:func:`level_budget`).
+this table, and :data:`fwerstream.core.SCHEDULERS` builds each row's public
+class from its ``name`` and ``doc``.  :func:`level_map` is the one copy of
+the level maps: the step calls it with one series weight, the runner with an
+array of them.  Only spending rows bound the PFER, so only they admit k-FWER
+budget inflation (:func:`level_budget`).
 """
 
 from __future__ import annotations
@@ -52,6 +53,8 @@ SUM_TOL = 1e-9
 @dataclass(frozen=True)
 class ProcedureSpec:
     family: str  # "spending" | "sidak" | "fallback"
+    name: str  # the public class, built by fwerstream.core.SCHEDULERS ...
+    doc: str  # ... and its docstring
     discards: bool = False
     adapts: bool = False
     lagged: bool = False
@@ -63,21 +66,51 @@ class ProcedureSpec:
     def pfer(self) -> bool:
         return self.family == "spending"
 
+    @property
+    def options(self) -> tuple[str, ...]:
+        """The options the row's class takes besides alpha, series and k."""
+        takes = (self.discards, self.adapts, self.lagged, self.family == "fallback" and not self.one_step)
+        return tuple(name for name, used in zip(("tau", "lam", "lags", "weights"), takes) if used)
+
 
 SPECS = {
-    "alpha-spending": ProcedureSpec("spending"),
+    "alpha-spending": ProcedureSpec(
+        "spending", "AlphaSpending", "Online Bonferroni: test H_i at level alpha * gamma_i."),
     # exact Sidak levels: the exponent sum is held to 1e-12 of its bound
-    "online-sidak": ProcedureSpec("sidak", audit_tol=1e-12),
-    "online-fallback": ProcedureSpec("fallback"),
-    "online-fallback-1": ProcedureSpec("fallback", one_step=True),
-    "discard-spending": ProcedureSpec("spending", discards=True),
-    "adaptive-spending": ProcedureSpec("spending", adapts=True, lam=0.5),
-    "addis-spending": ProcedureSpec("spending", discards=True, adapts=True, lam=0.25),
-    "addis-spending-local": ProcedureSpec("spending", discards=True, adapts=True, lagged=True, lam=0.25),
-    "discard-sidak": ProcedureSpec("sidak", discards=True),
-    "adaptive-sidak": ProcedureSpec("sidak", adapts=True, lam=0.5),
-    "addis-sidak": ProcedureSpec("sidak", discards=True, adapts=True, lam=0.25),
-    "discard-fallback": ProcedureSpec("fallback", discards=True),
+    "online-sidak": ProcedureSpec(
+        "sidak", "OnlineSidak", "Test H_i at level 1 - (1-alpha)^gamma_i (requires independent nulls).",
+        audit_tol=1e-12),
+    "online-fallback": ProcedureSpec(
+        "fallback", "OnlineFallback", "Alpha-spending plus recycling: a rejected level, with the mass it had "
+        "received, passes to later tests through the weights w[k, i]."),
+    "online-fallback-1": ProcedureSpec(
+        "fallback", "OnlineFallback1", "online-fallback with its weights fixed to one-step recycling.",
+        one_step=True),
+    "discard-spending": ProcedureSpec(
+        "spending", "DiscardSpending", "Spend alpha * tau_i * gamma_t, where t advances only on selected "
+        "(p <= tau_i) steps; a discarded step is never rejected.", discards=True),
+    "adaptive-spending": ProcedureSpec(
+        "spending", "AdaptiveSpending", "Spend alpha * (1 - lambda_i) * gamma_t, where a candidate step "
+        "(p <= lambda_i) does not advance t: a candidate cannot be a spent null.", adapts=True, lam=0.5),
+    "addis-spending": ProcedureSpec(
+        "spending", "AddisSpending", "Adaptive discarding: spend alpha * (tau_i - lambda_i) * gamma_t, with t "
+        "advancing on selected non-candidate steps only.", discards=True, adapts=True, lam=0.25),
+    "addis-spending-local": ProcedureSpec(
+        "spending", "AddisLocalSpending", "ADDIS under local dependence: step i sees only decisions older than "
+        "its lag L_i, and each unseen step is charged as a counted one.", discards=True, adapts=True,
+        lagged=True, lam=0.25),
+    "discard-sidak": ProcedureSpec(
+        "sidak", "DiscardSidak", "Sidak levels scaled by tau_i, with the exponent budget spent only on selected "
+        "steps.", discards=True),
+    "adaptive-sidak": ProcedureSpec(
+        "sidak", "AdaptiveSidak", "Sidak levels with the exponent budget refunded on candidate steps.",
+        adapts=True, lam=0.5),
+    "addis-sidak": ProcedureSpec(
+        "sidak", "AddisSidak", "Sidak levels with both discarding and adaptivity on the exponent budget.",
+        discards=True, adapts=True, lam=0.25),
+    "discard-fallback": ProcedureSpec(
+        "fallback", "DiscardFallback", "Fallback recycling over the selected subsequence, scaled by tau_i.",
+        discards=True),
 }
 
 PROCEDURES = tuple(SPECS)
@@ -101,6 +134,12 @@ def level_budget(kind: str, alpha: float, k) -> float:
     return budget
 
 
+# The Sidak exponent of a row that adapts is discounted by (tau-lambda)/tau, not
+# 1-lambda: given selection, a uniform null is a candidate with probability
+# lambda/tau, so candidate steps reuse each series index tau/(tau-lambda) times
+# in expectation, and only this discount keeps the selected nulls' exponent sum
+# at one.  With 1-lambda the realized FWER exceeds alpha at uniform nulls (about
+# 0.25 at alpha = 0.2, pi_A = 0.1) although its budget audit passes.
 def level_map(family: str, budget: float, tau: float, lam: float, gam):
     """The level a row of ``family`` assigns to series weight ``gam`` (the
     fallback rows: the base level ``budget * gam``, before their recycled

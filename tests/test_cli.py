@@ -633,6 +633,11 @@ MULTI_LINE = [
      "line 9: p-value must be a real number, got '0.4\\nx'"),
 ]
 
+# CSV rows the reader cannot split, and its message: a quote left open, text after a closing quote,
+# a field longer than the reader's limit
+UNSPLIT = [('"{p}', "unexpected end of data"), ('"{p}"x', "',' expected after '\"'"),
+           ("{p}" + "1" * csv.field_size_limit(), f"field larger than field limit ({csv.field_size_limit()})")]
+
 
 class TestStreamingRun:
     @pytest.mark.parametrize("label,cfg,flags,batch", CASES, ids=[c[0] for c in CASES])
@@ -771,6 +776,32 @@ class TestStreamingRun:
                      "--alpha", "0.2", *flags]) == 2
         assert f"input error: {message}" in capsys.readouterr().err
         assert len(read_csv(out)) == 1 + rows  # the header and the records before the bad one
+
+    @pytest.mark.parametrize("chunk", [3, cli.RUN_CHUNK])
+    @pytest.mark.parametrize("pos", [1, 3, 4, 8])
+    @pytest.mark.parametrize("row,message", UNSPLIT, ids=["open-quote", "text-after-quote", "long-field"])
+    def test_row_the_reader_cannot_split_exits_2(self, tmp_path, monkeypatch, capsys, chunk, pos, row, message):
+        # record pos of 8, at either end of a 3-row chunk, in the middle of one, or in the one chunk
+        monkeypatch.setattr(cli, "RUN_CHUNK", chunk)
+        ps = _hot_stream(8, pos).tolist()
+        lines = ["p", *map(repr, ps[: pos - 1]), row.format(p=repr(ps[pos - 1])), *map(repr, ps[pos:])]
+        inp, out = tmp_path / "in.csv", tmp_path / "out.csv"
+        inp.write_text("\n".join(lines) + "\n")
+        assert main(["run", "--input", str(inp), "--out", str(out), "--procedure", "alpha-spending",
+                     "--alpha", "0.2"]) == 2
+        assert f"input error: line {pos + 1}: {message}" in capsys.readouterr().err
+        cfg = ProcedureConfig(procedure="alpha-spending", alpha=0.2)
+        assert out.read_bytes() == per_record_csv(cfg, ps[: pos - 1])
+
+    @pytest.mark.parametrize("text,line,rows", [('p\n0.1\n"0.2', 3, [["1", "0.1"]]), ('"p\n0.1\n', 1, [])],
+                             ids=["last-line", "header"])
+    def test_quote_left_open(self, tmp_path, capsys, text, line, rows):
+        inp, out = tmp_path / "in.csv", tmp_path / "out.csv"
+        inp.write_text(text)
+        assert main(["run", "--input", str(inp), "--out", str(out), "--procedure", "alpha-spending",
+                     "--alpha", "0.2"]) == 2
+        assert f"input error: line {line}: unexpected end of data" in capsys.readouterr().err
+        assert [row[:2] for row in read_csv(out)] == [["index", "p"], *rows]
 
     def test_stdout_gets_the_bytes_of_the_out_file(self, tmp_path):
         inp, out = tmp_path / "in.csv", tmp_path / "out.csv"

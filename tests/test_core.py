@@ -7,6 +7,7 @@ import weakref
 import numpy as np
 import pytest
 
+import fwerstream
 from fwerstream import (
     AlphaSpending,
     BudgetError,
@@ -22,7 +23,8 @@ from fwerstream import (
     QSeries,
     StreamError,
 )
-from fwerstream.core import RecycleBuffer
+from fwerstream.core import SCHEDULERS, RecycleBuffer
+from fwerstream.spec import SPECS
 
 Q2 = QSeries(2.0)
 
@@ -169,7 +171,7 @@ class TestRecycleBuffer:
 class TestOnlineFallback:
     def test_one_step_recursion(self):
         # after a rejection the next level gains the full realized level
-        proc = OnlineFallback(0.2, Q2, OneStepWeights())
+        proc = OnlineFallback(0.2, Q2, weights=OneStepWeights())
         d1 = proc.step(0.01)
         assert d1.rejected
         d2 = proc.step(0.9)
@@ -177,7 +179,7 @@ class TestOnlineFallback:
 
     def test_eq5_recursion_on_fuzz(self):
         rng = np.random.default_rng(11)
-        proc = OnlineFallback(0.2, Q2, OneStepWeights())
+        proc = OnlineFallback(0.2, Q2, weights=OneStepWeights())
         decisions = proc.run(rng.random(500) * 0.5)
         for i in range(1, len(decisions)):
             prev = decisions[i - 1]
@@ -187,14 +189,14 @@ class TestOnlineFallback:
 
     def test_no_rejections_matches_spending(self):
         spend = AlphaSpending(0.2, Q2)
-        fall = OnlineFallback(0.2, Q2, LaggedSeriesWeights(Q2))
+        fall = OnlineFallback(0.2, Q2, weights=LaggedSeriesWeights(Q2))
         for _ in range(100):
             assert fall.step(0.99).alpha == spend.step(0.99).alpha
 
     def test_lagged_gamma_expansion(self):
         # with w[k,i] = gamma_{i-k} and only H_1 rejected:
         # alpha_3 = 0.2*gamma_3 + gamma_2*alpha_1
-        proc = OnlineFallback(0.2, Q2, LaggedSeriesWeights(Q2))
+        proc = OnlineFallback(0.2, Q2, weights=LaggedSeriesWeights(Q2))
         d1 = proc.step(0.001)
         assert d1.rejected
         d2 = proc.step(0.9)
@@ -206,32 +208,32 @@ class TestOnlineFallback:
         rng = np.random.default_rng(3)
         p = rng.random(800)
         spend = AlphaSpending(0.2, Q2)
-        fall = OnlineFallback(0.2, Q2, LaggedSeriesWeights(Q2))
+        fall = OnlineFallback(0.2, Q2, weights=LaggedSeriesWeights(Q2))
         for x in p:
             assert fall.step(x).alpha >= spend.step(x).alpha
 
     def test_monotone_response_to_removed_rejection(self):
         rng = np.random.default_rng(5)
         p = rng.random(300) * 0.4
-        base = OnlineFallback(0.2, Q2, LaggedSeriesWeights(Q2)).run(p)
+        base = OnlineFallback(0.2, Q2, weights=LaggedSeriesWeights(Q2)).run(p)
         rejected_idx = [d.index for d in base if d.rejected]
         assert rejected_idx, "fuzz stream must produce rejections"
         k = rejected_idx[len(rejected_idx) // 2]
         altered = p.copy()
         altered[k - 1] = 1.0  # flip that rejection to a non-rejection
-        re_run = OnlineFallback(0.2, Q2, LaggedSeriesWeights(Q2)).run(altered)
+        re_run = OnlineFallback(0.2, Q2, weights=LaggedSeriesWeights(Q2)).run(altered)
         for d_new, d_old in zip(re_run[k:], base[k:]):
             assert d_new.alpha <= d_old.alpha
 
     def test_non_rejected_mass_bounded(self):
         rng = np.random.default_rng(9)
-        proc = OnlineFallback(0.2, Q2, LaggedSeriesWeights(Q2))
+        proc = OnlineFallback(0.2, Q2, weights=LaggedSeriesWeights(Q2))
         decisions = proc.run(rng.random(1500))
         hold = math.fsum(d.alpha for d in decisions if not d.rejected)
         assert hold <= 0.2 + 1e-12
 
     def test_levels_stay_below_one(self):
-        proc = OnlineFallback(0.99, ExplicitSeries([1.0]), OneStepWeights())
+        proc = OnlineFallback(0.99, ExplicitSeries([1.0]), weights=OneStepWeights())
         for _ in range(200):
             assert proc.step(0.0).alpha < 1.0
 
@@ -280,3 +282,35 @@ def test_finished_scheduler_freed_without_the_cycle_collector(name):
         assert ref() is None
     finally:
         gc.enable()
+
+
+# a valid value of each option a row may take; ProcedureConfig ignores one its row does not use
+OPTIONS = {"tau": 0.5, "lam": 0.1, "lags": 2, "weights": {"kind": "one-step"}}
+
+
+@pytest.mark.parametrize("name", PROCEDURES)
+def test_each_row_has_one_public_class(name):
+    cls = SCHEDULERS[name]
+    assert isinstance(ProcedureConfig(procedure=name, alpha=0.2).build(), cls)
+    assert (cls.kind, cls.__name__, cls.__doc__) == (name, SPECS[name].name, SPECS[name].doc)
+    assert cls.__module__ == "fwerstream.core"
+    assert getattr(fwerstream, cls.__name__) is cls
+    assert getattr(fwerstream.core, cls.__name__) is cls
+
+
+@pytest.mark.parametrize("name,option", [(n, o) for n in PROCEDURES for o in OPTIONS])
+def test_class_refuses_an_option_its_row_does_not_take(name, option):
+    cls, value = SCHEDULERS[name], OPTIONS[option]
+    built = ProcedureConfig(procedure=name, alpha=0.2, **{option: value}).build()
+    assert type(built) is cls
+    if option in SPECS[name].options:
+        assert type(cls(0.2, Q2, **{option: value})) is cls
+    else:
+        with pytest.raises(ConfigError, match=f"^{name} takes no '{option}' option$"):
+            cls(0.2, Q2, **{option: value})
+
+
+@pytest.mark.parametrize("name", PROCEDURES)
+def test_class_options_are_keyword_only(name):
+    with pytest.raises(TypeError):
+        SCHEDULERS[name](0.2, Q2, 0.5)

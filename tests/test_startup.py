@@ -44,7 +44,7 @@ PUBLIC_NAMES = [
     "estimate_metrics_many", "expected_true_discoveries", "gen_stream", "kfwer_wrap", "make_runner", "mixture_cdf",
     "optimal_gamma_varying", "optimal_q", "run_stream", "series_from_config",
 ]
-SUBMODULES = ["addis", "audit", "config", "core", "errors", "fast", "series", "spec", "variants"]
+SUBMODULES = ["audit", "config", "core", "errors", "fast", "series", "spec"]
 
 
 def test_package_import_loads_no_submodule_and_no_numpy(tmp_path):

@@ -160,7 +160,7 @@ class TestDiscardFallback:
         for weights in (OneStepWeights(), LaggedSeriesWeights(Q2)):
             for p in fuzz_streams(10, 200, seed=68):
                 a = DiscardFallback(0.2, Q2, tau=1.0, weights=weights).run(p)
-                b = OnlineFallback(0.2, Q2, weights).run(p)
+                b = OnlineFallback(0.2, Q2, weights=weights).run(p)
                 assert [d.alpha for d in a] == [d.alpha for d in b]
                 assert [d.rejected for d in a] == [d.rejected for d in b]
 
