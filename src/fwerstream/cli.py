@@ -256,25 +256,6 @@ def _read_chunk(at, lines: list, columns, record, lags) -> tuple[np.ndarray, Str
     return ps, error
 
 
-def _decide(cfg: ProcedureConfig, scheduler, runner, ps: np.ndarray):
-    """Decide one chunk on the scheduler's state: the decisions as columns,
-    and the error that stopped them short of the chunk's end, if any."""
-    if runner is not None:
-        try:
-            return runner(ps, state=scheduler.state), None
-        except ConfigError:
-            pass  # a lag list that ends inside the chunk: the scalar step finds the step it ends at
-    error = None
-    try:
-        for p in ps.tolist():
-            scheduler.step(p)
-    except (ConfigError, BudgetError) as exc:
-        error = exc
-    decided = fast.from_decisions(cfg, scheduler.trace)
-    scheduler.trace.clear()  # a config file holds no callable schedule, so no step reads the trace
-    return decided, error
-
-
 def _write_rows(out, start: int, decided, n: int) -> None:
     """Write the first n decisions, steps start+1, ..., start+n, one row each,
     with one write: the bytes of csv.writer, which quotes no number."""
@@ -293,9 +274,8 @@ def cmd_run(args) -> int:
         lags = LagSchedule.from_batch_ids([])
         cfg = dataclasses.replace(cfg, lags=lags)
     scheduler = cfg.build()
-    state = scheduler.state
-    # constant tau and lambda: chunks go through the runner; else through the scalar step
-    runner = fast.make_runner(cfg) if scheduler.thresholds is not None else None
+    state, sequences = scheduler.state, scheduler.sequences()
+    runner = fast.make_runner(cfg)  # a config file holds no callable schedule
     try:
         fh = open(args.input, "r", encoding="utf-8-sig")  # utf-8-sig: a leading byte-order mark is dropped
     except OSError as exc:
@@ -304,14 +284,16 @@ def cmd_run(args) -> int:
         out.write("index,p,alpha_i,rejected,selected,candidate\r\n")
         for ps, bad_line in _iter_records(fh, fmt, lags):
             start = state.i
-            decided, error = _decide(cfg, scheduler, runner, ps)
+            n = min([ps.size, *(len(s.seq) - start for s in sequences)])  # the steps every sequence defines
+            decided = runner(ps[:n], state=state)
             report = audit_trace(decided, cfg, state)
             stop = len(decided) if report.passed else report.first_bad_index - 1 - start
             _write_rows(out, start, decided, stop)
             report.raise_if_failed()
-            for exc in (error, bad_line):
-                if exc is not None:
-                    raise exc
+            if n < ps.size:
+                runner(ps[n : n + 1], state=state)  # raises: the step past the end of a sequence
+            if bad_line is not None:
+                raise bad_line
         out.flush()
     return 0
 

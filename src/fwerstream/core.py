@@ -280,10 +280,11 @@ class StreamState:
 class OnlineProcedure:
     """Scheduler for the row of :data:`fwerstream.spec.SPECS` named by ``kind``.
 
-    Holds the level budget, the weight series, the tau/lambda schedules, the
-    running :class:`StreamState` (step count, counted-step window, recycling buffer)
-    and the append-only trace.  The classes of :data:`SCHEDULERS` only fix
-    ``kind``.  Each option is keyword-only, and one the row does not take
+    Holds the level budget, the weight series, the :class:`Schedule` objects
+    ``tau``, ``lam`` and ``lags``, the running :class:`StreamState` (step
+    count, counted-step window, recycling buffer) and the append-only trace.
+    The classes of :data:`SCHEDULERS` only fix ``kind``.  Each option is
+    keyword-only, and one the row does not take
     (:attr:`~fwerstream.spec.ProcedureSpec.options`) is a :class:`ConfigError`.
     """
 
@@ -304,12 +305,12 @@ class OnlineProcedure:
 
         tau = (DEFAULT_TAU if tau is None else tau) if spec.discards else 1.0
         lam = (spec.lam if lam is None else lam) if spec.adapts else 0.0
-        self._tau = threshold_schedule(tau, "tau", 0.0, 1.0, lo_open=True, hi_open=False)
-        self._lam = threshold_schedule(lam, "lambda", 0.0, 1.0, lo_open=False, hi_open=True)
-        self._needs_prefix = self._tau.fn is not None or self._lam.fn is not None
+        self.tau = threshold_schedule(tau, "tau", 0.0, 1.0, lo_open=True, hi_open=False)
+        self.lam = threshold_schedule(lam, "lambda", 0.0, 1.0, lo_open=False, hi_open=True)
+        self.reads_trace = self.tau.fn is not None or self.lam.fn is not None  # a callable sees the trace
         self.thresholds = None  # (tau, lambda) when both are constant
-        if self._tau.const is not None and self._lam.const is not None:
-            self.thresholds = self._check(self._tau.const, self._lam.const)
+        if self.tau.const is not None and self.lam.const is not None:
+            self.thresholds = self._check(self.tau.const, self.lam.const)
         else:
             self._check_schedules()
 
@@ -333,11 +334,11 @@ class OnlineProcedure:
         define before the stream starts, naming the first bad step.  A
         constant holds at every step and the check stops at the end of the
         shorter sequence; a callable is checked step by step."""
-        if self._tau.fn is not None:
+        if self.tau.fn is not None:
             return
-        n = min((len(s.seq) for s in (self._tau, self._lam) if s.seq is not None), default=1)
-        taus = np.array(self._tau.values(0, n))
-        lams = None if self._lam.fn is not None else np.array(self._lam.values(0, n))
+        n = min((len(s.seq) for s in (self.tau, self.lam) if s.seq is not None), default=1)
+        taus = np.array(self.tau.values(0, n))
+        lams = None if self.lam.fn is not None else np.array(self.lam.values(0, n))
         bad = taus < self.alpha if self.spec.family != "spending" else np.zeros(n, dtype=bool)
         if lams is not None:
             bad |= lams >= taus
@@ -349,8 +350,12 @@ class OnlineProcedure:
                 raise ConfigError(f"step {j + 1}: {exc}") from None
 
     def _thresholds(self, i: int, visible: int) -> tuple[float, float]:
-        prefix = TracePrefix(self.trace, visible) if self._needs_prefix else None
-        return self._check(self._tau.value(i, prefix), self._lam.value(i, prefix))
+        prefix = TracePrefix(self.trace, visible) if self.reads_trace else None
+        return self._check(self.tau.value(i, prefix), self.lam.value(i, prefix))
+
+    def sequences(self) -> list[Schedule]:
+        """The tau, lambda and lag schedules given as sequences, which end."""
+        return [s for s in (self.tau, self.lam, self.lags) if s is not None and s.seq is not None]
 
     @property
     def t(self) -> int:

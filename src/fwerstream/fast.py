@@ -6,20 +6,20 @@ maps one p-value stream of shape (T,), or a block of streams of shape
 Given a scheduler's :class:`~fwerstream.core.StreamState`, it decides the
 next chunk of that scheduler's stream instead and advances the state; the
 index t, and with it the level table, counts from the start of the stream.
-For constant tau and lambda the runner computes the index rule of
-:mod:`fwerstream.spec`, one rule for every row, with the same operations
-as the step scheduler, and its level through the step's own
-:func:`fwerstream.spec.level_map`, so both give bit-identical traces;
-anything fancier falls back to the step-by-step scheduler, row by row.
+The runner computes the index rule of :mod:`fwerstream.spec`, with tau
+and lambda constant or one value per step, with the same operations as the
+step scheduler, and its level through the step's own
+:func:`fwerstream.spec.level_map`, so both give bit-identical traces; only a
+callable tau or lambda takes the step-by-step scheduler, row by row.
 Each call builds the counted-step prefix sums of its chunk or block once,
 continuing the state's window (a fresh stream starts from ``[0]``), and
 reads t - 1 from them: the counted steps before i - L_i, plus min(L_i,
 i-1), which for lag 0 is a view of the sums.
 
-Spending and Sidak levels depend on the series index t alone, so each
-runner evaluates the level map once per t into a memoized table and
-gathers ``table[t-1]``; when t outgrows the table, only the new entries
-are computed and appended.  Fallback levels carry recycled mass, so
+With constant tau and lambda, spending and Sidak levels depend on the
+series index t alone, so each runner evaluates the level map once per t
+into a memoized table and gathers ``table[t-1]``, computing only the new
+entries when t outgrows it.  Fallback levels carry recycled mass, so
 :func:`_recycle` loops over counted positions m = 1, 2, ... (the series
 index of the selected steps) with every row of the block at the same m,
 so the loop's numpy calls are shared by all the rows (the simulation
@@ -117,11 +117,11 @@ def make_runner(cfg: ProcedureConfig, batch_ids=None):
     """
     cfg = replace(cfg, series=series_from_config(cfg.series))
     probe = cfg.build(batch_ids=batch_ids)  # full validation + k*alpha warning happen once
-    if probe.thresholds is None:  # tau or lambda vary by step
+    if probe.reads_trace:
 
         def run_slow(p, state=None):
             if state is not None:
-                raise ConfigError("tau or lambda vary by step: continue a carried state with the scheduler's step")
+                raise ConfigError("a callable tau or lambda: continue a carried state with the scheduler's step")
             p = _check_p_array(p)
             res = from_decisions(cfg, [d for row in np.atleast_2d(p) for d in cfg.build(batch_ids=batch_ids).run(row)])
             return replace(res, **{c: getattr(res, c).reshape(p.shape) for c in _COLUMNS})
@@ -129,18 +129,17 @@ def make_runner(cfg: ProcedureConfig, batch_ids=None):
         return run_slow
 
     spec = probe.spec
-    tau, lam = probe.thresholds
     series = cfg.series
     budget = probe.budget
     lags = probe.lags
     weights = probe.weights
     table = np.empty(0)
 
-    def level_table(n):  # the level (fallback: base level) by series index t, for t <= n at least
+    def level_table(n):  # the level by series index t, for t <= n at least; fallback: the base level, for any tau
         nonlocal table
         if table.size < n:  # the map is elementwise: compute only the entries past the old end
             gam = series.weights_upto(1 << max(10, (n - 1).bit_length()))[table.size :]
-            table = np.concatenate((table, level_map(spec.family, budget, tau, lam, gam)))
+            table = np.concatenate((table, level_map(spec.family, budget, *(probe.thresholds or (1.0, 0.0)), gam)))
         return table
 
     def run(p, state=None):
@@ -150,6 +149,8 @@ def make_runner(cfg: ProcedureConfig, batch_ids=None):
         block = np.atleast_2d(p)  # a single stream is a block of one row
         rows, n = block.shape
         i0, window, start = (0, [0], 0) if state is None else (state.i, state.window, state.window_start)
+        # a sequence gives the chunk's values, and raises, before the state changes, if it ends inside the chunk
+        tau, lam = probe.thresholds or [np.array(s.values(i0, i0 + n)) for s in (probe.tau, probe.lam)]
         selected = block <= tau if spec.discards else np.broadcast_to(True, block.shape)
         candidate = block <= lam if spec.adapts else np.broadcast_to(False, block.shape)
         # prefix[:, j] = counted steps among the first start + j, from the carried window on
@@ -168,7 +169,9 @@ def make_runner(cfg: ProcedureConfig, batch_ids=None):
             visible = idx - lag
             t0 = prefix[:, visible - start]
             t0 += lag
-        if spec.family != "fallback":
+        if spec.family != "fallback" and probe.thresholds is None:  # each step's weight, tau and lambda
+            levels = level_map(spec.family, budget, tau, lam, series.weights_upto(int(t0.max(initial=0)) + 1)[t0])
+        elif spec.family != "fallback":
             levels = level_table(int(t0.max(initial=0)) + 1)[t0]
         elif state is None:
             levels = _recycle(block, selected, t0, tau, level_table(n), weights)
@@ -191,7 +194,9 @@ def _recycle(p, selected, t0, tau, base, weights):
     """Fallback levels tau * (base_t + recycled(t)) of a block of streams, by
     counted position (see the module docstring); ``base`` is 0-based in t.
     Column m-1 of ``pc`` holds each row's p-value at its m-th selected step;
-    a non-selected step reads the level of the position it waits at.
+    a non-selected step reads the level of the position it waits at.  With
+    tau by step, a position keeps base + mass, which its selected step (tau
+    in ``tc``) and every step that reads it multiply by their own tau.
 
     The mass by position is kept in the first columns of the levels array,
     which each row then spreads over its steps in place: step i reads
@@ -203,12 +208,16 @@ def _recycle(p, selected, t0, tau, base, weights):
     a * 0.0 == 0.0 for the finite levels a >= 0, the sums the span add makes.
     """
     rows, n = p.shape
-    if tau < 1.0:
+    by_step = np.ndim(tau) == 1
+    if by_step or tau < 1.0:
         counts = selected.sum(axis=1)
         width = min(int(counts.max(initial=0)) + 1, n)
         pc = np.full((rows, width), np.inf)
+        tc = np.ones((rows, width)) if by_step else None
         for r, c in enumerate(counts.tolist()):  # row by row: no temporary the size of the block
             pc[r, :c] = p[r, selected[r]]
+            if by_step:
+                tc[r, :c] = tau[selected[r]]
     else:  # every step is selected: positions are steps
         pc, width = p, n
     levels = np.zeros((rows, n))
@@ -218,7 +227,9 @@ def _recycle(p, selected, t0, tau, base, weights):
     for j in range(width):
         a = out[:, j]
         a += base[j]
-        if tau != 1.0:
+        if by_step:
+            a = a * tc[:, j]
+        elif tau != 1.0:
             a *= tau
         if one_step:
             if j + 1 < width:
@@ -231,9 +242,9 @@ def _recycle(p, selected, t0, tau, base, weights):
             for g in range(0, r.size, group):
                 rg = r[g : g + group]
                 out[rg, j + 1 : j + 1 + span.size] += a[rg, None] * span
-    if tau < 1.0:
+    if by_step or tau < 1.0:
         for row, t in zip(levels, t0):
-            row[:] = row[t]
+            row[:] = row[t] * tau if by_step else row[t]
     return levels
 
 
@@ -251,38 +262,41 @@ def _recycle_carried(p, selected, t0, c0, tau, base, recycled):
     thus costs r buffer adds and no re-read of the chunk.  Both ways compute
     ``(mass + base) * tau`` with the same two IEEE operations in the same
     order, so the levels are bit-identical, and each position sums its
-    recycled terms in ascending k, the order of the scalar step.
+    recycled terms in ascending k, the order of the scalar step.  With tau by
+    step, a position keeps ``mass + base``, as in :func:`_recycle`.
     """
     if not p.size:
         return np.empty(0)
-    pc = p[selected] if tau < 1.0 else p  # the p-value at each position the chunk takes
+    by_step = np.ndim(tau) == 1
+    pc = p[selected] if by_step or tau < 1.0 else p  # the p-value at each position the chunk takes
+    tc = tau[selected] if by_step else None  # ... and the tau of its selected step
     width = int(t0[-1]) - c0 + 1  # positions read, the last perhaps only waited at
     levels = np.empty(width)
     q = 0
     while q < width:
         run = recycled.masses(c0 + 1 + q, c0 + 1 + width)
         run += base[c0 + q : c0 + width]
-        if tau != 1.0:
+        if not by_step and tau != 1.0:
             run *= tau
-        taken = run[: pc.size - q]
+        taken = run[: pc.size - q] * tc[q:] if by_step else run[: pc.size - q]
         hit = np.flatnonzero((pc[q:] <= taken) & (taken > 0.0))
         if not hit.size:
             levels[q:] = run
             break
         r = int(hit[0]) + 1
         levels[q : q + r] = run[:r]
-        recycled.reject(c0 + q + r, float(run[r - 1]))
+        recycled.reject(c0 + q + r, float(taken[r - 1]))
         q += r
         while q < pc.size:  # the rejection run goes on while position q rejects
-            a = recycled.mass(c0 + 1 + q) + float(base[c0 + q])
-            if tau != 1.0:
-                a *= tau
+            mass = recycled.mass(c0 + 1 + q) + float(base[c0 + q])
+            a = mass * (float(tc[q]) if by_step else tau)  # x * 1.0 == x
             if not (pc[q] <= a and a > 0.0):
                 break
-            levels[q] = a
+            levels[q] = mass if by_step else a
             recycled.reject(c0 + 1 + q, a)
             q += 1
-    return levels if tau == 1.0 else levels[t0 - c0]
+    levels = levels if not by_step and tau == 1.0 else levels[t0 - c0]
+    return levels * tau if by_step else levels
 
 
 def run_stream(cfg: ProcedureConfig, p, batch_ids=None) -> StreamResult:

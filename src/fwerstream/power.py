@@ -301,8 +301,11 @@ def optimal_gamma_varying(pi_seq, mu_seq, alpha, horizon: int) -> np.ndarray:
     alpha = _scalar(alpha, "alpha")
     if not 0.0 < alpha < 1.0:
         raise ConfigError(f"alpha must lie in (0, 1), got {alpha}")
-    pi = np.broadcast_to(np.asarray(pi_seq, dtype=np.float64), (horizon,))
-    mu = np.broadcast_to(np.asarray(mu_seq, dtype=np.float64), (horizon,))
+    pi, mu = (np.asarray(seq, dtype=np.float64) for seq in (pi_seq, mu_seq))
+    for name, arr in (("pi_a", pi), ("mu_a", mu)):  # one value for every index, or one per index
+        if arr.ndim > 1 or arr.size not in (1, horizon):
+            raise ConfigError(f"{name} has {arr.size} entries; horizon {horizon} takes 1 or {horizon}")
+    pi, mu = np.broadcast_to(pi, (horizon,)), np.broadcast_to(mu, (horizon,))
     if np.any(~np.isfinite(pi)) or np.any(pi <= 0.0) or np.any(pi >= 1.0):
         raise ConfigError("pi_a entries must lie strictly in (0, 1)")
     if np.any(~np.isfinite(mu)) or np.any(mu <= 0.0):

@@ -224,14 +224,15 @@ def grid_cells(procedures: dict[str, ProcedureConfig], points, *, trials: int, s
     model with seed ``seed + c`` and runs every procedure (label -> config)
     at ``alpha``.  Returns an iterator of (meta, procedures, sim) triples;
     each meta gains the horizon ``T`` and ``alpha``.  Every cell's
-    :class:`SimConfig`, and every procedure built at ``alpha``, is checked
-    before the first cell is returned; each procedure's series is built once
-    and shared by the cells.
+    :class:`SimConfig`, and every procedure built at ``alpha`` with its
+    sequences covering the horizon, is checked before the first cell is
+    returned; each procedure's series is built once and shared by the cells.
     """
     procedures = {label: replace(cfg, alpha=alpha, series=series_from_config(cfg.series))
                   for label, cfg in procedures.items()}
     for cfg in procedures.values():
-        cfg.build()
+        for schedule in cfg.build().sequences():
+            schedule.values(0, horizon)  # raises for one that ends before the horizon
     sims = [SimConfig(model=model, horizon=horizon, trials=trials, seed=seed + cell)
             for cell, (model, _) in enumerate(points)]
     return (({**meta, "T": horizon, "alpha": alpha}, dict(procedures), sim) for (_, meta), sim in zip(points, sims))

@@ -146,8 +146,9 @@ def level_map(family: str, budget: float, tau: float, lam: float, gam):
     mass and tau), clamped below min(tau, 1) when the budget saturates.
 
     ``gam`` is a Python float, whose level is a Python float (the scalar
-    step), or a float64 array (the runner's level table); both take the same
-    float operations, so the step and the runner agree bit for bit.  Sidak
+    step), or a float64 array (the runner's level table, or its gathered
+    weights with tau and lambda by step); all take the same float operations,
+    so the step and the runner agree bit for bit.  Sidak
     levels 1 - (1-budget)^g are evaluated in the log domain with
     ``math.expm1``, element by element, so tiny exponents (down to ~1e-300)
     do not round the level to zero; ``np.expm1`` differs from it in the last
@@ -162,10 +163,11 @@ def level_map(family: str, budget: float, tau: float, lam: float, gam):
             return 0.0 if g <= 0.0 else budget if g >= 1.0 else -math.expm1(g * log1m)
 
         g = (tau - lam) / tau * gam
-        level = tau * (np.array([sidak(x) for x in g.tolist()]) if isinstance(g, np.ndarray) else sidak(g))
+        level = tau * (np.reshape([sidak(x) for x in g.ravel().tolist()], g.shape) if isinstance(g, np.ndarray)
+                       else sidak(g))
     else:
         level = budget * gam
     if budget < 1.0:
         return level
-    cap = math.nextafter(min(tau, 1.0), 0.0)
-    return np.minimum(level, cap) if isinstance(level, np.ndarray) else min(level, cap)
+    cap = np.nextafter(np.minimum(tau, 1.0), 0.0)
+    return np.minimum(level, cap) if isinstance(level, np.ndarray) else min(level, float(cap))

@@ -241,6 +241,17 @@ class TestExperiment:
         assert named in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("key,name", [("tau", "tau"), ("lambda", "lambda"), ("lags", "lag")])
+    def test_sequence_shorter_than_the_horizon_exits_3_before_any_output(self, tmp_path, capsys, key, name):
+        short = {"tau": [0.5] * 19, "lambda": [0.25] * 19, "lags": [0] * 19}[key]
+        cfg = tmp_path / "exp.json"
+        cfg.write_text(json.dumps({"procedures": [{"procedure": "addis-spending-local", "alpha": 0.2, key: short}],
+                                   "grid": {"pi_a": [0.3], "T": 20}, "trials": 2}))
+        out = tmp_path / "r.csv"
+        assert main(["experiment", "--config", str(cfg), "--out", str(out)]) == 3
+        assert capsys.readouterr().err == f"config error: {name} schedule has 19 entries; step 20 requested\n"
+        assert not out.exists()
+
     def test_config_that_is_not_an_object_exits_3(self, tmp_path, capsys):
         cfg = tmp_path / "exp.json"
         cfg.write_text("[1]")
@@ -329,6 +340,13 @@ class TestSolve:
                      "--alpha", "0.2", "--horizon", "4", "--out", str(out)]) == 0
         vals = [float(r[1]) for r in read_csv(out)[1:]]
         assert vals == [0.25] * 4 or max(abs(v - 0.25) for v in vals) < 1e-9
+
+    @pytest.mark.parametrize("flag,value,named", [("--pi-a", "0.5,0.4", "pi_a has 2"), ("--mu", "4,3,5", "mu_a has 3")])
+    def test_optimal_gamma_sequence_of_the_wrong_length_exits_3(self, tmp_path, capsys, flag, value, named):
+        out = tmp_path / "g.csv"
+        assert main(["solve", "optimal-gamma", flag, value, "--horizon", "10", "--out", str(out)]) == 3
+        assert capsys.readouterr().err == f"config error: {named} entries; horizon 10 takes 1 or 10\n"
+        assert not out.exists()
 
     def test_unknown_solver_exit_3(self):
         assert main(["solve", "newton"]) == 3
@@ -720,8 +738,8 @@ class TestStreamingRun:
 
     @pytest.mark.parametrize("kind", ["tau", "lag"])
     def test_short_schedule_stops_after_its_last_step(self, tmp_path, capsys, kind):
-        # the schedule ends inside the second chunk: a tau list takes the scalar step, a lag
-        # list the runner, which refuses the chunk, then the scalar step, which stops at its end
+        # the schedule ends inside the second chunk: the runner decides that chunk up to the
+        # schedule's last step, then refuses the step past it
         short = cli.RUN_CHUNK + 904
         n = short + 1000
         ps = _hot_stream(n, 12)

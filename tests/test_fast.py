@@ -8,9 +8,13 @@ import pytest
 
 from fwerstream import ProcedureConfig, make_runner
 from fwerstream.core import RecycleBuffer, StreamState
-from fwerstream.errors import StreamError
+from fwerstream.errors import ConfigError, StreamError
 from fwerstream.fast import from_decisions
 
+# tau and lambda by step, lambda < tau at every step; no tau reaches the 0.9 that
+# _growth_stream uses for a discarded step, and the lists cover its 2100 steps
+TAU_BY_STEP = [0.3, 0.5, 0.8, 0.7, 0.45] * 420
+LAM_BY_STEP = [0.1, 0.25, 0.2, 0.05, 0.4] * 420
 CONFIGS = [
     ProcedureConfig(procedure="alpha-spending", alpha=0.2, series={"kind": "q", "q": 2.0}),
     ProcedureConfig(procedure="alpha-spending", alpha=0.05, series={"kind": "log-q", "q": 2.0}, k=3),
@@ -55,7 +59,28 @@ CONFIGS = [
     *(pytest.param(cfg, marks=pytest.mark.filterwarnings(r"ignore:k\*alpha = .* >= 1:UserWarning")) for cfg in (
         ProcedureConfig(procedure="alpha-spending", alpha=0.9, series={"kind": "q", "q": 2.0}, k=4),
         ProcedureConfig(procedure="discard-spending", alpha=0.3, series={"kind": "q", "q": 4.0}, tau=0.5, k=4),
+        ProcedureConfig(procedure="discard-spending", alpha=0.3, series={"kind": "q", "q": 4.0}, tau=TAU_BY_STEP,
+                        k=4),
     )),
+    # tau and lambda sequences on every row that discards or adapts
+    ProcedureConfig(procedure="discard-spending", alpha=0.2, series={"kind": "q", "q": 2.0}, tau=TAU_BY_STEP),
+    ProcedureConfig(procedure="adaptive-spending", alpha=0.2, series={"kind": "log-q", "q": 2.0}, lam=LAM_BY_STEP),
+    ProcedureConfig(procedure="addis-spending", alpha=0.2, series={"kind": "q", "q": 2.0}, tau=TAU_BY_STEP,
+                    lam=LAM_BY_STEP),
+    ProcedureConfig(procedure="addis-spending", alpha=0.2, series={"kind": "log-q", "q": 2.0}, tau=0.6,
+                    lam=LAM_BY_STEP, k=2),
+    ProcedureConfig(procedure="addis-spending-local", alpha=0.2, series={"kind": "log-q", "q": 2.0},
+                    tau=TAU_BY_STEP, lam=LAM_BY_STEP,
+                    lags={"kind": "list", "values": [0, 1, 2, 3, 0, 1, 0, 0, 1, 2] * 40}),
+    ProcedureConfig(procedure="discard-sidak", alpha=0.2, series={"kind": "q", "q": 2.0}, tau=TAU_BY_STEP),
+    ProcedureConfig(procedure="adaptive-sidak", alpha=0.2, series={"kind": "log-q", "q": 2.0}, lam=LAM_BY_STEP),
+    ProcedureConfig(procedure="addis-sidak", alpha=0.2, series={"kind": "q", "q": 2.0}, tau=TAU_BY_STEP,
+                    lam=LAM_BY_STEP),
+    ProcedureConfig(procedure="discard-fallback", alpha=0.2, series={"kind": "q", "q": 2.0}, tau=TAU_BY_STEP),
+    ProcedureConfig(procedure="discard-fallback", alpha=0.2, series={"kind": "log-q", "q": 2.0}, tau=TAU_BY_STEP,
+                    weights={"kind": "one-step"}),
+    ProcedureConfig(procedure="discard-fallback", alpha=0.2, series={"kind": "q", "q": 2.0}, tau=TAU_BY_STEP,
+                    weights={"kind": "explicit", "rows": [[0.5, 0.5], [1.0], [], [0.25] * 4] * 100}),
 ]
 
 
@@ -65,6 +90,8 @@ def _ids(cfg: ProcedureConfig) -> str:
         bits.append(f"k{cfg.k}")
     if isinstance(cfg.weights, dict):
         bits.append(cfg.weights["kind"])
+    if isinstance(cfg.tau, list) or isinstance(cfg.lam, list):
+        bits.append("by-step")
     return "-".join(bits)
 
 
@@ -103,6 +130,8 @@ def test_callable_schedule_falls_back_to_step_path(cfg=None):
     fast = make_runner(cfg)(p)
     slow = from_decisions(cfg, cfg.build().run(p))
     np.testing.assert_array_equal(fast.levels, slow.levels)
+    with pytest.raises(ConfigError, match="^a callable tau or lambda: continue a carried state with the scheduler"):
+        make_runner(cfg)(p, state=cfg.build().state)
 
 
 def test_decisions_roundtrip():
@@ -134,25 +163,27 @@ FIRST_CAPACITY = RecycleBuffer.FIRST_CAPACITY
 HOT = set(range(1, 6)) | set(range(1016, 1032)) | set(range(2040, 2056))
 
 
-def _growth_stream(n: int, tau: float, seed: int) -> np.ndarray:
+def _growth_stream(n: int, tau, seed: int) -> np.ndarray:
     """p-values that are near zero exactly at the recycling positions in HOT.
 
-    A step's recycling position is 1 + #(earlier p <= tau).  Every step is
-    selected up to position 1100, so short streams reach the first boundary
+    ``tau`` is a number or a list with one value per step.  A step's recycling
+    position is 1 + #(earlier p_j <= tau_j).  Up to position 1100 every step
+    with tau_j >= 0.5 is selected, so short streams reach the first boundary
     even under discarding; after it every third step is discarded (when
-    tau < 1), so later positions are read more than once.
+    tau_j < 1), so later positions are read more than once.
     """
+    taus = tau if isinstance(tau, list) else [tau] * n
     rng = np.random.default_rng(seed)
     p = np.empty(n)
     position = 1
     for j in range(n):
-        if tau < 1.0 and position > 1100 and j % 3 == 0:
+        if taus[j] < 1.0 and position > 1100 and j % 3 == 0:
             p[j] = 0.9
         elif position in HOT:
             p[j] = 1e-12
         else:
             p[j] = rng.uniform(0.05, 0.5)
-        position += p[j] <= tau
+        position += p[j] <= taus[j]
     return p
 
 

@@ -231,3 +231,12 @@ class TestOptimalGammaVarying:
     def test_boolean_horizon_rejected(self, flag):
         with pytest.raises(ConfigError, match="^horizon must be a positive integer"):
             optimal_gamma_varying(0.5, 4.0, 0.2, flag)
+
+    @pytest.mark.parametrize("pi,mu,named", [([0.5, 0.4], 4.0, "pi_a has 2 entries"),
+                                             (0.5, [4.0, 3.0, 5.0], "mu_a has 3 entries"),
+                                             ([], 4.0, "pi_a has 0 entries"),
+                                             ([[0.5] * 10], 4.0, "pi_a has 10 entries")],
+                             ids=["pi_a-2", "mu_a-3", "pi_a-empty", "pi_a-2d"])
+    def test_sequence_neither_one_nor_horizon_long_names_both_lengths(self, pi, mu, named):
+        with pytest.raises(ConfigError, match=f"^{named}; horizon 10 takes 1 or 10$"):
+            optimal_gamma_varying(pi, mu, 0.2, 10)

@@ -1,7 +1,10 @@
 """Stream generation, metric estimation, and trace audits."""
 
+import csv
+import json
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -21,7 +24,9 @@ from fwerstream import (
     make_runner,
     run_stream,
 )
+from fwerstream import cli
 from fwerstream import sim as simmod
+from fwerstream.core import OnlineProcedure
 from fwerstream.errors import AuditError
 
 LOG2 = {"kind": "log-q", "q": 2.0}
@@ -218,6 +223,42 @@ class TestEstimateMetrics:
         finally:
             tracemalloc.stop()
         assert peak <= 2 * 1.82e6, peak
+
+
+# configs whose tau and lambda lists repeat their constants
+SEQUENCE_CASES = [
+    ("discard-spending", {"tau": 0.5}),
+    ("addis-sidak", {"tau": 0.5, "lam": 0.25}),
+    ("discard-fallback", {"tau": 0.5}),
+    ("addis-spending-local", {"tau": 0.5, "lam": 0.25, "lags": {"kind": "constant", "value": 3}}),
+]
+
+
+@pytest.mark.parametrize("name,constants", SEQUENCE_CASES, ids=[c[0] for c in SEQUENCE_CASES])
+def test_sequence_schedules_are_decided_by_the_runner(tmp_path, monkeypatch, name, constants):
+    horizon = 1000
+    const = ProcedureConfig(procedure=name, alpha=0.2, series=LOG2, **constants)
+    by_step = replace(const, tau=[const.tau] * horizon, lam=None if const.lam is None else [const.lam] * horizon)
+    cfg = sim(pi=0.3, mu_n=-0.5, horizon=horizon, trials=200, seed=12)
+    p = gen_stream(cfg, 0).p
+    want = [d.alpha for d in by_step.build().run(p)]
+
+    def no_step(self, i, p):
+        raise AssertionError(f"the scalar step decided step {i}")
+
+    # neither the simulator nor run may fall back to the scalar step
+    monkeypatch.setattr(OnlineProcedure, "_step", no_step)
+    reports = estimate_metrics_many({"constant": const, "by-step": by_step}, cfg)
+    assert reports["by-step"] == reports["constant"]
+    assert reports["constant"].mean_rejections > 0
+    inp, conf, out = tmp_path / "in.csv", tmp_path / "c.json", tmp_path / "out.csv"
+    inp.write_text("p\n" + "".join(f"{x!r}\n" for x in p.tolist()))
+    conf.write_text(json.dumps(by_step.to_dict()))
+    for chunk in (3, cli.RUN_CHUNK):
+        monkeypatch.setattr(cli, "RUN_CHUNK", chunk)
+        assert cli.main(["run", "--input", str(inp), "--out", str(out), "--config", str(conf)]) == 0
+        with open(out, newline="") as fh:
+            assert [float(row["alpha_i"]) for row in csv.DictReader(fh)] == want
 
 
 class TestAuditTrace:
