@@ -22,6 +22,7 @@ import dataclasses
 import itertools
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -45,12 +46,15 @@ def _fmt(x) -> str:
 
 
 @contextlib.contextmanager
-def _output(path: str | None):
+def _output(path: str | None, source: str | None = None):
     """A subcommand's output stream: the file at ``path``, closed on exit,
-    or stdout.  Open it once the input has been read and checked."""
+    or stdout.  Open it once the input has been read and checked; an input
+    ``source`` still to be read is refused as ``path``, which opening truncates."""
     if path is None:
         yield sys.stdout
         return
+    if source is not None and os.path.exists(path) and os.path.samefile(path, source):
+        raise ConfigError(f"--out {path} is the --input file")
     try:
         out = open(path, "w", newline="", encoding="utf-8")
     except OSError as exc:
@@ -280,7 +284,7 @@ def cmd_run(args) -> int:
         fh = open(args.input, "r", encoding="utf-8-sig")  # utf-8-sig: a leading byte-order mark is dropped
     except OSError as exc:
         raise StreamError(f"cannot read {args.input}: {exc}") from None
-    with fh, _output(args.out) as out:
+    with fh, _output(args.out, args.input) as out:
         out.write("index,p,alpha_i,rejected,selected,candidate\r\n")
         for ps, bad_line in _iter_records(fh, fmt, lags):
             start = state.i

@@ -75,9 +75,6 @@ class ProcedureConfig:
         findings: list[str] = []
         try:
             series = series_from_config(self.series)
-            z_lo, z_hi = series.normalizer_bracket()
-            if z_hi - z_lo > 2e-12 * max(z_lo, 1e-300):
-                findings.append(f"series normalizer bracket too wide: [{z_lo}, {z_hi}]")
         except (ConfigError, ValueError) as exc:
             findings.append(f"series: {exc}")
             series = _default_series()  # reported once; check the other options against a valid series

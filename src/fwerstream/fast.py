@@ -5,10 +5,10 @@ maps one p-value stream of shape (T,), or a block of streams of shape
 (rows, T), to a :class:`StreamResult` (columnar trace of the same shape).
 Given a scheduler's :class:`~fwerstream.core.StreamState`, it decides the
 next chunk of that scheduler's stream instead and advances the state; the
-index t, and with it the level table, counts from the start of the stream.
-The runner computes the index rule of :mod:`fwerstream.spec`, with tau
-and lambda constant or one value per step, with the same operations as the
-step scheduler, and its level through the step's own
+index t counts from the start of the stream.  The runner computes the
+index rule of :mod:`fwerstream.spec`, with tau and lambda constant or one
+value per step, with the same operations as the step scheduler, and its
+level through the step's own
 :func:`fwerstream.spec.level_map`, so both give bit-identical traces; only a
 callable tau or lambda takes the step-by-step scheduler, row by row.
 Each call builds the counted-step prefix sums of its chunk or block once,
@@ -16,10 +16,12 @@ continuing the state's window (a fresh stream starts from ``[0]``), and
 reads t - 1 from them: the counted steps before i - L_i, plus min(L_i,
 i-1), which for lag 0 is a view of the sums.
 
-With constant tau and lambda, spending and Sidak levels depend on the
-series index t alone, so each runner evaluates the level map once per t
-into a memoized table and gathers ``table[t-1]``, computing only the new
-entries when t outgrows it.  Fallback levels carry recycled mass, so
+Each call maps only the series indices its own steps read, lo + 1, ...,
+hi, and keeps nothing past the call but the weight series' own memo.  With
+constant tau and lambda, spending and Sidak levels depend on the series
+index t alone, so the call maps each of those weights once and gathers the
+level of index t; with tau and lambda by step, it maps each step's weight.
+Fallback levels carry recycled mass on top of their base levels, so
 :func:`_recycle` loops over counted positions m = 1, 2, ... (the series
 index of the selected steps) with every row of the block at the same m,
 so the loop's numpy calls are shared by all the rows (the simulation
@@ -133,14 +135,6 @@ def make_runner(cfg: ProcedureConfig, batch_ids=None):
     budget = probe.budget
     lags = probe.lags
     weights = probe.weights
-    table = np.empty(0)
-
-    def level_table(n):  # the level by series index t, for t <= n at least; fallback: the base level, for any tau
-        nonlocal table
-        if table.size < n:  # the map is elementwise: compute only the entries past the old end
-            gam = series.weights_upto(1 << max(10, (n - 1).bit_length()))[table.size :]
-            table = np.concatenate((table, level_map(spec.family, budget, *(probe.thresholds or (1.0, 0.0)), gam)))
-        return table
 
     def run(p, state=None):
         p = _check_p_array(p)
@@ -169,14 +163,20 @@ def make_runner(cfg: ProcedureConfig, batch_ids=None):
             visible = idx - lag
             t0 = prefix[:, visible - start]
             t0 += lag
-        if spec.family != "fallback" and probe.thresholds is None:  # each step's weight, tau and lambda
-            levels = level_map(spec.family, budget, tau, lam, series.weights_upto(int(t0.max(initial=0)) + 1)[t0])
-        elif spec.family != "fallback":
-            levels = level_table(int(t0.max(initial=0)) + 1)[t0]
-        elif state is None:
-            levels = _recycle(block, selected, t0, tau, level_table(n), weights)
-        else:
-            levels = _recycle_carried(p, selected[0], t0[0], window[-1], tau, level_table(i0 + n), state.recycled)
+        # the weights of the series indices the steps read, lo + 1, ..., hi; a block's _recycle reads up to n
+        lo = int(t0.min()) if state is not None and n else 0
+        hi = n if spec.family == "fallback" and state is None else int(t0.max(initial=0)) + 1
+        gam = series.weights_upto(hi)[lo:]
+        if spec.family == "fallback":  # the base level, for any tau
+            base = level_map(spec.family, budget, 1.0, 0.0, gam)
+            levels = (_recycle(block, selected, t0, tau, base, weights) if state is None
+                      else _recycle_carried(p, selected[0], t0[0], lo, tau, base, state.recycled))
+        else:  # a block starts at lo = 0: gather by t0 itself
+            at = t0 - lo if lo else t0
+            if probe.thresholds is None:  # each step's weight, tau and lambda
+                levels = level_map(spec.family, budget, tau, lam, gam[at])
+            else:  # one level per series index
+                levels = level_map(spec.family, budget, tau, lam, gam)[at]
         if state is not None and n:  # keep the window from what the last step sees on
             last = i0 + n - 1 if lags is None else int(visible[-1])
             state.i = i0 + n
@@ -250,7 +250,8 @@ def _recycle(p, selected, t0, tau, base, weights):
 
 def _recycle_carried(p, selected, t0, c0, tau, base, recycled):
     """Fallback levels of one stream's chunk, continued from ``recycled``, the
-    :class:`~fwerstream.core.RecycleBuffer` of its first ``c0`` positions.
+    :class:`~fwerstream.core.RecycleBuffer` of its first ``c0`` positions;
+    ``base`` holds the base levels of positions c0 + 1, ... the chunk reads.
 
     Each pass of the loop decides one stretch and the rejection run that ends
     it.  The stretch is read from the buffer in one array: every level up to
@@ -275,7 +276,7 @@ def _recycle_carried(p, selected, t0, c0, tau, base, recycled):
     q = 0
     while q < width:
         run = recycled.masses(c0 + 1 + q, c0 + 1 + width)
-        run += base[c0 + q : c0 + width]
+        run += base[q:width]
         if not by_step and tau != 1.0:
             run *= tau
         taken = run[: pc.size - q] * tc[q:] if by_step else run[: pc.size - q]
@@ -288,7 +289,7 @@ def _recycle_carried(p, selected, t0, c0, tau, base, recycled):
         recycled.reject(c0 + q + r, float(taken[r - 1]))
         q += r
         while q < pc.size:  # the rejection run goes on while position q rejects
-            mass = recycled.mass(c0 + 1 + q) + float(base[c0 + q])
+            mass = recycled.mass(c0 + 1 + q) + float(base[q])
             a = mass * (float(tc[q]) if by_step else tau)  # x * 1.0 == x
             if not (pc[q] <= a and a > 0.0):
                 break

@@ -52,9 +52,6 @@ class WeightSeries:
     def normalizer(self) -> float:
         raise NotImplementedError
 
-    def normalizer_bracket(self) -> tuple[float, float]:
-        raise NotImplementedError
-
     def tail_sum_bracket(self, n: int) -> tuple[float, float]:
         """Bracket for sum_{i>n} gamma_i (normalized)."""
         raise NotImplementedError
@@ -127,9 +124,6 @@ class PowerLawSeries(WeightSeries):
     @property
     def normalizer(self) -> float:
         return self._z
-
-    def normalizer_bracket(self) -> tuple[float, float]:
-        return self._z_lo, self._z_hi
 
     def tail_sum_bracket(self, n: int) -> tuple[float, float]:
         return self._tail_lo(n) / self._z_hi, self._tail_hi(n) / self._z_lo
@@ -208,11 +202,10 @@ class ExplicitSeries(WeightSeries):
 
     def __init__(self, weights):
         super().__init__()
-        w, total = weight_vector(weights, "explicit series")
+        w, _ = weight_vector(weights, "explicit series")
         if w.size == 0:
             raise ConfigError("explicit series needs a nonempty weight list")
         self._w = w
-        self._total = min(total, 1.0)
 
     def _unnormalized(self, idx: np.ndarray) -> np.ndarray:
         out = np.zeros(idx.shape, dtype=np.float64)
@@ -223,9 +216,6 @@ class ExplicitSeries(WeightSeries):
     @property
     def normalizer(self) -> float:
         return 1.0  # weights are stored as given, not renormalized
-
-    def normalizer_bracket(self) -> tuple[float, float]:
-        return self._total, self._total
 
     def tail_sum_bracket(self, n: int) -> tuple[float, float]:
         rest = math.fsum(self._w[n:].tolist()) if n < self._w.size else 0.0

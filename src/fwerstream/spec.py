@@ -146,9 +146,9 @@ def level_map(family: str, budget: float, tau: float, lam: float, gam):
     mass and tau), clamped below min(tau, 1) when the budget saturates.
 
     ``gam`` is a Python float, whose level is a Python float (the scalar
-    step), or a float64 array (the runner's level table, or its gathered
-    weights with tau and lambda by step); all take the same float operations,
-    so the step and the runner agree bit for bit.  Sidak
+    step), or a float64 array (the weights a runner call reads, or its
+    gathered weights with tau and lambda by step); all take the same float
+    operations, so the step and the runner agree bit for bit.  Sidak
     levels 1 - (1-budget)^g are evaluated in the log domain with
     ``math.expm1``, element by element, so tiny exponents (down to ~1e-300)
     do not round the level to zero; ``np.expm1`` differs from it in the last

@@ -469,6 +469,22 @@ def test_unwritable_out_exits_3_in_every_subcommand(tmp_path, monkeypatch, capsy
     assert not out.parent.exists()
 
 
+@pytest.mark.parametrize("spelling", ["same", "dot", "link"])
+def test_run_refuses_out_naming_its_input(tmp_path, capsys, spelling):
+    # opening --out truncates it, so an --out that is the --input file would leave a header only
+    inp = tmp_path / "s.csv"
+    write_stream(inp, np.random.default_rng(3).random(20_000))
+    before = inp.read_bytes()
+    out = {"same": str(inp), "dot": f"{tmp_path}/./s.csv", "link": str(tmp_path / "link.csv")}[spelling]
+    if spelling == "link":
+        os.symlink(inp, out)
+    code = main(["run", "--input", str(inp), "--out", out, "--procedure", "alpha-spending", "--alpha", "0.2"])
+    assert code == 3
+    assert inp.read_bytes() == before
+    assert capsys.readouterr() == ("", f"config error: --out {out} is the --input file\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == (["link.csv"] if spelling == "link" else []) + ["s.csv"]
+
+
 class TestRoundTrip:
     @pytest.mark.parametrize(
         "name",

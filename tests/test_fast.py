@@ -1,12 +1,13 @@
 """The vectorized runners must reproduce the step schedulers bit for bit."""
 
+import tracemalloc
 import warnings
 import zlib
 
 import numpy as np
 import pytest
 
-from fwerstream import ProcedureConfig, make_runner
+from fwerstream import LogQSeries, ProcedureConfig, make_runner, run_stream
 from fwerstream.core import RecycleBuffer, StreamState
 from fwerstream.errors import ConfigError, StreamError
 from fwerstream.fast import from_decisions
@@ -440,3 +441,27 @@ def test_a_rejection_run_reads_the_buffer_a_few_times(cfg, monkeypatch):
     assert np.flatnonzero(res.rejected).tolist() == list(range(1000, 1200))
     assert len(calls) <= 3
     assert res.levels.tolist() == [d.alpha for d in cfg.build().run(p)]
+
+
+@pytest.mark.parametrize("name", ["alpha-spending", "online-sidak", "online-fallback-1"])
+def test_a_chunk_costs_the_same_wherever_the_stream_stands(name):
+    # the chunk after 2^20 - 100 records reads series indices past 2^20, and the runner maps
+    # only those: its peak stays that of a chunk at the start of the stream
+    series = LogQSeries(2.0)
+    series.weights_upto(2**21)  # every index the stream reads: only the runner's own allocations are traced
+    cfg = ProcedureConfig(procedure=name, alpha=0.2, series=series)
+    head = 2**20 - 100
+    p = np.random.default_rng(11).random(head + 4096)
+    p[::997] = 1e-12  # rejections all along, each recycled by the fallback row
+    proc, run = cfg.build(), make_runner(cfg)
+    run(p[:head], state=proc.state)
+    tracemalloc.start()
+    try:
+        chunk = run(p[head:], state=proc.state)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert chunk.rejected.sum() == 4
+    want = run_stream(cfg, p).levels[head:]
+    assert [x.hex() for x in chunk.levels.tolist()] == [x.hex() for x in want.tolist()]
