@@ -244,19 +244,19 @@ class StreamState:
     window of counted-step prefix sums that the index rule of
     :data:`fwerstream.spec.SPECS` reads (every row has one, with lag 0 on
     rows that are not lagged; ``window[-1]`` counts all the steps taken),
-    the :class:`RecycleBuffer` of fallback rows and the audit's running
-    prefix sum.
+    the :class:`RecycleBuffer` it builds from the fallback ``weights`` it
+    is given (none without them), and the audit's running prefix sum.
     """
 
     __slots__ = ("i", "window", "window_start", "recycled", "audit_sum")
 
     TRIM = 64  # a consumed prefix this long, and half the window, is dropped in one go
 
-    def __init__(self, recycled=None):
+    def __init__(self, weights=None):
         self.i = 0  # steps taken: the next step has index i + 1
         self.window = [0]  # window[j] = counted steps among the first window_start + j
         self.window_start = 0
-        self.recycled = recycled
+        self.recycled = None if weights is None else RecycleBuffer(weights)  # indexed by t
         self.audit_sum = 0.0
 
     def advance(self, count: bool, visible: int) -> None:
@@ -315,11 +315,9 @@ class OnlineProcedure:
             self._check_schedules()
 
         self.lags = lags_from_config(lags) if spec.lagged else None
-        self.weights = recycled = None
-        if spec.family == "fallback":
-            self.weights = weights_from_config(OneStepWeights() if spec.one_step else weights, self.series)
-            recycled = RecycleBuffer(self.weights)  # indexed by t
-        self.state = StreamState(recycled)
+        weights = OneStepWeights() if spec.one_step else weights  # the fallback rows' transfer weights
+        self.weights = weights_from_config(weights, self.series) if spec.family == "fallback" else None
+        self.state = StreamState(self.weights)
         self._adapts = spec.adapts
 
     def _check(self, tau: float, lam: float = 0.0) -> tuple[float, float]:

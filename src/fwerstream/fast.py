@@ -1,16 +1,16 @@
 """Whole-stream runners for the simulation harness and the command line.
 
 ``make_runner`` compiles a :class:`ProcedureConfig` into a function that
-maps one p-value stream of shape (T,), or a block of streams of shape
-(rows, T), to a :class:`StreamResult` (columnar trace of the same shape).
-Given a scheduler's :class:`~fwerstream.core.StreamState`, it decides the
-next chunk of that scheduler's stream instead and advances the state; the
-index t counts from the start of the stream.  The runner computes the
-index rule of :mod:`fwerstream.spec`, with tau and lambda constant or one
-value per step, with the same operations as the step scheduler, and its
-level through the step's own
-:func:`fwerstream.spec.level_map`, so both give bit-identical traces; only a
-callable tau or lambda takes the step-by-step scheduler, row by row.
+maps p-values to a :class:`StreamResult` (columnar trace of the same
+shape).  A 2-d block (rows, T) holds rows of fresh streams; a 1-d array
+(T,) is one stream, the next chunk of the given
+:class:`~fwerstream.core.StreamState` or of a fresh one, which the call
+advances; the index t counts from the start of the stream.  The runner
+computes the index rule of :mod:`fwerstream.spec`, with tau and lambda
+constant or by step, with the same operations as the step scheduler, and
+its level through :func:`fwerstream.spec.level_map`, so both give
+bit-identical traces; only a callable tau or lambda takes the step-by-step
+scheduler, row by row.
 Each call builds the counted-step prefix sums of its chunk or block once,
 continuing the state's window (a fresh stream starts from ``[0]``), and
 reads t - 1 from them: the counted steps before i - L_i, plus min(L_i,
@@ -21,22 +21,22 @@ hi, and keeps nothing past the call but the weight series' own memo.  With
 constant tau and lambda, spending and Sidak levels depend on the series
 index t alone, so the call maps each of those weights once and gathers the
 level of index t; with tau and lambda by step, it maps each step's weight.
-Fallback levels carry recycled mass on top of their base levels, so
-:func:`_recycle` loops over counted positions m = 1, 2, ... (the series
-index of the selected steps) with every row of the block at the same m,
-so the loop's numpy calls are shared by all the rows (the simulation
+Fallback levels carry recycled mass on top of their base levels.  On a
+block, :func:`_recycle` loops over counted positions m = 1, 2, ... (the
+series index of the selected steps) with every row of the block at the same
+m, so the loop's numpy calls are shared by all the rows (the simulation
 passes 128 at T = 1000): a row that rejects at m adds
 ``a * weights.span(m, .)`` to its own positions m+1, ..., and each step
 then reads the level of its position t.  Each position therefore sums its
 terms in ascending m, the order in which
 :class:`fwerstream.core.RecycleBuffer` adds them, and the block rows stay
 bit-identical to the step scheduler.  One-step weights write position m+1
-with one masked multiply instead.  A chunk of a carried stream reads and
-feeds the state's ``RecycleBuffer`` itself (:func:`_recycle_carried`), one
-rejection run at a time: the positions up to a run's first rejection in one
-array read, the rest of the run one position at a time with the same two
-float operations, so a run of r rejections costs r buffer adds and the
-chunk is read again only after the run ends.
+with one masked multiply instead.  One stream reads and feeds its state's
+``RecycleBuffer`` itself (:func:`_recycle_carried`), one rejection run at a
+time: the positions up to a run's first rejection in one array read, the
+rest of the run one position at a time with the same two float operations,
+so a run of r rejections costs r buffer adds and the chunk is read again
+only after the run ends.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .config import ProcedureConfig
-from .core import Decision, OneStepWeights
+from .core import Decision, OneStepWeights, StreamState
 from .errors import ConfigError, StreamError
 from .series import series_from_config
 from .spec import level_map
@@ -97,7 +97,10 @@ def from_decisions(cfg: ProcedureConfig, decisions) -> StreamResult:
 
 
 def _check_p_array(p) -> np.ndarray:
-    arr = np.asarray(p, dtype=np.float64)
+    try:
+        arr = np.asarray(p, dtype=np.float64)
+    except (TypeError, ValueError) as exc:  # a value that is not a number, or ragged rows
+        raise StreamError(f"p-values must be real numbers: {exc}") from None
     if arr.ndim not in (1, 2):
         raise StreamError("p-values must form a 1-d stream or a 2-d block of streams")
     if arr.size and not (arr.min() >= 0.0 and arr.max() <= 1.0):  # a NaN fails both
@@ -110,12 +113,12 @@ def _check_p_array(p) -> np.ndarray:
 def make_runner(cfg: ProcedureConfig, batch_ids=None):
     """Compile ``cfg`` into a reusable ``run(p, state=None) -> StreamResult`` function.
 
-    ``p`` is one stream of shape (T,) or a block of streams of shape
-    (rows, T), and every column of the result takes its shape.  Given the
+    ``p`` is a block of fresh streams (rows, T), which takes no state, or
+    one stream (T,), and every column of the result takes its shape.  One
+    stream is the next chunk of ``state``, the
     :class:`~fwerstream.core.StreamState` of a scheduler built from ``cfg``,
-    ``p`` is the next chunk of that scheduler's stream: the runner decides
-    it from where the state stands and advances the state past it, so the
-    chunks of a stream give the levels of the whole stream.
+    or of a fresh state: the runner decides it from where the state stands
+    and advances the state past it, so a stream's chunks give its levels.
     """
     cfg = replace(cfg, series=series_from_config(cfg.series))
     probe = cfg.build(batch_ids=batch_ids)  # full validation + k*alpha warning happen once
@@ -138,11 +141,13 @@ def make_runner(cfg: ProcedureConfig, batch_ids=None):
 
     def run(p, state=None):
         p = _check_p_array(p)
-        if state is not None and p.ndim != 1:
+        if state is None:  # one fresh stream, or rows of fresh streams
+            state = StreamState(weights)
+        elif p.ndim != 1:
             raise StreamError("a carried state continues one stream: pass a 1-d chunk")
         block = np.atleast_2d(p)  # a single stream is a block of one row
         rows, n = block.shape
-        i0, window, start = (0, [0], 0) if state is None else (state.i, state.window, state.window_start)
+        i0, window, start = state.i, state.window, state.window_start
         # a sequence gives the chunk's values, and raises, before the state changes, if it ends inside the chunk
         tau, lam = probe.thresholds or [np.array(s.values(i0, i0 + n)) for s in (probe.tau, probe.lam)]
         selected = block <= tau if spec.discards else np.broadcast_to(True, block.shape)
@@ -163,21 +168,20 @@ def make_runner(cfg: ProcedureConfig, batch_ids=None):
             visible = idx - lag
             t0 = prefix[:, visible - start]
             t0 += lag
-        # the weights of the series indices the steps read, lo + 1, ..., hi; a block's _recycle reads up to n
-        lo = int(t0.min()) if state is not None and n else 0
-        hi = n if spec.family == "fallback" and state is None else int(t0.max(initial=0)) + 1
+        # the weights of the series indices the steps read, lo + 1, ..., hi
+        lo, hi = (int(t0.min()), int(t0.max()) + 1) if n else (0, 0)
         gam = series.weights_upto(hi)[lo:]
         if spec.family == "fallback":  # the base level, for any tau
             base = level_map(spec.family, budget, 1.0, 0.0, gam)
-            levels = (_recycle(block, selected, t0, tau, base, weights) if state is None
+            levels = (_recycle(block, selected, t0, tau, base, weights) if p.ndim == 2
                       else _recycle_carried(p, selected[0], t0[0], lo, tau, base, state.recycled))
-        else:  # a block starts at lo = 0: gather by t0 itself
+        else:  # a fresh stream starts at lo = 0: gather by t0 itself
             at = t0 - lo if lo else t0
             if probe.thresholds is None:  # each step's weight, tau and lambda
                 levels = level_map(spec.family, budget, tau, lam, gam[at])
             else:  # one level per series index
                 levels = level_map(spec.family, budget, tau, lam, gam)[at]
-        if state is not None and n:  # keep the window from what the last step sees on
+        if n:  # keep the window from what the last step sees on
             last = i0 + n - 1 if lags is None else int(visible[-1])
             state.i = i0 + n
             state.window, state.window_start = prefix[0, last - start :].tolist(), last
@@ -208,10 +212,10 @@ def _recycle(p, selected, t0, tau, base, weights):
     a * 0.0 == 0.0 for the finite levels a >= 0, the sums the span add makes.
     """
     rows, n = p.shape
+    width = base.size  # positions read, the last perhaps only waited at
     by_step = np.ndim(tau) == 1
     if by_step or tau < 1.0:
         counts = selected.sum(axis=1)
-        width = min(int(counts.max(initial=0)) + 1, n)
         pc = np.full((rows, width), np.inf)
         tc = np.ones((rows, width)) if by_step else None
         for r, c in enumerate(counts.tolist()):  # row by row: no temporary the size of the block
@@ -219,10 +223,10 @@ def _recycle(p, selected, t0, tau, base, weights):
             if by_step:
                 tc[r, :c] = tau[selected[r]]
     else:  # every step is selected: positions are steps
-        pc, width = p, n
+        pc = p
     levels = np.zeros((rows, n))
     out = levels[:, :width]  # recycled mass by position, turned into the level once reached
-    base = base[:width].tolist()
+    base = base.tolist()
     one_step = isinstance(weights, OneStepWeights)
     for j in range(width):
         a = out[:, j]
@@ -266,12 +270,10 @@ def _recycle_carried(p, selected, t0, c0, tau, base, recycled):
     recycled terms in ascending k, the order of the scalar step.  With tau by
     step, a position keeps ``mass + base``, as in :func:`_recycle`.
     """
-    if not p.size:
-        return np.empty(0)
     by_step = np.ndim(tau) == 1
     pc = p[selected] if by_step or tau < 1.0 else p  # the p-value at each position the chunk takes
     tc = tau[selected] if by_step else None  # ... and the tau of its selected step
-    width = int(t0[-1]) - c0 + 1  # positions read, the last perhaps only waited at
+    width = base.size  # positions read, the last perhaps only waited at
     levels = np.empty(width)
     q = 0
     while q < width:

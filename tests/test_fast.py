@@ -195,12 +195,11 @@ def test_scalar_equals_runner_across_buffer_growth(cfg, length):
     p = _growth_stream(length, tau, seed=length)
     slow = cfg.build().run(p)
     fast = make_runner(cfg)(p)
-    assert [d.alpha for d in slow] == fast.levels.tolist()
-    assert [d.rejected for d in slow] == fast.rejected.tolist()
-    assert [d.selected for d in slow] == fast.selected.tolist()
-    assert [d.candidate for d in slow] == fast.candidate.tolist()
-    assert [d.tau for d in slow] == fast.tau.tolist()
-    assert [d.lam for d in slow] == fast.lam.tolist()
+    block = make_runner(cfg)(p[None])  # a block of one row takes the block loop
+    for col, field in (("levels", "alpha"), ("rejected", "rejected"), ("selected", "selected"),
+                       ("candidate", "candidate"), ("tau", "tau"), ("lam", "lam")):
+        want = [getattr(d, field) for d in slow]
+        assert want == getattr(fast, col).tolist() == getattr(block, col)[0].tolist()
     # the stream must really reject at the capacity boundary it reaches
     positions = 1 + np.concatenate(([0], np.cumsum(fast.selected)))[:length]
     rejected_at = set(positions[fast.rejected].tolist())
@@ -277,6 +276,12 @@ def test_bad_p_value_names_its_row_and_position():
         runner(block[1])
     with pytest.raises(StreamError, match="2-d block"):
         runner(block[None])
+    # a value that is not a number, and ragged rows, fail as the scalar step does
+    for bad in (["0.1", "x"], [[0.1, 0.2], [0.3]], [0.1, object()]):
+        with pytest.raises(StreamError, match="^p-values must be real numbers"):
+            runner(bad)
+    with pytest.raises(StreamError, match="^p-values must be real numbers"):
+        run_stream(CONFIGS[0], ["0.1", "x"])
 
 
 @pytest.mark.parametrize("cfg", CONFIGS + GROWTH_CONFIGS + ZERO_BASE, ids=_ids)
@@ -345,18 +350,19 @@ def test_a_carried_state_takes_one_stream():
         run(np.full((2, 5), 0.5), state=proc.state)
 
 
-TABLE_CONFIGS = [  # (config, number of leading levels a saturating budget clamps)
+CLAMP_CONFIGS = [  # (config, number of leading levels a saturating budget clamps)
     (ProcedureConfig(procedure="alpha-spending", alpha=0.2, series={"kind": "log-q", "q": 2.0}), 0),
     (ProcedureConfig(procedure="online-sidak", alpha=0.2, series={"kind": "q", "q": 2.0}), 0),
     (ProcedureConfig(procedure="alpha-spending", alpha=0.9, series={"kind": "q", "q": 2.0}, k=4), 1),
-    # k * alpha = 2^19: the clamp reaches across two doublings of the table
+    # k * alpha = 2^19: the clamp covers the first 3684 levels, across three chunk edges
     (ProcedureConfig(procedure="alpha-spending", alpha=0.5, series={"kind": "log-q", "q": 2.0}, k=2**20), 3684),
 ]
 
 
-@pytest.mark.parametrize("cfg,saturated", TABLE_CONFIGS, ids=[_ids(cfg) for cfg, _ in TABLE_CONFIGS])
-def test_level_table_grown_by_chunks_equals_one_shot(cfg, saturated):
-    # every step is counted, so the levels are the table itself; chunks grow it to 1024, 2048, then 4096
+@pytest.mark.parametrize("cfg,saturated", CLAMP_CONFIGS, ids=[_ids(cfg) for cfg, _ in CLAMP_CONFIGS])
+def test_chunked_levels_equal_one_shot_through_clamps(cfg, saturated):
+    # every step is counted, so step i reads index i: levels decided in chunks of 1000 equal
+    # the one-shot levels, through the leading levels a saturating budget clamps
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)  # k * alpha >= 1 warns that levels saturate
         proc, chunked, one_shot = cfg.build(), make_runner(cfg), make_runner(cfg)
@@ -441,6 +447,22 @@ def test_a_rejection_run_reads_the_buffer_a_few_times(cfg, monkeypatch):
     assert np.flatnonzero(res.rejected).tolist() == list(range(1000, 1200))
     assert len(calls) <= 3
     assert res.levels.tolist() == [d.alpha for d in cfg.build().run(p)]
+
+
+@pytest.mark.parametrize("cfg", [RUN_CONFIGS[0], RUN_CONFIGS[2], RUN_CONFIGS[3]], ids=_ids)
+def test_the_loop_follows_the_input_shape(cfg, monkeypatch):
+    # one stream is a chunk carried from a fresh state; only a 2-d block reaches the block loop
+    def block_loop(*args):
+        raise AssertionError("the block loop ran")
+
+    monkeypatch.setattr("fwerstream.fast._recycle", block_loop)
+    p = _run_stream(seed=9)
+    res = run_stream(cfg, p)
+    steps = cfg.build().run(p)
+    assert res.levels.tolist() == [d.alpha for d in steps]
+    assert res.rejected.tolist() == [d.rejected for d in steps]
+    with pytest.raises(AssertionError, match="block loop"):
+        make_runner(cfg)(p[None])
 
 
 @pytest.mark.parametrize("name", ["alpha-spending", "online-sidak", "online-fallback-1"])
