@@ -15,13 +15,19 @@ candidates), of
 
 where beta is recovered from the level by inverting
 level = tau * (1 - (1-k*alpha)^beta).  The slack is 1e-9 absolute, and
-1e-12 for online-sidak, whose levels are exact Sidak levels.  Every trace
-is additionally checked for level sanity: levels < min(tau, 1), and
-rejections only at p <= level on selected steps.
+1e-12 for online-sidak, whose levels are exact Sidak levels.  The slack
+bounds the levels, not the audit's own rounding: the running sum is one
+``np.cumsum``, whose error grows with the stream, so a prefix it reads
+within that error of the cap is summed again exactly with ``math.fsum``
+before it is reported, and a stream's chunks carry the sum on with the
+compensation the cumsum rounded off.  Every trace is additionally checked
+for level sanity: levels < min(tau, 1), and rejections only at p <= level
+on selected steps.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -80,14 +86,15 @@ def audit_trace(trace, config: ProcedureConfig | None = None, state=None) -> Aud
     With the carried :class:`~fwerstream.core.StreamState` of a stream,
     ``trace`` is the chunk of that stream which ends at step ``state.i``:
     indices count from the start of the stream, the budget's prefix sum
-    starts from ``state.audit_sum``, and a passing audit carries the sum on.
+    starts from ``state.audit_sum`` + ``state.audit_err``, and a passing
+    audit carries the sum on.
     """
     r = _as_result(trace, config)
     if r.levels.ndim != 1:
         raise AuditError("audit one stream at a time, not a block of streams")
     spec = SPECS[r.procedure]
     levels, rej, n = r.levels, r.rejected, len(r)
-    start, carry = (0, 0.0) if state is None else (state.i - n, state.audit_sum)
+    start, carry = (0, (0.0, 0.0)) if state is None else (state.i - n, (state.audit_sum, state.audit_err))
     checks = [
         AuditCheck("levels below min(tau, 1)", *_ok(levels < np.minimum(r.tau, 1.0), start)),
         AuditCheck("rejections at p <= level", *_ok(~rej | (r.p <= levels), start)),
@@ -106,16 +113,43 @@ def audit_trace(trace, config: ProcedureConfig | None = None, state=None) -> Aud
         name, contrib, cap = "non-rejected level/tau <= k*alpha", levels / tau, r.budget
         counted &= ~rej
     # the carry seeds the running sum, so every prefix sums its terms in stream order
+    terms = np.where(counted, contrib, 0.0)
     prefix = np.empty(n + 1)
-    prefix[0] = carry
-    prefix[1:] = np.where(counted, contrib, 0.0)
+    prefix[0] = carry[0]
+    prefix[1:] = terms
     np.cumsum(prefix, out=prefix)
-    bad = _first_bad(prefix[1:] > cap + spec.audit_tol, start)
+    bound = cap + spec.audit_tol
+    # the terms are >= 0, so each prefix is off by less than (n + 1) eps times the last
+    near = _first_bad(prefix[1:] > bound - (n + 1) * np.finfo(float).eps * prefix[-1])
+    bad = None if near is None else _first_over(carry, terms, near, bound, start)
     checks.append(AuditCheck(f"sum over counted steps of {name}", bad is None, bad))
     report = AuditReport(r.procedure, all(c.passed for c in checks), tuple(checks))
     if state is not None and report.passed:
-        state.audit_sum = float(prefix[-1])
+        # carry the sum as audit_sum + audit_err: TwoSum finds what each add of the cumsum rounded off
+        a, s = prefix[:-1], prefix[1:]
+        b = s - a
+        err = state.audit_err + float(((a - (s - b)) + (terms - b)).sum())
+        state.audit_sum = float(prefix[-1]) + err
+        state.audit_err = (float(prefix[-1]) - state.audit_sum) + err
     return report
+
+
+def _first_over(carry, terms, first, bound, start) -> int | None:
+    """``start`` + the first k >= ``first`` at which the carried pair plus
+    ``terms[:k]``, summed exactly, exceeds ``bound``, or None; the sum at
+    ``first - 1`` is known not to.  The terms are >= 0, so the exact sums
+    never decrease and a bisection finds k."""
+
+    def over(k):
+        return math.fsum([*carry, *terms[:k].tolist()]) > bound
+
+    lo, hi = first - 1, terms.size
+    if not over(hi):
+        return None
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if over(mid) else (mid, hi)
+    return start + hi
 
 
 def _ok(good: np.ndarray, start: int = 0) -> tuple[bool, int | None]:

@@ -245,10 +245,11 @@ class StreamState:
     :data:`fwerstream.spec.SPECS` reads (every row has one, with lag 0 on
     rows that are not lagged; ``window[-1]`` counts all the steps taken),
     the :class:`RecycleBuffer` it builds from the fallback ``weights`` it
-    is given (none without them), and the audit's running prefix sum.
+    is given (none without them), and the audit's running prefix sum, as a
+    float and the compensation its rounding dropped.
     """
 
-    __slots__ = ("i", "window", "window_start", "recycled", "audit_sum")
+    __slots__ = ("i", "window", "window_start", "recycled", "audit_sum", "audit_err")
 
     TRIM = 64  # a consumed prefix this long, and half the window, is dropped in one go
 
@@ -257,7 +258,7 @@ class StreamState:
         self.window = [0]  # window[j] = counted steps among the first window_start + j
         self.window_start = 0
         self.recycled = None if weights is None else RecycleBuffer(weights)  # indexed by t
-        self.audit_sum = 0.0
+        self.audit_sum = self.audit_err = 0.0
 
     def advance(self, count: bool, visible: int) -> None:
         """Record one more step, counted or not, that saw the first ``visible`` steps.

@@ -21,22 +21,22 @@ hi, and keeps nothing past the call but the weight series' own memo.  With
 constant tau and lambda, spending and Sidak levels depend on the series
 index t alone, so the call maps each of those weights once and gathers the
 level of index t; with tau and lambda by step, it maps each step's weight.
-Fallback levels carry recycled mass on top of their base levels.  On a
-block, :func:`_recycle` loops over counted positions m = 1, 2, ... (the
-series index of the selected steps) with every row of the block at the same
-m, so the loop's numpy calls are shared by all the rows (the simulation
-passes 128 at T = 1000): a row that rejects at m adds
-``a * weights.span(m, .)`` to its own positions m+1, ..., and each step
-then reads the level of its position t.  Each position therefore sums its
-terms in ascending m, the order in which
-:class:`fwerstream.core.RecycleBuffer` adds them, and the block rows stay
-bit-identical to the step scheduler.  One-step weights write position m+1
-with one masked multiply instead.  One stream reads and feeds its state's
-``RecycleBuffer`` itself (:func:`_recycle_carried`), one rejection run at a
-time: the positions up to a run's first rejection in one array read, the
-rest of the run one position at a time with the same two float operations,
-so a run of r rejections costs r buffer adds and the chunk is read again
-only after the run ends.
+Fallback levels carry recycled mass on top of their base levels: both loops
+keep base + mass at each counted position m (the series index of the
+selected steps), for any tau, and a step that reads it multiplies it by its
+own tau.  On a block, :func:`_recycle` loops over m = 1, 2, ... with every
+row at the same m, so the loop's numpy calls are shared by all the rows (the
+simulation passes 128 at T = 1000): a row that rejects at m adds ``a *
+weights.span(m, .)`` to its own positions m+1, ..., and each step then reads
+its position t.  Each position therefore sums its terms in ascending m, the
+order in which :class:`fwerstream.core.RecycleBuffer` adds them, and the
+block rows stay bit-identical to the step scheduler.  One-step weights write
+position m+1 with one masked multiply instead.  One stream reads and feeds
+its state's ``RecycleBuffer`` itself (:func:`_recycle_carried`), one
+rejection run at a time: the positions up to a run's first rejection in one
+array read, the rest of the run one position at a time with the same two
+float operations, so a run of r rejections costs r buffer adds and the chunk
+is read again only after the run ends.
 """
 
 from __future__ import annotations
@@ -106,6 +106,8 @@ def _check_p_array(p) -> np.ndarray:
     if arr.size and not (arr.min() >= 0.0 and arr.max() <= 1.0):  # a NaN fails both
         at = np.argwhere(np.isnan(arr) | (arr < 0.0) | (arr > 1.0))[0]
         where = f"row {at[0] + 1}, position {at[1] + 1}" if arr.ndim == 2 else f"position {at[0] + 1}"
+        if np.asarray(p, dtype=object)[tuple(at)] is None:  # None converts to NaN
+            raise StreamError(f"p-value must be a real number at {where}, got None")
         raise StreamError(f"p-value out of [0, 1] at {where}: {arr[tuple(at)]}")
     return arr
 
@@ -198,11 +200,11 @@ def _recycle(p, selected, t0, tau, base, weights):
     """Fallback levels tau * (base_t + recycled(t)) of a block of streams, by
     counted position (see the module docstring); ``base`` is 0-based in t.
     Column m-1 of ``pc`` holds each row's p-value at its m-th selected step;
-    a non-selected step reads the level of the position it waits at.  With
-    tau by step, a position keeps base + mass, which its selected step (tau
-    in ``tc``) and every step that reads it multiply by their own tau.
+    a non-selected step reads the level of the position it waits at.  A
+    position keeps base + mass, which its selected step (tau in ``tc`` when
+    tau is by step) and every step that reads it multiply by their own tau.
 
-    The mass by position is kept in the first columns of the levels array,
+    Base + mass by position is kept in the first columns of the levels array,
     which each row then spreads over its steps in place: step i reads
     position t = ``t0[i-1]`` + 1, from the runner's index rule.  A span add takes
     at most ``SPAN_ADD_ELEMENTS`` cells at a time, so its temporaries stay
@@ -229,12 +231,9 @@ def _recycle(p, selected, t0, tau, base, weights):
     base = base.tolist()
     one_step = isinstance(weights, OneStepWeights)
     for j in range(width):
-        a = out[:, j]
-        a += base[j]
-        if by_step:
-            a = a * tc[:, j]
-        elif tau != 1.0:
-            a *= tau
+        m = out[:, j]
+        m += base[j]
+        a = m * (tc[:, j] if by_step else tau)
         if one_step:
             if j + 1 < width:
                 np.multiply(a, pc[:, j] <= a, out=out[:, j + 1])
@@ -248,7 +247,7 @@ def _recycle(p, selected, t0, tau, base, weights):
                 out[rg, j + 1 : j + 1 + span.size] += a[rg, None] * span
     if by_step or tau < 1.0:
         for row, t in zip(levels, t0):
-            row[:] = row[t] * tau if by_step else row[t]
+            row[:] = row[t] * tau
     return levels
 
 
@@ -267,21 +266,18 @@ def _recycle_carried(p, selected, t0, c0, tau, base, recycled):
     thus costs r buffer adds and no re-read of the chunk.  Both ways compute
     ``(mass + base) * tau`` with the same two IEEE operations in the same
     order, so the levels are bit-identical, and each position sums its
-    recycled terms in ascending k, the order of the scalar step.  With tau by
-    step, a position keeps ``mass + base``, as in :func:`_recycle`.
+    recycled terms in ascending k, the order of the scalar step.  A position
+    keeps ``mass + base``, as in :func:`_recycle`.
     """
-    by_step = np.ndim(tau) == 1
-    pc = p[selected] if by_step or tau < 1.0 else p  # the p-value at each position the chunk takes
-    tc = tau[selected] if by_step else None  # ... and the tau of its selected step
+    pc = p[selected]  # the p-value at each position the chunk takes
+    tc = np.broadcast_to(tau, p.shape)[selected]  # ... and the tau of its selected step
     width = base.size  # positions read, the last perhaps only waited at
-    levels = np.empty(width)
+    levels = np.empty(width)  # base + mass by position
     q = 0
     while q < width:
         run = recycled.masses(c0 + 1 + q, c0 + 1 + width)
         run += base[q:width]
-        if not by_step and tau != 1.0:
-            run *= tau
-        taken = run[: pc.size - q] * tc[q:] if by_step else run[: pc.size - q]
+        taken = run[: pc.size - q] * tc[q:]
         hit = np.flatnonzero((pc[q:] <= taken) & (taken > 0.0))
         if not hit.size:
             levels[q:] = run
@@ -292,14 +288,13 @@ def _recycle_carried(p, selected, t0, c0, tau, base, recycled):
         q += r
         while q < pc.size:  # the rejection run goes on while position q rejects
             mass = recycled.mass(c0 + 1 + q) + float(base[q])
-            a = mass * (float(tc[q]) if by_step else tau)  # x * 1.0 == x
+            a = mass * float(tc[q])
             if not (pc[q] <= a and a > 0.0):
                 break
-            levels[q] = mass if by_step else a
+            levels[q] = mass
             recycled.reject(c0 + 1 + q, a)
             q += 1
-    levels = levels if not by_step and tau == 1.0 else levels[t0 - c0]
-    return levels * tau if by_step else levels
+    return levels[t0 - c0] * tau
 
 
 def run_stream(cfg: ProcedureConfig, p, batch_ids=None) -> StreamResult:

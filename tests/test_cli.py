@@ -224,12 +224,20 @@ class TestExperiment:
         ("procedures", [], "procedures must be a non-empty list, got []"),
         ("grid", {"pi_a": []}, "grid.pi_a must be a non-empty list, got []"),
         ("grid", {"mu_n": []}, "grid.mu_n must be a non-empty list, got []"),
+        ("procedures", [{"procedure": "addis-spending-local", "alpha": 0.2, "lags": "x"}],
+         "lags config must be a dict with a 'kind', got 'x'"),
+        ("procedures", [{"procedure": "addis-spending-local", "alpha": 0.2, "lags": {"kind": "nope"}}],
+         "unknown lags kind 'nope'"),
+        ("procedures", [{"procedure": "online-fallback", "alpha": 0.2, "weights": "x"}],
+         "fallback weights config must be a dict with a 'kind', got 'x'"),
+        ("procedures", [{"procedure": "online-fallback", "alpha": 0.2, "weights": {"kind": "nope"}}],
+         "unknown fallback weights kind 'nope'"),
     ], ids=["grid", "pi_a", "mu_n", "trials", "trials-fraction", "trials-bool",
             "trials-string", "seed-fraction", "seed-bool", "T-fraction",
             "pi_a-bool", "pi_a-string", "mu_n-string", "mu_a-string", "mu_a-bool",
             "alpha-string", "alpha-out-of-range", "tau-below-grid-alpha",
             "pi_a-number", "pi_a-text", "grid-list", "procedures-text", "procedures-empty",
-            "pi_a-empty", "mu_n-empty"])
+            "pi_a-empty", "mu_n-empty", "lags-text", "lags-kind", "weights-text", "weights-kind"])
     def test_malformed_config_exits_3_before_any_output(self, tmp_path, capsys, key, value, named):
         cfg = tmp_path / "exp.json"
         cfg.write_text(json.dumps({"procedures": [{"procedure": "alpha-spending", "alpha": 0.2}],
@@ -519,6 +527,17 @@ class TestRoundTrip:
         rows = read_csv(out)[1:]
         assert [float(r[2]) for r in rows] == res.levels.tolist()
         assert audit_trace(res, cfg).passed
+
+    def test_a_long_stream_that_spends_the_whole_budget_writes_every_row(self, tmp_path):
+        # n weights that sum to exactly 1: a plain running sum of the audit's
+        # terms reads 1 + 3.2e-12 at the last record, over the 1e-12 slack
+        n = 120_000
+        series, inp, out = tmp_path / "s.json", tmp_path / "in.csv", tmp_path / "out.csv"
+        series.write_text(json.dumps({"kind": "explicit", "weights": [1 / n] * n}))
+        inp.write_text("p\n" + "1\n" * n)
+        assert main(["run", "--input", str(inp), "--out", str(out), "--procedure", "online-sidak",
+                     "--alpha", "0.2", "--series", str(series)]) == 0
+        assert len(read_csv(out)) == 1 + n
 
     @pytest.mark.parametrize("name", ["online-fallback", "discard-fallback"])
     def test_long_all_rejecting_stream(self, tmp_path, name):

@@ -3,6 +3,7 @@
 import tracemalloc
 import warnings
 import zlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -28,6 +29,11 @@ CONFIGS = [
     ProcedureConfig(procedure="online-fallback", alpha=0.25, series={"kind": "log-q", "q": 2.0},
                     weights={"kind": "explicit", "rows": [[0.5, 0.5], [1.0], [0.2, 0.2, 0.2]]}),
     ProcedureConfig(procedure="online-fallback-1", alpha=0.2, series={"kind": "log-q", "q": 2.0}),
+    # the default weights, spelled out and by their alias
+    ProcedureConfig(procedure="online-fallback", alpha=0.2, series={"kind": "q", "q": 2.0},
+                    weights={"kind": "lagged-gamma"}),
+    ProcedureConfig(procedure="discard-fallback", alpha=0.2, series={"kind": "log-q", "q": 2.0}, tau=0.6,
+                    weights={"kind": "lagged"}),
     ProcedureConfig(procedure="discard-spending", alpha=0.2, series={"kind": "q", "q": 2.0}, tau=0.5),
     ProcedureConfig(procedure="discard-spending", alpha=0.2, series={"kind": "log-q", "q": 2.0}, tau=0.9),
     ProcedureConfig(procedure="adaptive-spending", alpha=0.2, series={"kind": "q", "q": 2.0}, lam=0.5),
@@ -116,6 +122,9 @@ def test_fast_equals_step_bitwise(cfg):
         np.testing.assert_array_equal(fast.candidate, slow.candidate)
         np.testing.assert_array_equal(fast.tau, slow.tau)
         np.testing.assert_array_equal(fast.lam, slow.lam)
+        if isinstance(cfg.weights, dict) and cfg.weights["kind"] in ("lagged-gamma", "lagged"):
+            default = make_runner(replace(cfg, weights=None))(p)
+            np.testing.assert_array_equal(fast.levels, default.levels)
 
 
 def test_callable_schedule_falls_back_to_step_path(cfg=None):
@@ -282,6 +291,13 @@ def test_bad_p_value_names_its_row_and_position():
             runner(bad)
     with pytest.raises(StreamError, match="^p-values must be real numbers"):
         run_stream(CONFIGS[0], ["0.1", "x"])
+    # None converts to NaN, but is named as the scalar step names it
+    with pytest.raises(StreamError, match=r"^p-value must be a real number at position 1, got None$"):
+        run_stream(CONFIGS[0], [None, 0.1])
+    with pytest.raises(StreamError, match=r"^p-value must be a real number at row 2, position 4, got None$"):
+        runner([[0.5] * 5, [0.5, 0.5, 0.5, None, 0.5]])
+    with pytest.raises(StreamError, match=r"at position 2: nan$"):
+        runner([0.1, float("nan")])
 
 
 @pytest.mark.parametrize("cfg", CONFIGS + GROWTH_CONFIGS + ZERO_BASE, ids=_ids)

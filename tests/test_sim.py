@@ -24,10 +24,11 @@ from fwerstream import (
     make_runner,
     run_stream,
 )
-from fwerstream import cli
+from fwerstream import cli, fast
 from fwerstream import sim as simmod
-from fwerstream.core import OnlineProcedure
+from fwerstream.core import OnlineProcedure, StreamState
 from fwerstream.errors import AuditError
+from fwerstream.spec import SPECS, level_map
 
 LOG2 = {"kind": "log-q", "q": 2.0}
 
@@ -318,6 +319,47 @@ class TestAuditTrace:
     def test_sidak_product_honors_tolerance(self):
         result, cfg = self._trace("online-sidak", n=3000)
         assert audit_trace(result, cfg).passed
+
+    @staticmethod
+    def _audit_in_chunks(result, cfg, size):
+        state = StreamState()
+        for a in range(0, len(result), size):
+            chunk = replace(result, **{c: getattr(result, c)[a : a + size] for c in fast._COLUMNS})
+            state.i += len(chunk)
+            report = audit_trace(chunk, cfg, state)
+            if not report.passed:
+                break
+        return report
+
+    @pytest.mark.parametrize("n,over,want", [(120_000, 0.0, None), (80_000, 2e-12, 80_000)])
+    def test_a_long_stream_is_audited_by_its_exact_sum(self, n, over, want):
+        # n equal weights summing to exactly 1 + over; a plain cumsum of their
+        # beta terms reads 1 + 3.2e-12 at the end of the first stream, over
+        # the 1e-12 slack, and 1 - 1.1e-13 at the end of the second
+        cfg = ProcedureConfig(procedure="online-sidak", alpha=0.2, series={"kind": "explicit", "weights": [1 / n] * n})
+        result = run_stream(cfg, np.ones(n))
+        result.levels[:] = level_map("sidak", 0.2, 1.0, 0.0, np.full(n, (1 + over) / n))
+        assert audit_trace(result, cfg).first_bad_index == want
+        for size in (1000, 4096, 50_000):
+            assert self._audit_in_chunks(result, cfg, size).first_bad_index == want, size
+
+    @pytest.mark.parametrize("name", PROCEDURES)
+    def test_an_overspend_of_ten_tolerances_fails_where_it_starts(self, name):
+        # m steps of equal weight whose exact sum is the cap plus 10 slacks:
+        # the prefix first crosses the cap plus one slack at the m-th of them
+        cfg = ProcedureConfig(procedure=name, alpha=0.2, series=LOG2)
+        tau, lam = cfg.build().thresholds
+        spec = SPECS[name]
+        m, before, n = 5000, 500, 6000
+        result = run_stream(cfg, np.full(n, tau))  # every step is counted, none rejects
+        cap = 1.0 if spec.family == "sidak" else 0.2
+        gam = np.zeros(n)
+        gam[before:] = (1 + 10 * spec.audit_tol / cap) / m
+        result.levels[:] = level_map(spec.family, 0.2, tau, lam, gam) * (tau if spec.family == "fallback" else 1.0)
+        want = before + m
+        assert audit_trace(result, cfg).first_bad_index == want
+        for size in (7, 1000, 4096):
+            assert self._audit_in_chunks(result, cfg, size).first_bad_index == want, size
 
 
 class TestErrorControlSpotChecks:
