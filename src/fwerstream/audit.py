@@ -17,17 +17,17 @@ where beta is recovered from the level by inverting
 level = tau * (1 - (1-k*alpha)^beta).  The slack is 1e-9 absolute, and
 1e-12 for online-sidak, whose levels are exact Sidak levels.  The slack
 bounds the levels, not the audit's own rounding: the running sum is one
-``np.cumsum``, whose error grows with the stream, so a prefix it reads
-within that error of the cap is summed again exactly with ``math.fsum``
-before it is reported, and a stream's chunks carry the sum on with the
-compensation the cumsum rounded off.  Every trace is additionally checked
-for level sanity: levels < min(tau, 1), and rejections only at p <= level
-on selected steps.
+``np.cumsum``, and the TwoSum errors of its adds, summed and added back,
+give each prefix within one rounding of its exact value.  That compensated
+prefix decides the check, so a term that is not finite fails it at its own
+index; a stream's chunks carry the last one on as ``audit_sum`` (rounded to
+a float) and ``audit_err`` (what that rounding dropped).  Every trace is
+additionally checked for level sanity: levels < min(tau, 1), and rejections
+only at p <= level on selected steps.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -104,52 +104,36 @@ def audit_trace(trace, config: ProcedureConfig | None = None, state=None) -> Aud
     tau, selected = (r.tau, r.selected) if spec.discards else (1.0, np.ones(n, dtype=bool))
     lam, candidate = (r.lam, r.candidate) if spec.adapts else (0.0, np.zeros(n, dtype=bool))
     counted = selected & ~candidate
-    if spec.family == "spending":
-        name, contrib, cap = "level/(tau-lambda) <= k*alpha", levels / (tau - lam), r.budget
-    elif spec.family == "sidak":
-        beta = np.log1p(-np.minimum(levels / tau, 1.0 - 1e-300)) / np.log1p(-r.budget)
-        name, contrib, cap = "beta/((tau-lambda)/tau) <= 1", beta / ((tau - lam) / tau), 1.0
-    else:
-        name, contrib, cap = "non-rejected level/tau <= k*alpha", levels / tau, r.budget
-        counted &= ~rej
-    # the carry seeds the running sum, so every prefix sums its terms in stream order
-    terms = np.where(counted, contrib, 0.0)
-    prefix = np.empty(n + 1)
-    prefix[0] = carry[0]
-    prefix[1:] = terms
-    np.cumsum(prefix, out=prefix)
-    bound = cap + spec.audit_tol
-    # the terms are >= 0, so each prefix is off by less than (n + 1) eps times the last
-    near = _first_bad(prefix[1:] > bound - (n + 1) * np.finfo(float).eps * prefix[-1])
-    bad = None if near is None else _first_over(carry, terms, near, bound, start)
-    checks.append(AuditCheck(f"sum over counted steps of {name}", bad is None, bad))
-    report = AuditReport(r.procedure, all(c.passed for c in checks), tuple(checks))
-    if state is not None and report.passed:
-        # carry the sum as audit_sum + audit_err: TwoSum finds what each add of the cumsum rounded off
+    with np.errstate(divide="ignore", invalid="ignore"):  # a level at or past tau gives an inf or NaN term
+        if spec.family == "spending":
+            name, contrib, cap = "level/(tau-lambda) <= k*alpha", levels / (tau - lam), r.budget
+        elif spec.family == "sidak":
+            beta = np.log1p(-levels / tau) / np.log1p(-r.budget)
+            name, contrib, cap = "beta/((tau-lambda)/tau) <= 1", beta / ((tau - lam) / tau), 1.0
+        else:
+            name, contrib, cap = "non-rejected level/tau <= k*alpha", levels / tau, r.budget
+            counted &= ~rej
+        # the carry seeds the running sum, so every prefix sums its terms in stream order
+        terms = np.where(counted, contrib, 0.0)
+        prefix = np.cumsum(np.concatenate(([carry[0]], terms)))
+        # TwoSum: the add a + t = s of the cumsum rounds off exactly (a - (s - b)) + (t - b), b = s - a;
+        # err sums these from the carried compensation on, in place
         a, s = prefix[:-1], prefix[1:]
         b = s - a
-        err = state.audit_err + float(((a - (s - b)) + (terms - b)).sum())
-        state.audit_sum = float(prefix[-1]) + err
-        state.audit_err = (float(prefix[-1]) - state.audit_sum) + err
+        err = np.empty(n + 1)
+        err[0] = carry[1]
+        e = np.subtract(s, b, out=err[1:])
+        np.subtract(a, e, out=e)
+        e += np.subtract(terms, b, out=b)
+        np.cumsum(err, out=err)
+        # each compensated prefix is within one rounding of the exact one; NaN compares false, so it fails
+        bad = _first_bad(~(np.add(s, e, out=b) <= cap + spec.audit_tol), start)
+    checks.append(AuditCheck(f"sum over counted steps of {name}", bad is None, bad))
+    report = AuditReport(r.procedure, all(c.passed for c in checks), tuple(checks))
+    if state is not None and report.passed:  # carry the last prefix on as the float and what it rounded off
+        state.audit_sum = float(prefix[-1] + err[-1])
+        state.audit_err = float((prefix[-1] - state.audit_sum) + err[-1])
     return report
-
-
-def _first_over(carry, terms, first, bound, start) -> int | None:
-    """``start`` + the first k >= ``first`` at which the carried pair plus
-    ``terms[:k]``, summed exactly, exceeds ``bound``, or None; the sum at
-    ``first - 1`` is known not to.  The terms are >= 0, so the exact sums
-    never decrease and a bisection finds k."""
-
-    def over(k):
-        return math.fsum([*carry, *terms[:k].tolist()]) > bound
-
-    lo, hi = first - 1, terms.size
-    if not over(hi):
-        return None
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        lo, hi = (lo, mid) if over(mid) else (mid, hi)
-    return start + hi
 
 
 def _ok(good: np.ndarray, start: int = 0) -> tuple[bool, int | None]:

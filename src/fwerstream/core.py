@@ -245,8 +245,9 @@ class StreamState:
     :data:`fwerstream.spec.SPECS` reads (every row has one, with lag 0 on
     rows that are not lagged; ``window[-1]`` counts all the steps taken),
     the :class:`RecycleBuffer` it builds from the fallback ``weights`` it
-    is given (none without them), and the audit's running prefix sum, as a
-    float and the compensation its rounding dropped.
+    is given (none without them), and the audit's last compensated prefix
+    sum, as ``audit_sum`` (rounded to a float) and ``audit_err`` (what that
+    rounding dropped), from which the next chunk's prefixes continue.
     """
 
     __slots__ = ("i", "window", "window_start", "recycled", "audit_sum", "audit_err")

@@ -171,7 +171,7 @@ def make_runner(cfg: ProcedureConfig, batch_ids=None):
             t0 = prefix[:, visible - start]
             t0 += lag
         # the weights of the series indices the steps read, lo + 1, ..., hi
-        lo, hi = (int(t0.min()), int(t0.max()) + 1) if n else (0, 0)
+        lo, hi = (int(t0.min()), int(t0.max()) + 1) if t0.size else (0, 0)
         gam = series.weights_upto(hi)[lo:]
         if spec.family == "fallback":  # the base level, for any tau
             base = level_map(spec.family, budget, 1.0, 0.0, gam)
@@ -183,7 +183,7 @@ def make_runner(cfg: ProcedureConfig, batch_ids=None):
                 levels = level_map(spec.family, budget, tau, lam, gam[at])
             else:  # one level per series index
                 levels = level_map(spec.family, budget, tau, lam, gam)[at]
-        if n:  # keep the window from what the last step sees on
+        if t0.size:  # keep the window from what the last step sees on
             last = i0 + n - 1 if lags is None else int(visible[-1])
             state.i = i0 + n
             state.window, state.window_start = prefix[0, last - start :].tolist(), last

@@ -168,8 +168,8 @@ class LogQSeries(PowerLawSeries):
 
 
 def weight_vector(values, name: str) -> tuple[np.ndarray, float]:
-    """``values`` as a read-only flat float64 array of finite entries >= 0
-    summing to at most one (1e-12 slack), with its ``math.fsum`` total.
+    """``values`` as a read-only flat float64 array of finite entries in
+    [0, 1] summing to at most one (1e-12 slack), with its ``math.fsum`` total.
 
     The one check behind explicit series and explicit fallback weight rows.
     """
@@ -184,6 +184,9 @@ def weight_vector(values, name: str) -> tuple[np.ndarray, float]:
         raise ConfigError(f"{name} must be a flat list of numbers") from None
     if not np.all(np.isfinite(w)) or np.any(w < 0.0):
         raise ConfigError(f"{name} has negative or non-finite entries")
+    if np.any(w > 1.0):
+        i = int(np.argmax(w > 1.0))
+        raise ConfigError(f"{name} has entry {i} = {float(w[i])!r} above one")
     total = math.fsum(w.tolist())
     if total > 1.0 + 1e-12:
         raise ConfigError(f"{name} sums to {total} > 1")

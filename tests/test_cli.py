@@ -464,6 +464,22 @@ class TestValidate:
             assert main(["validate", "--config", str(cfg)]) == 3
             assert main(["run", "--input", str(inp), "--out", str(tmp_path / "o.csv"), "--config", str(cfg)]) == 3
 
+    @pytest.mark.parametrize("config", [
+        {"procedure": "alpha-spending", "alpha": 0.9999999999999,
+         "series": {"kind": "explicit", "weights": [1.000000000001]}},
+        {"procedure": "online-fallback", "alpha": 0.2, "weights": {"kind": "explicit", "rows": [[0.5], [1.000000000001]]}},
+    ], ids=["series", "fallback-row"])
+    def test_an_explicit_weight_above_one_fails(self, tmp_path, capsys, config):
+        # the sum is within its 1e-12 slack, but the entry would let a level reach min(tau, 1)
+        cfg, inp, out = tmp_path / "w.json", tmp_path / "in.csv", tmp_path / "o.csv"
+        cfg.write_text(json.dumps(config))
+        assert main(["validate", "--config", str(cfg)]) == 3
+        assert "FAIL" in (said := capsys.readouterr().out) and "above one" in said
+        write_stream(inp, [1.0, 0.5])
+        assert main(["run", "--input", str(inp), "--out", str(out), "--config", str(cfg)]) == 3
+        assert "above one" in capsys.readouterr().err
+        assert not out.exists()
+
 
 @pytest.mark.parametrize("argv", [["run", "--input", "in.csv", "--procedure", "alpha-spending", "--alpha", "0.2"],
                                   ["experiment", "--preset", "fig1", "--trials", "2"], ["solve", "cstar"]],

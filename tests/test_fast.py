@@ -8,10 +8,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from fwerstream import LogQSeries, ProcedureConfig, make_runner, run_stream
+from fwerstream import PROCEDURES, LogQSeries, ProcedureConfig, make_runner, run_stream
 from fwerstream.core import RecycleBuffer, StreamState
 from fwerstream.errors import ConfigError, StreamError
-from fwerstream.fast import from_decisions
+from fwerstream.fast import _COLUMNS, from_decisions
 
 # tau and lambda by step, lambda < tau at every step; no tau reaches the 0.9 that
 # _growth_stream uses for a discarded step, and the lists cover its 2100 steps
@@ -503,3 +503,11 @@ def test_a_chunk_costs_the_same_wherever_the_stream_stands(name):
     assert chunk.rejected.sum() == 4
     want = run_stream(cfg, p).levels[head:]
     assert [x.hex() for x in chunk.levels.tolist()] == [x.hex() for x in want.tolist()]
+
+
+@pytest.mark.parametrize("name", PROCEDURES)
+def test_a_block_with_no_elements_gives_columns_of_its_shape(name):
+    run = make_runner(ProcedureConfig(procedure=name, alpha=0.2))
+    for shape in [(0, 50), (3, 0), (0,), (0, 0)]:
+        res = run(np.empty(shape))
+        assert {c: getattr(res, c).shape for c in _COLUMNS} == dict.fromkeys(_COLUMNS, shape), shape

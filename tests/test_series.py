@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from fwerstream import ConfigError, ExplicitSeries, LogQSeries, QSeries, series_from_config
+from fwerstream import ConfigError, ExplicitSeries, LogQSeries, ProcedureConfig, QSeries, make_runner, series_from_config
 
 
 def brute_force_zeta(q: float, terms: int = 10**8) -> tuple[float, float]:
@@ -162,3 +162,18 @@ class TestConfigParsing:
         for cfg in ({}, {"kind": "zeta"}, {"kind": "q"}, {"kind": "q", "q": "two"}, 7):
             with pytest.raises(ConfigError):
                 series_from_config(cfg)
+
+    @pytest.mark.parametrize("cfg", [
+        ProcedureConfig(procedure="alpha-spending", alpha=0.9999999999999,
+                        series={"kind": "explicit", "weights": [1.000000000001]}),
+        ProcedureConfig(procedure="discard-spending", alpha=0.4999999999999, k=2, tau=0.5,
+                        series={"kind": "explicit", "weights": [1.000000000001]}),
+        ProcedureConfig(procedure="discard-fallback", alpha=0.2, tau=0.5,
+                        weights={"kind": "explicit", "rows": [[0.5, 0.5], [1.000000000001]]}),
+    ], ids=["alpha-spending", "discard-spending", "fallback-row"])
+    def test_an_explicit_weight_above_one_is_refused(self, cfg):
+        # its sum passes the 1e-12 slack, but its level would reach tau: the step, the runner and the
+        # validation refuse it alike
+        for build in (cfg.build, lambda: make_runner(cfg)):
+            with pytest.raises(ConfigError, match=r"entry 0 = 1\.000000000001 above one"):
+                build()

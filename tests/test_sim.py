@@ -4,10 +4,14 @@ import csv
 import json
 import math
 import tracemalloc
+import warnings
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from fwerstream import (
@@ -360,6 +364,42 @@ class TestAuditTrace:
         assert audit_trace(result, cfg).first_bad_index == want
         for size in (7, 1000, 4096):
             assert self._audit_in_chunks(result, cfg, size).first_bad_index == want, size
+
+    @pytest.mark.parametrize("bad", ["nan", "tau"])
+    @pytest.mark.parametrize("name", ["alpha-spending", "addis-spending", "online-sidak", "addis-sidak",
+                                      "online-fallback", "discard-fallback"])
+    def test_a_non_finite_or_saturated_level_fails_the_sum_at_its_index(self, name, bad):
+        # a level at tau makes a Sidak term infinite; a NaN level makes every term NaN
+        cfg = ProcedureConfig(procedure=name, alpha=0.2)
+        tau, _ = cfg.build().thresholds
+        result = run_stream(cfg, np.full(10, tau))  # every step is counted, none rejects
+        result.levels[3] = np.nan if bad == "nan" else tau
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = audit_trace(result, cfg)
+            chunked = self._audit_in_chunks(result, cfg, 3)
+        assert report.checks[-1].name.startswith("sum") and report.checks[-1].first_bad_index == 4
+        assert chunked.checks[-1].first_bad_index == 4
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(n=st.integers(1, 3000), seed=st.integers(0, 2**32 - 1), power=st.floats(1.0, 8.0),
+           ulps=st.one_of(st.integers(-40, 40), st.integers(-3_500_000, 3_500_000)), size=st.integers(1, 5000))
+    def test_the_compensated_prefix_decides_as_the_exact_sum(self, n, seed, power, ulps, size):
+        # alpha-spending levels are their own terms; their total is the bound within 1e-10 (3.5e6 ulps),
+        # and often within the few ulps by which a plain cumsum of them is off
+        cfg = ProcedureConfig(procedure="alpha-spending", alpha=0.2, series=LOG2)
+        result = run_stream(cfg, np.ones(n))
+        bound = result.budget + SPECS["alpha-spending"].audit_tol
+        w = np.random.default_rng(seed).random(n) ** power
+        result.levels[:] = w * ((bound + ulps * math.ulp(bound)) / w.sum())
+        exact, bound_q, want = Fraction(0), Fraction(bound), None
+        for k, level in enumerate(result.levels.tolist(), 1):
+            exact += Fraction(level)
+            assume(abs(exact - bound_q) > 4 * Fraction(math.ulp(bound)))
+            if want is None and exact > bound_q:
+                want = k
+        assert audit_trace(result, cfg).first_bad_index == want
+        assert self._audit_in_chunks(result, cfg, size).first_bad_index == want
 
 
 class TestErrorControlSpotChecks:
