@@ -22,8 +22,9 @@ give each prefix within one rounding of its exact value.  That compensated
 prefix decides the check, so a term that is not finite fails it at its own
 index; a stream's chunks carry the last one on as ``audit_sum`` (rounded to
 a float) and ``audit_err`` (what that rounding dropped).  Every trace is
-additionally checked for level sanity: levels < min(tau, 1), and rejections
-only at p <= level on selected steps.
+additionally checked for level sanity: 0 <= level < min(tau, 1), since a
+negative term would offset an overspend in the sum, and rejections only at
+p <= level on selected steps.
 """
 
 from __future__ import annotations
@@ -96,7 +97,7 @@ def audit_trace(trace, config: ProcedureConfig | None = None, state=None) -> Aud
     levels, rej, n = r.levels, r.rejected, len(r)
     start, carry = (0, (0.0, 0.0)) if state is None else (state.i - n, (state.audit_sum, state.audit_err))
     checks = [
-        AuditCheck("levels below min(tau, 1)", *_ok(levels < np.minimum(r.tau, 1.0), start)),
+        AuditCheck("levels in [0, min(tau, 1))", *_ok((0.0 <= levels) & (levels < np.minimum(r.tau, 1.0)), start)),
         AuditCheck("rejections at p <= level", *_ok(~rej | (r.p <= levels), start)),
         AuditCheck("rejections only on selected steps", *_ok(~rej | r.selected, start)),
     ]

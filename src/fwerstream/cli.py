@@ -173,14 +173,15 @@ def _load_json(path: str):
         raise ConfigError(f"{path}: invalid JSON ({exc.msg}, line {exc.lineno})") from None
 
 
-def _series_from_flags(args) -> dict:
+def _series_from_flags(args):
+    """The series config of ``--series`` and ``--q``; a series file is built, and so checked, here."""
     spec = args.series
     if spec is None:
         return {"kind": "log-q", "q": args.q if args.q is not None else 2.0}
     if spec in ("q", "logq", "log-q"):
         kind = "q" if spec == "q" else "log-q"
         return {"kind": kind, "q": args.q if args.q is not None else 2.0}
-    return series_from_config(_load_json(spec)).config()
+    return series_from_config(_load_json(spec))
 
 
 def _lags_from_flag(spec: str | None):
@@ -359,7 +360,7 @@ def _custom_cells(spec: dict, trials: int | None = None, seed: int | None = None
 
 
 def cmd_experiment(args) -> int:
-    from .sim import fig1_cells, fig2_cells, run_cells
+    from .sim import estimate_metrics_many, fig1_cells, fig2_cells
 
     # a flag left out keeps the preset's or the config's value
     given = {k: v for k, v in (("trials", args.trials), ("seed", args.seed)) if v is not None}
@@ -377,8 +378,8 @@ def cmd_experiment(args) -> int:
     with _output(args.out) as out:
         writer = csv.writer(out)
         writer.writerow(list(RESULT_COLUMNS) + list(extra_cols))
-        for meta, reports in run_cells(cells):
-            for label, rep in reports.items():
+        for meta, procedures, sim in cells:
+            for label, rep in estimate_metrics_many(procedures, sim).items():
                 row = [label, _fmt(meta["pi_a"]), _fmt(meta["mu_a"]), _fmt(meta["mu_n"]),
                        meta["T"], _fmt(meta["alpha"]), _fmt(rep.fwer), _fmt(rep.fwer_se),
                        _fmt(rep.pfer), _fmt(rep.power), _fmt(rep.power_se), _fmt(rep.fdr)]

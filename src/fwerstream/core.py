@@ -284,7 +284,9 @@ class OnlineProcedure:
 
     Holds the level budget, the weight series, the :class:`Schedule` objects
     ``tau``, ``lam`` and ``lags``, the running :class:`StreamState` (step
-    count, counted-step window, recycling buffer) and the append-only trace.
+    count, counted-step window, recycling buffer) and the append-only
+    ``trace`` of the decisions made by :meth:`step`, which is kept only when
+    a callable tau or lambda reads it and otherwise stays empty.
     The classes of :data:`SCHEDULERS` only fix ``kind``.  Each option is
     keyword-only, and one the row does not take
     (:attr:`~fwerstream.spec.ProcedureSpec.options`) is a :class:`ConfigError`.
@@ -365,7 +367,8 @@ class OnlineProcedure:
     def step(self, p) -> Decision:
         p = _check_p(p)
         decision = self._step(self.state.i + 1, p)
-        self.trace.append(decision)
+        if self.reads_trace:
+            self.trace.append(decision)
         return decision
 
     def run(self, pvalues) -> list[Decision]:

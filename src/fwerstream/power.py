@@ -173,12 +173,13 @@ def _infinite_q_sum(alpha: float, series: QSeries, mu: float, abs_tol: float) ->
         m *= 2
 
 
-def expected_true_discoveries(n, alpha, series, model: GaussianMixModel, *, abs_tol=1e-9) -> float:
+def expected_true_discoveries(n, alpha, series, model: GaussianMixModel) -> float:
     """Expected true discoveries among the first n tests (n may be math.inf).
 
     For q-series the infinite horizon is summed with a certified
-    truncation bracket; for log-q-series the infinite sum diverges and
-    +inf is returned.
+    truncation bracket, to within 1e-9 absolute (or 1e-12 relative, when
+    that is wider); for log-q-series the infinite sum diverges and +inf is
+    returned.
     """
     alpha = _scalar(alpha, "alpha")
     if not 0.0 < alpha < 1.0:
@@ -192,7 +193,7 @@ def expected_true_discoveries(n, alpha, series, model: GaussianMixModel, *, abs_
         if isinstance(series, LogQSeries):
             return math.inf  # per-test detection decays like e^(mu*sqrt(2 log i))/i: divergent
         if isinstance(series, QSeries):
-            return pi * _infinite_q_sum(alpha, series, mu, abs_tol / max(pi, 1e-300))
+            return pi * _infinite_q_sum(alpha, series, mu, 1e-9 / max(pi, 1e-300))
         raise ConfigError(f"infinite horizon unsupported for series kind {series.kind!r}")
     if isinstance(n, bool) or not (isinstance(n, int) and n >= 0):
         raise ConfigError(f"n must be a nonnegative integer or infinity, got {n!r}")
@@ -203,12 +204,12 @@ def expected_true_discoveries(n, alpha, series, model: GaussianMixModel, *, abs_
 # Optimal q-series exponent
 # ----------------------------------------------------------------------
 
-def optimal_q(n: int, mu_a: float, alpha: float, *, q_max: float = 50.0, tol: float = 1e-6) -> float:
+def optimal_q(n: int, mu_a: float, alpha: float) -> float:
     """argmax over q > 1 of the expected-discovery curve with a q-series.
 
     The curve rises then falls in q for n >= 2, so a bounded scalar search
-    (scipy's ``minimize_scalar``, Brent's method) on (1, q_max] finds the
-    maximizer to within ``tol``; the bracket is widened if the maximizer
+    (scipy's ``minimize_scalar``, Brent's method) on (1, 50] finds the
+    maximizer to within 1e-6; the bracket is doubled if the maximizer
     lands on its upper edge.  n = 1 is rejected:
     the curve is monotone increasing there and has no interior maximum.
     """
@@ -227,8 +228,7 @@ def optimal_q(n: int, mu_a: float, alpha: float, *, q_max: float = 50.0, tol: fl
     def loss(q: float) -> float:
         return -_finite_sum(n, alpha, QSeries(q), mu_a)
 
-    lo = 1.0 + 1e-9
-    hi = float(q_max)
+    lo, hi, tol = 1.0 + 1e-9, 50.0, 1e-6
     while True:
         q_star = float(minimize_scalar(loss, bounds=(lo, hi), method="bounded", options={"xatol": tol}).x)
         if hi - q_star > 10.0 * tol or hi >= 1e5:
@@ -247,13 +247,15 @@ def mixture_cdf(x, model: GaussianMixModel) -> np.ndarray:
     return (1.0 - pi) * ndtr(z + mu_n) + pi * ndtr(z + mu_a)
 
 
-def cstar_threshold(model: GaussianMixModel, *, scan_points: int = 40001) -> float:
+def cstar_threshold(model: GaussianMixModel) -> float:
     """The interior zero of J(x) = x - G(x), G the p-value mixture CDF.
 
     J dips negative just above 0, crosses upward once, stays positive,
     and returns to 0 at 1; candidate thresholds below the crossing and
-    discard thresholds above it are guaranteed power-safe.  Returns 1.0
-    when no interior zero exists below 1 - 1e-9 (uniform nulls).
+    discard thresholds above it are guaranteed power-safe.  A scan of
+    40001 probit-spaced points brackets the crossing and ``brentq`` refines
+    it to within 1e-15.  Returns 1.0 when no interior zero exists below
+    1 - 1e-9 (uniform nulls).
     """
     pi, mu_a, _ = model.scalar_params()
     if not 0.0 < pi < 1.0:
@@ -262,7 +264,7 @@ def cstar_threshold(model: GaussianMixModel, *, scan_points: int = 40001) -> flo
         raise ConfigError(f"mu_a must be > 0, got {mu_a}")
 
     # probit-spaced scan resolves both endpoints; J < 0 near 0 always
-    grid = ndtr(np.linspace(-8.0, 8.0, scan_points))
+    grid = ndtr(np.linspace(-8.0, 8.0, 40001))
     jvals = grid - mixture_cdf(grid, model)
     positive = np.flatnonzero(jvals > 0.0)
     if positive.size == 0:

@@ -42,14 +42,10 @@ class SimConfig:
     block_size: int = 1
 
     def __post_init__(self):
-        if isinstance(self.horizon, bool) or not (isinstance(self.horizon, int) and self.horizon >= 1):
-            raise ConfigError(f"horizon must be a positive integer, got {self.horizon!r}")
-        if isinstance(self.trials, bool) or not (isinstance(self.trials, int) and self.trials >= 1):
-            raise ConfigError(f"trials must be a positive integer, got {self.trials!r}")
-        if isinstance(self.seed, bool) or not (isinstance(self.seed, int) and self.seed >= 0):
-            raise ConfigError(f"seed must be a nonnegative integer, got {self.seed!r}")
-        if isinstance(self.block_size, bool) or not (isinstance(self.block_size, int) and self.block_size >= 1):
-            raise ConfigError(f"block_size must be a positive integer, got {self.block_size!r}")
+        for name, least in (("horizon", 1), ("trials", 1), ("seed", 0), ("block_size", 1)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not (isinstance(value, int) and value >= least):
+                raise ConfigError(f"{name} must be a {'positive' if least else 'nonnegative'} integer, got {value!r}")
         try:
             self.model.pi_vector(self.horizon)
             self.model.mu_a_vector(self.horizon)
@@ -133,10 +129,7 @@ def _se(values: np.ndarray) -> float:
 
 
 def _summarize(cfg: ProcedureConfig, sim: SimConfig, v, d, n_nonnull, n_rej, keep_trials: bool) -> MetricsReport:
-    v = np.asarray(v, dtype=np.int64)
-    d = np.asarray(d, dtype=np.int64)
-    n_nonnull = np.asarray(n_nonnull, dtype=np.int64)
-    n_rej = np.asarray(n_rej, dtype=np.int64)
+    """The report of one procedure from its int64 per-trial counts V, D, non-nulls and R."""
     n = sim.trials
     hit = (v >= cfg.k).astype(np.float64)
     fwer = float(np.mean(hit))
@@ -214,6 +207,7 @@ def estimate_metrics(procedure: ProcedureConfig, sim: SimConfig, *, keep_trials:
 
 FIG1_PROCEDURES = ("alpha-spending", "online-sidak", "online-fallback", "addis-spending")
 FIG2_PROCEDURES = ("alpha-spending", "online-sidak", "online-fallback-1", "online-fallback")
+FIG_HORIZON, FIG_ALPHA = 1000, 0.2
 
 
 def grid_cells(procedures: dict[str, ProcedureConfig], points, *, trials: int, seed: int, horizon: int,
@@ -238,12 +232,12 @@ def grid_cells(procedures: dict[str, ProcedureConfig], points, *, trials: int, s
     return (({**meta, "T": horizon, "alpha": alpha}, dict(procedures), sim) for (_, meta), sim in zip(points, sims))
 
 
-def _fig_procedures(names, alpha: float, series: dict) -> dict[str, ProcedureConfig]:
-    return {name: ProcedureConfig(procedure=name, alpha=alpha, series=dict(series)) for name in names}
+def _fig_procedures(names, series: dict) -> dict[str, ProcedureConfig]:
+    return {name: ProcedureConfig(procedure=name, alpha=FIG_ALPHA, series=dict(series)) for name in names}
 
 
-def fig1_cells(trials: int = 2000, seed: int = 1, horizon: int = 1000, alpha: float = 0.2):
-    """The headline grid: mu_A = 4, mu_N in {0, -1}, pi_A in {0.1, ..., 0.9}.
+def fig1_cells(trials: int = 2000, seed: int = 1):
+    """The headline grid: mu_A = 4, mu_N in {0, -1}, pi_A in {0.1, ..., 0.9}, at T = 1000 and alpha = 0.2.
 
     Yields (meta, procedures, sim) triples; the default series is the
     log-q-series with q = 2 and ADDIS runs its (tau, lambda) = (1/2, 1/4)
@@ -251,26 +245,21 @@ def fig1_cells(trials: int = 2000, seed: int = 1, horizon: int = 1000, alpha: fl
     """
     points = [(GaussianMixModel(pi_a=pi_a, mu_a=4.0, mu_n=mu_n), {"pi_a": pi_a, "mu_a": 4.0, "mu_n": mu_n})
               for mu_n in (0.0, -1.0) for pi_a in [round(0.1 * j, 1) for j in range(1, 10)]]
-    return grid_cells(_fig_procedures(FIG1_PROCEDURES, alpha, {"kind": "log-q", "q": 2.0}), points,
-                      trials=trials, seed=seed, horizon=horizon, alpha=alpha)
+    return grid_cells(_fig_procedures(FIG1_PROCEDURES, {"kind": "log-q", "q": 2.0}), points,
+                      trials=trials, seed=seed, horizon=FIG_HORIZON, alpha=FIG_ALPHA)
 
 
-def fig2_cells(trials: int = 2000, seed: int = 1, horizon: int = 1000, alpha: float = 0.2):
-    """Clustered-signal grid: mu_N = 0, mu_A = 4, q = 2 power series.
+def fig2_cells(trials: int = 2000, seed: int = 1):
+    """Clustered-signal grid: mu_N = 0, mu_A = 4, q = 2 power series, at T = 1000 and alpha = 0.2.
 
     Left panel: signals spread over the whole stream (r = 1) with
     frequency f in {0.1, ..., 0.9}.  Right panel: an all-signal prefix
     (f = 1) whose length fraction r runs over {0.10, 0.12, ..., 0.26}.
     """
-    points = [(GaussianMixModel(pi_a=clustered_pi(horizon, f, r), mu_a=4.0, mu_n=0.0),
+    points = [(GaussianMixModel(pi_a=clustered_pi(FIG_HORIZON, f, r), mu_a=4.0, mu_n=0.0),
                {"pi_a": f, "mu_a": 4.0, "mu_n": 0.0, "f": f, "r": r})
               for f, r in [(round(0.1 * j, 1), 1.0) for j in range(1, 10)]
               + [(1.0, round(0.10 + 0.02 * j, 2)) for j in range(9)]]
-    return grid_cells(_fig_procedures(FIG2_PROCEDURES, alpha, {"kind": "q", "q": 2.0}), points,
-                      trials=trials, seed=seed + 10_000, horizon=horizon, alpha=alpha)
+    return grid_cells(_fig_procedures(FIG2_PROCEDURES, {"kind": "q", "q": 2.0}), points,
+                      trials=trials, seed=seed + 10_000, horizon=FIG_HORIZON, alpha=FIG_ALPHA)
 
-
-def run_cells(cells, *, keep_trials: bool = False):
-    """Evaluate experiment cells; yields (meta, {label: MetricsReport})."""
-    for meta, procedures, sim in cells:
-        yield meta, estimate_metrics_many(procedures, sim, keep_trials=keep_trials)

@@ -15,6 +15,7 @@ import pytest
 
 from fwerstream import PROCEDURES, GaussianMixModel, ProcedureConfig, QSeries, cli, expected_true_discoveries, fast
 from fwerstream.cli import main
+from fwerstream.series import PowerLawSeries
 
 Q2 = QSeries(2.0)
 # a child interpreter imports fwerstream from where this one does
@@ -554,6 +555,27 @@ class TestRoundTrip:
         assert main(["run", "--input", str(inp), "--out", str(out), "--procedure", "online-sidak",
                      "--alpha", "0.2", "--series", str(series)]) == 0
         assert len(read_csv(out)) == 1 + n
+
+    @pytest.mark.parametrize("kind,flag", [("q", "q"), ("log-q", "logq")])
+    def test_a_series_file_runs_as_its_flags_and_is_certified_once(self, tmp_path, monkeypatch, kind, flag):
+        certified, certify = [], PowerLawSeries._certify
+
+        def counted(series):
+            certified.append(series)
+            return certify(series)
+
+        monkeypatch.setattr(PowerLawSeries, "_certify", counted)
+        inp, series = tmp_path / "in.csv", tmp_path / "s.json"
+        write_stream(inp, np.random.default_rng(3).random(300) * 0.1)
+        series.write_text(json.dumps({"kind": kind, "q": 2}))
+        outs = []
+        for flags in (["--series", str(series)], ["--series", flag, "--q", "2"]):
+            outs.append(tmp_path / f"out{len(outs)}.csv")
+            certified.clear()
+            assert main(["run", "--input", str(inp), "--out", str(outs[-1]), "--procedure", "addis-spending",
+                         "--alpha", "0.2", *flags]) == 0
+            assert len(certified) == 1, flags
+        assert outs[0].read_bytes() == outs[1].read_bytes()
 
     @pytest.mark.parametrize("name", ["online-fallback", "discard-fallback"])
     def test_long_all_rejecting_stream(self, tmp_path, name):

@@ -312,8 +312,7 @@ class TestAuditTrace:
     def test_decision_list_accepted(self):
         cfg = ProcedureConfig(procedure="addis-spending", alpha=0.2, series=LOG2)
         scheduler = cfg.build()
-        scheduler.run(np.random.default_rng(2).random(100))
-        assert audit_trace(scheduler.trace, cfg).passed
+        assert audit_trace(scheduler.run(np.random.default_rng(2).random(100)), cfg).passed
 
     def test_block_of_streams_is_refused(self):
         cfg = ProcedureConfig(procedure="alpha-spending", alpha=0.2, series=LOG2)
@@ -364,6 +363,25 @@ class TestAuditTrace:
         assert audit_trace(result, cfg).first_bad_index == want
         for size in (7, 1000, 4096):
             assert self._audit_in_chunks(result, cfg, size).first_bad_index == want, size
+
+    @pytest.mark.parametrize("bad", [-0.5, -5e-324, np.nan])
+    @pytest.mark.parametrize("name", PROCEDURES)
+    def test_a_negative_or_nan_level_fails_the_level_check_at_its_index(self, name, bad):
+        # a negative term would offset an overspend later in the sum
+        cfg = ProcedureConfig(procedure=name, alpha=0.2)
+        tau, _ = cfg.build().thresholds
+        result = run_stream(cfg, np.full(10, tau))  # every step is counted, none rejects
+        result.levels[2] = bad
+        for report in [audit_trace(result, cfg)] + [self._audit_in_chunks(result, cfg, size) for size in (1, 2, 4)]:
+            check = report.checks[0]
+            assert (check.name, check.first_bad_index, report.passed) == ("levels in [0, min(tau, 1))", 3, False)
+
+    def test_a_negative_level_cannot_hide_an_overspend(self):
+        cfg = ProcedureConfig(procedure="alpha-spending", alpha=0.2)
+        result = run_stream(cfg, np.full(10, 0.9))
+        result.levels[2], result.levels[5] = -0.5, 0.49  # 0.49 is more than the whole budget
+        report = audit_trace(result, cfg)
+        assert not report.passed and report.first_bad_index == 3
 
     @pytest.mark.parametrize("bad", ["nan", "tau"])
     @pytest.mark.parametrize("name", ["alpha-spending", "addis-spending", "online-sidak", "addis-sidak",
