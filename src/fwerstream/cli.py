@@ -7,7 +7,8 @@ Subcommands:
              expected-discoveries), emit (grid, value) CSV
   validate   check a config file, report findings
 
-Exit codes: 0 ok, 2 input error, 3 config error, 4 budget-audit failure.
+Exit codes: 0 ok, 1 stdout closed by its reader, 2 input error, 3 config error,
+4 budget-audit failure.
 
 ``run`` and ``validate`` load no scipy: ``experiment`` and ``solve`` import
 the simulator and the power solvers when they start.
@@ -30,7 +31,7 @@ import numpy as np
 from . import fast
 from .audit import audit_trace
 from .config import ProcedureConfig
-from .core import LagSchedule, _check_p
+from .core import _check_p, lags_from_config
 from .errors import AuditError, BudgetError, ConfigError, StreamError
 from .series import series_from_config
 from .spec import SPECS
@@ -174,13 +175,16 @@ def _load_json(path: str):
 
 
 def _series_from_flags(args):
-    """The series config of ``--series`` and ``--q``; a series file is built, and so checked, here."""
+    """The series config of ``--series`` and ``--q``; a series file, which sets its own q,
+    is built, and so checked, here."""
     spec = args.series
     if spec is None:
         return {"kind": "log-q", "q": args.q if args.q is not None else 2.0}
     if spec in ("q", "logq", "log-q"):
         kind = "q" if spec == "q" else "log-q"
         return {"kind": kind, "q": args.q if args.q is not None else 2.0}
+    if args.q is not None:
+        raise ConfigError(f"--q applies to --series q or logq, not to the series file {spec}")
     return series_from_config(_load_json(spec))
 
 
@@ -210,6 +214,9 @@ def _weights_from_flag(spec: str | None):
 
 def _procedure_from_args(args) -> ProcedureConfig:
     if args.config:
+        for flag in ("procedure", "alpha", "series", "q", "tau", "lambda", "lags", "weights", "k"):
+            if getattr(args, flag) is not None:
+                raise ConfigError(f"--config takes no --{flag}: the file sets the procedure")
         return ProcedureConfig.from_dict(_load_json(args.config))
     if not args.procedure:
         raise ConfigError("pass --procedure (or --config FILE)")
@@ -220,10 +227,10 @@ def _procedure_from_args(args) -> ProcedureConfig:
         alpha=args.alpha,
         series=_series_from_flags(args),
         tau=args.tau,
-        lam=getattr(args, "lam"),
+        lam=getattr(args, "lambda"),
         lags=_lags_from_flag(args.lags),
         weights=_weights_from_flag(args.weights),
-        k=args.k,
+        k=1 if args.k is None else args.k,
     )
 
 
@@ -276,7 +283,7 @@ def cmd_run(args) -> int:
     lags = None
     if cfg.wants_batch_lags() and SPECS[cfg.procedure].lagged:
         # batch lags start empty and grow record by record from the batch_id column
-        lags = LagSchedule.from_batch_ids([])
+        lags = lags_from_config(cfg.lags, [])
         cfg = dataclasses.replace(cfg, lags=lags)
     scheduler = cfg.build()
     state, sequences = scheduler.state, scheduler.sequences()
@@ -364,6 +371,8 @@ def cmd_experiment(args) -> int:
 
     # a flag left out keeps the preset's or the config's value
     given = {k: v for k, v in (("trials", args.trials), ("seed", args.seed)) if v is not None}
+    if args.preset and args.config:
+        raise ConfigError("pass --preset or --config, not both")
     if args.preset == "fig1":
         cells = fig1_cells(**given)
         extra_cols = ()
@@ -393,13 +402,15 @@ def cmd_experiment(args) -> int:
 # solve
 # ----------------------------------------------------------------------
 
-def _float_list(raw: str, flag: str) -> list[float]:
+def _float_list(raw: str, flag: str, one: bool = False) -> list[float]:
     try:
         values = [float(v) for v in str(raw).split(",") if v.strip()]
     except ValueError:
         raise ConfigError(f"{flag} must be a comma-separated number list, got {raw!r}") from None
     if not values:
         raise ConfigError(f"{flag} must list at least one number, got {raw!r}")
+    if one and len(values) > 1:
+        raise ConfigError(f"{flag} takes one number for this solver, got {raw!r}")
     return values
 
 
@@ -407,29 +418,28 @@ def cmd_solve(args) -> int:
     from .power import GaussianMixModel, cstar_threshold, expected_true_discoveries, optimal_gamma_varying, optimal_q
 
     rows: list[list] = []
+    mu = _float_list(args.mu_a, "--mu-a", one=args.solver != "optimal-gamma")
+    mu_a = mu if len(mu) > 1 else mu[0]  # a list only for optimal-gamma
     if args.solver == "optimal-q":
         header = ["N", "q_star"]
         for n in _float_list(args.n or "2,10,100,1000", "--n"):
             if not n.is_integer():
                 raise ConfigError(f"--n must list integers, got {n!r}")
-            rows.append([int(n), optimal_q(int(n), args.mu_a, args.alpha)])
+            rows.append([int(n), optimal_q(int(n), mu_a, args.alpha)])
     elif args.solver == "cstar":
         header = ["pi_a", "mu_a", "mu_n", "c_star"]
         for pi in _float_list(args.pi_a or "0.1,0.3,0.5", "--pi-a"):
-            model = GaussianMixModel(pi_a=pi, mu_a=args.mu_a, mu_n=args.mu_n)
-            rows.append([pi, args.mu_a, args.mu_n, cstar_threshold(model)])
+            model = GaussianMixModel(pi_a=pi, mu_a=mu_a, mu_n=args.mu_n)
+            rows.append([pi, mu_a, args.mu_n, cstar_threshold(model)])
     elif args.solver == "optimal-gamma":
         header = ["i", "gamma"]
         pi = _float_list(args.pi_a or "0.5", "--pi-a")
-        mu = _float_list(args.mu or str(args.mu_a), "--mu")
-        horizon = args.horizon
-        gam = optimal_gamma_varying(pi if len(pi) > 1 else pi[0],
-                                    mu if len(mu) > 1 else mu[0], args.alpha, horizon)
+        gam = optimal_gamma_varying(pi if len(pi) > 1 else pi[0], mu_a, args.alpha, args.horizon)
         rows = [[i + 1, g] for i, g in enumerate(gam.tolist())]
     elif args.solver == "expected-discoveries":
         header = ["N", "expected_discoveries"]
         series = {"kind": "q", "q": args.q} if args.series != "logq" else {"kind": "log-q", "q": args.q}
-        model = GaussianMixModel(pi_a=args.pi_a_scalar, mu_a=args.mu_a, mu_n=0.0)
+        model = GaussianMixModel(pi_a=_float_list(args.pi_a or "0.5", "--pi-a", one=True)[0], mu_a=mu_a, mu_n=0.0)
         for tok in (args.n or "10,100,1000").split(","):
             tok = tok.strip()
             try:
@@ -483,16 +493,16 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--input", required=True, help="CSV (header with p[,batch_id][,label]) or JSONL")
     run_p.add_argument("--format", choices=("csv", "jsonl"), default=None)
     run_p.add_argument("--out", default=None, help="decisions CSV (default stdout)")
-    run_p.add_argument("--config", default=None, help="procedure config JSON (overrides flags)")
+    run_p.add_argument("--config", default=None, help="procedure config JSON (takes no procedure flags)")
     run_p.add_argument("--procedure", default=None)
     run_p.add_argument("--alpha", type=float, default=None)
     run_p.add_argument("--series", default=None, help="q | logq | path to series JSON")
     run_p.add_argument("--q", type=float, default=None)
     run_p.add_argument("--tau", type=float, default=None)
-    run_p.add_argument("--lambda", dest="lam", type=float, default=None)
+    run_p.add_argument("--lambda", type=float, default=None)
     run_p.add_argument("--lags", default=None, help="integer, comma list, or 'batch'")
     run_p.add_argument("--weights", default=None, help="one-step | lagged-gamma | path to rows JSON")
-    run_p.add_argument("--k", type=int, default=1)
+    run_p.add_argument("--k", type=int, default=None, help="default 1")
     run_p.set_defaults(fn=cmd_run)
 
     exp_p = sub.add_parser("experiment", help="run a simulation grid")
@@ -506,11 +516,9 @@ def build_parser() -> argparse.ArgumentParser:
     solve_p = sub.add_parser("solve", help="power-theory solvers")
     solve_p.add_argument("solver", help="optimal-q | cstar | optimal-gamma | expected-discoveries")
     solve_p.add_argument("--alpha", type=float, default=0.2)
-    solve_p.add_argument("--mu-a", dest="mu_a", type=float, default=4.0)
+    solve_p.add_argument("--mu-a", dest="mu_a", default="4.0", help="comma list for optimal-gamma")
     solve_p.add_argument("--mu-n", dest="mu_n", type=float, default=0.0)
-    solve_p.add_argument("--pi-a", dest="pi_a", default=None, help="comma list")
-    solve_p.add_argument("--pi-a-scalar", dest="pi_a_scalar", type=float, default=0.5)
-    solve_p.add_argument("--mu", default=None, help="comma list for optimal-gamma")
+    solve_p.add_argument("--pi-a", dest="pi_a", default=None, help="comma list (one value for expected-discoveries)")
     solve_p.add_argument("--n", default=None, help="comma list; 'inf' allowed for expected-discoveries")
     solve_p.add_argument("--q", type=float, default=2.0)
     solve_p.add_argument("--series", choices=("q", "logq"), default="q")
@@ -528,7 +536,13 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        status = args.fn(args)
+        sys.stdout.flush()  # a closed stdout raises here, not at exit
+        return status
+    except BrokenPipeError:
+        # the reader of stdout is gone: point it at devnull, so that the flush at exit cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except StreamError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2

@@ -66,9 +66,9 @@ class ProcedureConfig:
         return SCHEDULERS[self.procedure](self.alpha, self.series, k=self.k, **options)
 
     def wants_batch_lags(self) -> bool:
-        """True when the lags come from the stream's batch ids, not the config's."""
+        """True when the lags come from the stream's batch ids."""
         cfg = self.lags
-        return isinstance(cfg, dict) and str(cfg.get("kind", "")).lower() in BATCH_KINDS and "batch_ids" not in cfg
+        return isinstance(cfg, dict) and str(cfg.get("kind", "")).lower() in BATCH_KINDS
 
     def validate(self) -> list[str]:
         """Return a list of human-readable findings; empty means valid."""

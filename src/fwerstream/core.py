@@ -197,10 +197,6 @@ class LagSchedule(Schedule):
                 self._current = batch_id
             self.seq.extend(range(start, start + len(list(run))))
 
-    def push(self, batch_id) -> None:
-        """Append the lag of one more item, given its batch id."""
-        self.extend((batch_id,))
-
     def config(self) -> dict:
         if self.const is not None:
             return {"kind": "constant", "value": self.const}
@@ -209,7 +205,7 @@ class LagSchedule(Schedule):
 
 def lags_from_config(cfg, batch_ids=None) -> LagSchedule:
     """Build a lag schedule; the from-batch-ids kind (alias ``batch``) takes
-    the config's own ``batch_ids``, else the stream's ``batch_ids``."""
+    the stream's ``batch_ids``, and a config that lists its own is refused."""
     if isinstance(cfg, LagSchedule):
         return cfg
     if cfg is None:
@@ -226,7 +222,8 @@ def lags_from_config(cfg, batch_ids=None) -> LagSchedule:
     if kind == "list":
         return LagSchedule.from_list(cfg.get("values", []))
     if kind in BATCH_KINDS:
-        batch_ids = cfg.get("batch_ids", batch_ids)
+        if "batch_ids" in cfg:
+            raise ConfigError(f"lags kind {cfg['kind']!r} takes the stream's batch ids, not a 'batch_ids' key")
         if batch_ids is None:
             raise ConfigError("lags kind 'from-batch-ids' needs batch ids: a batch_id column, or block_size > 1")
         return LagSchedule.from_batch_ids(batch_ids)

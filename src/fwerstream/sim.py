@@ -6,7 +6,8 @@ depend on execution order or worker count.  Per trial the generator draws
 the non-null labels first and the Gaussian noise second; with
 ``block_size > 1`` consecutive blocks share a single noise draw, making
 p-values perfectly dependent within a block (the local-dependence
-stress case) and independent across blocks.
+stress case) and independent across blocks.  The all-null model pi_a = 0
+draws the same uniforms and noise as any other pi_A at its seed and trial.
 """
 
 from __future__ import annotations
@@ -38,7 +39,6 @@ class SimConfig:
     horizon: int
     trials: int
     seed: int
-    force_null: bool = False  # condition on the all-null configuration
     block_size: int = 1
 
     def __post_init__(self):
@@ -63,7 +63,6 @@ class SimConfig:
 class Stream:
     p: np.ndarray
     labels: np.ndarray  # True where non-null
-    batch_ids: np.ndarray | None = None
 
 
 def clustered_pi(horizon: int, f: float, r: float) -> np.ndarray:
@@ -88,11 +87,9 @@ def gen_stream(config: SimConfig, trial: int) -> Stream:
     else:
         n_blocks = -(-t // config.block_size)
         x = np.repeat(rng.standard_normal(n_blocks), config.block_size)[:t]
-    if config.force_null:
-        labels = np.zeros(t, dtype=bool)
     mu = np.where(labels, config.model.mu_a_vector(t), config.model.mu_n)
     p = ndtr(-(x + mu))
-    return Stream(p=p, labels=labels, batch_ids=config.batch_ids)
+    return Stream(p=p, labels=labels)
 
 
 @dataclass
@@ -102,7 +99,8 @@ class MetricsReport:
     ``fwer`` is P(V >= k) for the procedure's k (k = 1 is the plain FWER);
     its standard error is binomial.  ``power``/``fdr``/``pfer`` are means
     of per-trial quantities with empirical standard errors.  Trials with
-    no non-nulls contribute power 1 (vacuous).
+    no non-nulls contribute power 1 (vacuous).  ``per_trial`` (always filled,
+    not compared) holds the arrays v, d, n_nonnull, n_rejections and power.
     """
 
     procedure: str
@@ -118,7 +116,7 @@ class MetricsReport:
     fdr: float
     fdr_se: float
     mean_rejections: float
-    per_trial: dict = field(default_factory=dict, repr=False)
+    per_trial: dict = field(repr=False, compare=False)
 
 
 def _se(values: np.ndarray) -> float:
@@ -128,14 +126,14 @@ def _se(values: np.ndarray) -> float:
     return float(np.std(values, ddof=1) / math.sqrt(n))
 
 
-def _summarize(cfg: ProcedureConfig, sim: SimConfig, v, d, n_nonnull, n_rej, keep_trials: bool) -> MetricsReport:
+def _summarize(cfg: ProcedureConfig, sim: SimConfig, v, d, n_nonnull, n_rej) -> MetricsReport:
     """The report of one procedure from its int64 per-trial counts V, D, non-nulls and R."""
     n = sim.trials
     hit = (v >= cfg.k).astype(np.float64)
     fwer = float(np.mean(hit))
     power_trials = np.where(n_nonnull > 0, d / np.maximum(n_nonnull, 1), 1.0)
     fdr_trials = v / np.maximum(n_rej, 1)
-    report = MetricsReport(
+    return MetricsReport(
         procedure=cfg.procedure,
         alpha=cfg.alpha,
         k=cfg.k,
@@ -149,24 +147,17 @@ def _summarize(cfg: ProcedureConfig, sim: SimConfig, v, d, n_nonnull, n_rej, kee
         fdr=float(np.mean(fdr_trials)),
         fdr_se=_se(fdr_trials),
         mean_rejections=float(np.mean(n_rej)),
+        per_trial={"v": v, "d": d, "n_nonnull": n_nonnull, "n_rejections": n_rej, "power": power_trials},
     )
-    if keep_trials:
-        report.per_trial = {"v": v, "d": d, "n_nonnull": n_nonnull, "n_rejections": n_rej, "power": power_trials}
-    return report
 
 
-def estimate_metrics_many(
-    procedures: dict[str, ProcedureConfig],
-    sim: SimConfig,
-    *,
-    keep_trials: bool = False,
-) -> dict[str, MetricsReport]:
+def estimate_metrics_many(procedures: dict[str, ProcedureConfig], sim: SimConfig) -> dict[str, MetricsReport]:
     """Run every procedure over the same simulated streams.
 
     Sharing streams across procedures gives paired comparisons and is how
     the power curves behind the standard experiment grids are produced.
     Trials are simulated into blocks of rows and every runner takes a whole
-    block per call.
+    block per call; each report's ``per_trial`` is in trial order.
     """
     batch_ids = sim.batch_ids
     batch_list = batch_ids.tolist() if batch_ids is not None else None
@@ -189,16 +180,14 @@ def estimate_metrics_many(
             d, r = (rej & signal).sum(axis=1), rej.sum(axis=1)
             tallies[label][:, start:stop] = r - d, d, r  # V: the rejections that are not signals
     return {
-        label: _summarize(procedures[label], sim, v, d, n_nonnull.copy(), n_rej, keep_trials)
+        label: _summarize(procedures[label], sim, v, d, n_nonnull.copy(), n_rej)
         for label, (v, d, n_rej) in tallies.items()
     }
 
 
-def estimate_metrics(procedure: ProcedureConfig, sim: SimConfig, *, keep_trials: bool = False) -> MetricsReport:
+def estimate_metrics(procedure: ProcedureConfig, sim: SimConfig) -> MetricsReport:
     """Monte-Carlo FWER/PFER/power/FDR estimates for one procedure."""
-    return estimate_metrics_many({procedure.procedure: procedure}, sim, keep_trials=keep_trials)[
-        procedure.procedure
-    ]
+    return estimate_metrics_many({procedure.procedure: procedure}, sim)[procedure.procedure]
 
 
 # ----------------------------------------------------------------------
@@ -215,15 +204,18 @@ def grid_cells(procedures: dict[str, ProcedureConfig], points, *, trials: int, s
     """Experiment cells, one per (model, meta) pair of ``points``.
 
     The c-th cell simulates ``trials`` streams of length ``horizon`` from its
-    model with seed ``seed + c`` and runs every procedure (label -> config)
-    at ``alpha``.  Returns an iterator of (meta, procedures, sim) triples;
-    each meta gains the horizon ``T`` and ``alpha``.  Every cell's
-    :class:`SimConfig`, and every procedure built at ``alpha`` with its
-    sequences covering the horizon, is checked before the first cell is
-    returned; each procedure's series is built once and shared by the cells.
+    model with seed ``seed + c`` and runs every procedure (label -> config),
+    each of which must be at ``alpha``.  Returns an iterator of (meta,
+    procedures, sim) triples; each meta gains the horizon ``T`` and ``alpha``.
+    Every cell's :class:`SimConfig`, every procedure's alpha and every
+    procedure built with its sequences covering the horizon are checked before
+    the first cell is returned; each procedure's series is built once and
+    shared by the cells.
     """
-    procedures = {label: replace(cfg, alpha=alpha, series=series_from_config(cfg.series))
-                  for label, cfg in procedures.items()}
+    for label, cfg in procedures.items():
+        if cfg.alpha != alpha:
+            raise ConfigError(f"procedure {label} has alpha {cfg.alpha!r}, but the grid runs at alpha {alpha!r}")
+    procedures = {label: replace(cfg, series=series_from_config(cfg.series)) for label, cfg in procedures.items()}
     for cfg in procedures.values():
         for schedule in cfg.build().sequences():
             schedule.values(0, horizon)  # raises for one that ends before the horizon

@@ -228,10 +228,10 @@ def test_criterion_5_conservative_null_validity():
                                   lags={"kind": "from-batch-ids"})
     local_const = ProcedureConfig(procedure="addis-spending-local", alpha=ALPHA, series=LOG2,
                                   lags={"kind": "constant", "value": 9})
-    indep = SimConfig(model=GaussianMixModel(0.5, 4.0, -1.0), horizon=T, trials=TRIALS,
-                      seed=SEED + 50, force_null=True)
-    blocked = SimConfig(model=GaussianMixModel(0.5, 4.0, -1.0), horizon=T, trials=TRIALS,
-                        seed=SEED + 51, force_null=True, block_size=10)
+    indep = SimConfig(model=GaussianMixModel(0.0, 4.0, -1.0), horizon=T, trials=TRIALS,
+                      seed=SEED + 50)
+    blocked = SimConfig(model=GaussianMixModel(0.0, 4.0, -1.0), horizon=T, trials=TRIALS,
+                        seed=SEED + 51, block_size=10)
     results.append(("addis/independent",
                     estimate_metrics_many({"p": addis}, indep)["p"].fwer))
     results.append(("altered-addis(batch lags)/block-dependent",
@@ -333,8 +333,8 @@ def test_criterion_7_clustered_fallback_advantage():
 def test_criterion_8_kfwer():
     base = ProcedureConfig(procedure="alpha-spending", alpha=ALPHA, series=LOG2)
     k2 = kfwer_wrap(base, 2)
-    sim = SimConfig(model=GaussianMixModel(0.5, 4.0, 0.0), horizon=T, trials=TRIALS,
-                    seed=SEED + 80, force_null=True)
+    sim = SimConfig(model=GaussianMixModel(0.0, 4.0, 0.0), horizon=T, trials=TRIALS,
+                    seed=SEED + 80)
     rep = estimate_metrics_many({"k2": k2}, sim)["k2"]
     ok = rep.fwer <= FWER_BAND  # rep.fwer is P(V >= 2) for k = 2
 

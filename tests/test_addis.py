@@ -216,7 +216,7 @@ class TestAddisLocal:
     def test_lag_schedule_reads_like_a_schedule(self):
         const, listed = LagSchedule.constant(2), LagSchedule.from_list([0, 1, 2, 0])
         batched = LagSchedule.from_batch_ids(["a", "a"])
-        batched.push("b")
+        batched.extend(["b"])
         assert [const.lag(i) for i in (1, 5, 10**9)] == [2, 2, 2]
         assert const.values(3, 6) == [2, 2, 2] and listed.values(1, 4) == [1, 2, 0] == listed.seq[1:]
         assert [batched.lag(i) for i in (1, 2, 3)] == [0, 1, 0] == batched.values(0, 3)

@@ -13,7 +13,8 @@ import zlib
 import numpy as np
 import pytest
 
-from fwerstream import PROCEDURES, GaussianMixModel, ProcedureConfig, QSeries, cli, expected_true_discoveries, fast
+from fwerstream import (PROCEDURES, GaussianMixModel, ProcedureConfig, QSeries, cli, expected_true_discoveries, fast,
+                        optimal_gamma_varying)
 from fwerstream.cli import main
 from fwerstream.series import PowerLawSeries
 
@@ -153,6 +154,40 @@ class TestRun:
         write_stream(inp, [0.5])
         assert main(["run", "--input", str(inp)]) == 3
 
+    def test_a_series_file_takes_no_q(self, tmp_path, capsys):
+        series, inp, out = tmp_path / "q2.json", tmp_path / "in.csv", tmp_path / "o.csv"
+        series.write_text(json.dumps({"kind": "q", "q": 2}))
+        write_stream(inp, [0.05, 0.5])
+        assert main(["run", "--input", str(inp), "--out", str(out), "--procedure", "alpha-spending", "--alpha", "0.2",
+                     "--series", str(series), "--q", "5"]) == 3
+        assert capsys.readouterr().err == f"config error: --q applies to --series q or logq, not to the series file {series}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag,value", [("--procedure", "alpha-spending"), ("--alpha", "0.05"), ("--series", "q"),
+                                            ("--q", "5"), ("--tau", "0.5"), ("--lambda", "0.25"), ("--lags", "2"),
+                                            ("--weights", "one-step"), ("--k", "1")])
+    def test_config_takes_no_procedure_flag(self, tmp_path, capsys, flag, value):
+        cfg, inp, out = tmp_path / "proc.json", tmp_path / "in.csv", tmp_path / "o.csv"
+        cfg.write_text(json.dumps({"procedure": "alpha-spending", "alpha": 0.2}))
+        write_stream(inp, [0.05, 0.5])
+        assert main(["run", "--input", str(inp), "--out", str(out), "--config", str(cfg), flag, value]) == 3
+        assert capsys.readouterr().err == f"config error: --config takes no {flag}: the file sets the procedure\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("kind", ["batch", "from-batch-ids"])
+    def test_a_lags_config_that_lists_batch_ids_is_refused(self, tmp_path, capsys, kind):
+        # batch ids come with the stream, here its batch_id column
+        cfg, inp, out = tmp_path / "proc.json", tmp_path / "in.csv", tmp_path / "o.csv"
+        cfg.write_text(json.dumps({"procedure": "addis-spending-local", "alpha": 0.2,
+                                   "lags": {"kind": kind, "batch_ids": ["x", "y", "z"]}}))
+        write_stream(inp, [0.01] * 4, batch_ids=["a", "a", "b", "b"])
+        message = f"lags kind {kind!r} takes the stream's batch ids, not a 'batch_ids' key"
+        assert main(["run", "--input", str(inp), "--out", str(out), "--config", str(cfg)]) == 3
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not out.exists()
+        assert main(["validate", "--config", str(cfg)]) == 3
+        assert capsys.readouterr().out == f"FAIL addis-spending-local: {message}\n"
+
     @pytest.mark.parametrize("ext", ["csv", "jsonl"])
     def test_leading_byte_order_mark_is_dropped(self, tmp_path, ext):
         # spreadsheet exports often start with a UTF-8 byte-order mark
@@ -261,6 +296,26 @@ class TestExperiment:
         assert capsys.readouterr().err == f"config error: {name} schedule has 19 entries; step 20 requested\n"
         assert not out.exists()
 
+    def test_preset_and_config_together_exit_3(self, tmp_path, capsys):
+        out = tmp_path / "r.csv"
+        argv = ["experiment", "--preset", "fig1", "--config", self._one_cell(tmp_path, trials=2, seed=1), "--trials", "1"]
+        assert main([*argv, "--out", str(out)]) == 3
+        assert capsys.readouterr().err == "config error: pass --preset or --config, not both\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("grid_alpha", [None, 0.05])
+    def test_a_procedure_alpha_other_than_the_grids_exits_3(self, tmp_path, capsys, grid_alpha):
+        cfg, out = tmp_path / "exp.json", tmp_path / "r.csv"
+        grid = {"pi_a": [0.3], "T": 20, **({} if grid_alpha is None else {"alpha": grid_alpha})}
+        cfg.write_text(json.dumps({"procedures": [{"procedure": "alpha-spending", "alpha": 0.2},
+                                                  {"procedure": "online-sidak", "alpha": 0.01}],
+                                   "grid": grid, "trials": 2}))
+        assert main(["experiment", "--config", str(cfg), "--out", str(out)]) == 3
+        first = "alpha-spending has alpha 0.2" if grid_alpha else "online-sidak has alpha 0.01"
+        assert capsys.readouterr().err == (f"config error: procedure {first}, "
+                                           f"but the grid runs at alpha {grid_alpha or 0.2}\n")
+        assert not out.exists()
+
     def test_config_that_is_not_an_object_exits_3(self, tmp_path, capsys):
         cfg = tmp_path / "exp.json"
         cfg.write_text("[1]")
@@ -337,7 +392,7 @@ class TestSolve:
     def test_expected_discoveries_identity_case(self, tmp_path):
         out = tmp_path / "e.csv"
         assert main(["solve", "expected-discoveries", "--q", "2", "--alpha", "0.2",
-                     "--mu-a", "0", "--pi-a-scalar", "0.5", "--n", "10,100",
+                     "--mu-a", "0", "--pi-a", "0.5", "--n", "10,100",
                      "--out", str(out)]) == 0
         rows = read_csv(out)
         for n_tok, val in ((10, rows[1][1]), (100, rows[2][1])):
@@ -345,16 +400,43 @@ class TestSolve:
 
     def test_optimal_gamma(self, tmp_path):
         out = tmp_path / "g.csv"
-        assert main(["solve", "optimal-gamma", "--pi-a", "0.5", "--mu", "4",
+        assert main(["solve", "optimal-gamma", "--pi-a", "0.5", "--mu-a", "4",
                      "--alpha", "0.2", "--horizon", "4", "--out", str(out)]) == 0
         vals = [float(r[1]) for r in read_csv(out)[1:]]
         assert vals == [0.25] * 4 or max(abs(v - 0.25) for v in vals) < 1e-9
 
-    @pytest.mark.parametrize("flag,value,named", [("--pi-a", "0.5,0.4", "pi_a has 2"), ("--mu", "4,3,5", "mu_a has 3")])
+    @pytest.mark.parametrize("flag,value,named", [("--pi-a", "0.5,0.4", "pi_a has 2"), ("--mu-a", "4,3,5", "mu_a has 3")])
     def test_optimal_gamma_sequence_of_the_wrong_length_exits_3(self, tmp_path, capsys, flag, value, named):
         out = tmp_path / "g.csv"
         assert main(["solve", "optimal-gamma", flag, value, "--horizon", "10", "--out", str(out)]) == 3
         assert capsys.readouterr().err == f"config error: {named} entries; horizon 10 takes 1 or 10\n"
+        assert not out.exists()
+
+    def test_optimal_gamma_takes_a_mu_a_list(self, tmp_path):
+        out = tmp_path / "g.csv"
+        assert main(["solve", "optimal-gamma", "--mu-a", "4,3", "--horizon", "2", "--out", str(out)]) == 0
+        assert read_csv(out)[1:] == [[str(i), repr(g)] for i, g in
+                                     enumerate(optimal_gamma_varying(0.5, [4.0, 3.0], 0.2, 2).tolist(), start=1)]
+
+    def test_expected_discoveries_reads_pi_a(self, tmp_path):
+        out = tmp_path / "e.csv"
+        assert main(["solve", "expected-discoveries", "--pi-a", "0.3", "--n", "10", "--out", str(out)]) == 0
+        model = GaussianMixModel(pi_a=0.3, mu_a=4.0, mu_n=0.0)
+        assert read_csv(out)[1] == ["10", repr(expected_true_discoveries(10, 0.2, {"kind": "q", "q": 2.0}, model))]
+
+    @pytest.mark.parametrize("argv,message", [
+        (["cstar", "--mu-a", "4,3"], "--mu-a takes one number for this solver, got '4,3'"),
+        (["optimal-q", "--mu-a", "4,3"], "--mu-a takes one number for this solver, got '4,3'"),
+        (["expected-discoveries", "--mu-a", "4,3"], "--mu-a takes one number for this solver, got '4,3'"),
+        (["expected-discoveries", "--pi-a", "0.5,0.4"], "--pi-a takes one number for this solver, got '0.5,0.4'"),
+        (["cstar", "--mu-a", "four"], "--mu-a must be a comma-separated number list, got 'four'"),
+        (["optimal-gamma", "--mu-a", "4,x"], "--mu-a must be a comma-separated number list, got '4,x'"),
+    ], ids=["cstar-list", "optimal-q-list", "expected-discoveries-list", "expected-discoveries-pi-a-list",
+            "cstar-text", "optimal-gamma-text"])
+    def test_mu_a_or_pi_a_that_the_solver_cannot_take_exits_3(self, tmp_path, capsys, argv, message):
+        out = tmp_path / "s.csv"
+        assert main(["solve", *argv, "--out", str(out)]) == 3
+        assert capsys.readouterr().err == f"config error: {message}\n"
         assert not out.exists()
 
     def test_unknown_solver_exit_3(self):
@@ -369,7 +451,7 @@ class TestSolve:
         model = GaussianMixModel(pi_a=0.5, mu_a=4.0, mu_n=0.0)
         assert rows[0][1] == repr(expected_true_discoveries(10, 0.2, {"kind": "q", "q": 2.0}, model))
 
-    @pytest.mark.parametrize("argv", [["optimal-gamma", "--pi-a", ","], ["optimal-gamma", "--mu", ","],
+    @pytest.mark.parametrize("argv", [["optimal-gamma", "--pi-a", ","], ["optimal-gamma", "--mu-a", ","],
                                       ["cstar", "--pi-a", ","], ["optimal-q", "--n", ","]],
                              ids=["optimal-gamma-pi-a", "optimal-gamma-mu", "cstar-pi-a", "optimal-q-n"])
     def test_empty_list_exits_3_naming_the_flag(self, tmp_path, capsys, argv):
@@ -602,6 +684,17 @@ class TestRoundTrip:
                               env=CHILD_ENV)
         assert proc.returncode == 0
         assert "usage: fwerstream" in proc.stdout
+
+    def test_a_closed_stdout_exits_1_without_a_traceback(self):
+        # the read end is closed before the child starts, so its first flush of stdout breaks the pipe
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            proc = subprocess.run([sys.executable, "-m", "fwerstream", "experiment", "--preset", "fig1", "--trials", "1"],
+                                  stdout=write, stderr=subprocess.PIPE, env=CHILD_ENV)
+        finally:
+            os.close(write)
+        assert (proc.returncode, proc.stderr) == (1, b"")
 
     def test_console_entry_point(self, tmp_path):
         proc = subprocess.run(

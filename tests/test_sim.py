@@ -70,9 +70,9 @@ class TestGenStream:
         stream = gen_stream(cfg, 0)
         assert np.mean(stream.p <= 0.5) < 0.5
 
-    def test_force_null_keeps_noise_coupled(self):
+    def test_all_null_model_keeps_noise_coupled(self):
         base = sim(pi=0.5, mu_n=0.0, horizon=100)
-        forced = sim(pi=0.5, mu_n=0.0, horizon=100, force_null=True)
+        forced = sim(pi=0.0, mu_n=0.0, horizon=100)
         a = gen_stream(base, 0)
         b = gen_stream(forced, 0)
         assert not b.labels.any()
@@ -80,13 +80,13 @@ class TestGenStream:
         assert np.array_equal(a.p[match], b.p[match])
 
     def test_block_dependence_shares_noise(self):
-        cfg = sim(pi=0.0, mu_n=-1.0, horizon=60, force_null=True, block_size=10)
+        cfg = sim(pi=0.0, mu_n=-1.0, horizon=60, block_size=10)
         stream = gen_stream(cfg, 0)
         p = stream.p.reshape(6, 10)
         assert np.all(p == p[:, :1])  # identical inside each block
         assert len(np.unique(p[:, 0])) == 6
-        assert stream.batch_ids is not None
-        assert list(stream.batch_ids[:12]) == [0] * 10 + [1, 1]
+        assert cfg.batch_ids is not None
+        assert list(cfg.batch_ids[:12]) == [0] * 10 + [1, 1]
 
     def test_per_index_pi(self):
         pi = clustered_pi(1000, 1.0, 0.1)
@@ -111,7 +111,7 @@ class TestGenStream:
 
 class TestEstimateMetrics:
     def test_all_null_fwer_within_band(self):
-        cfg = sim(pi=0.5, mu_n=0.0, trials=400, force_null=True)
+        cfg = sim(pi=0.0, mu_n=0.0, trials=400)
         rep = estimate_metrics(ProcedureConfig(procedure="alpha-spending", alpha=0.2, series=LOG2), cfg)
         assert rep.fwer <= 0.2 + 3.0 * max(rep.fwer_se, 0.02)
         assert rep.power == 1.0  # no non-nulls: vacuous power convention
@@ -124,7 +124,6 @@ class TestEstimateMetrics:
                 "b": ProcedureConfig(procedure="online-fallback", alpha=0.2, series=LOG2),
             },
             cfg,
-            keep_trials=True,
         )
         # fallback dominates pointwise on identical streams, trial by trial
         assert np.all(reports["b"].per_trial["d"] >= reports["a"].per_trial["d"])
@@ -156,11 +155,11 @@ class TestEstimateMetrics:
         assert 0.0 <= rep.fwer <= 1.0
 
     def test_kfwer_counts_k_or_more(self):
-        cfg = sim(pi=0.5, mu_n=0.0, trials=200, force_null=True)
+        cfg = sim(pi=0.0, mu_n=0.0, trials=200)
         base = ProcedureConfig(procedure="alpha-spending", alpha=0.2, series=LOG2)
         from fwerstream import kfwer_wrap
 
-        rep = estimate_metrics(kfwer_wrap(base, 2), cfg, keep_trials=True)
+        rep = estimate_metrics(kfwer_wrap(base, 2), cfg)
         assert rep.fwer == np.mean(rep.per_trial["v"] >= 2)
 
     def test_trial_blocks_match_a_per_trial_loop(self, monkeypatch):
@@ -171,12 +170,12 @@ class TestEstimateMetrics:
         procs = {name: ProcedureConfig(procedure=name, alpha=0.2, series=LOG2,
                                        lags={"kind": "from-batch-ids"} if name == "addis-spending-local" else None)
                  for name in PROCEDURES}
-        reports = estimate_metrics_many(procs, cfg, keep_trials=True)
+        reports = estimate_metrics_many(procs, cfg)
         for name, proc in procs.items():
             want = {"v": [], "d": [], "n_nonnull": [], "n_rejections": []}
             for trial in range(cfg.trials):
                 stream = gen_stream(cfg, trial)
-                rej = run_stream(proc, stream.p, batch_ids=stream.batch_ids.tolist()).rejected
+                rej = run_stream(proc, stream.p, batch_ids=cfg.batch_ids.tolist()).rejected
                 want["v"].append(int(np.sum(rej & ~stream.labels)))
                 want["d"].append(int(np.sum(rej & stream.labels)))
                 want["n_nonnull"].append(int(stream.labels.sum()))
@@ -206,7 +205,7 @@ class TestEstimateMetrics:
         per_trial = {}
         for rows in (1, 3, 32, 128, None):
             monkeypatch.setattr(simmod, "TRIAL_BLOCK_ELEMENTS", rows * cfg.horizon if rows else default)
-            reports = estimate_metrics_many(self.BLOCK_PROCEDURES, cfg, keep_trials=True)
+            reports = estimate_metrics_many(self.BLOCK_PROCEDURES, cfg)
             per_trial[rows] = {label: [rep.per_trial[key].tolist() for key in ("v", "d", "n_rejections")]
                                for label, rep in reports.items()}
         for rows, got in per_trial.items():
@@ -424,7 +423,7 @@ class TestErrorControlSpotChecks:
     """Monte-Carlo validity at scales below the acceptance grid."""
 
     def test_core_procedures_all_null_uniform(self):
-        cfg = sim(pi=0.5, mu_n=0.0, trials=1000, force_null=True)
+        cfg = sim(pi=0.0, mu_n=0.0, trials=1000)
         procs = {
             name: ProcedureConfig(procedure=name, alpha=0.2, series=LOG2)
             for name in ("alpha-spending", "online-sidak", "online-fallback")
