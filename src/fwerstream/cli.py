@@ -34,7 +34,6 @@ from .config import ProcedureConfig
 from .core import _check_p, lags_from_config
 from .errors import AuditError, BudgetError, ConfigError, StreamError
 from .series import series_from_config
-from .spec import SPECS
 
 RESULT_COLUMNS = ("procedure", "pi_A", "mu_A", "mu_N", "T", "alpha",
                   "fwer", "fwer_se", "pfer", "power", "power_se", "fdr")
@@ -281,7 +280,7 @@ def cmd_run(args) -> int:
     fmt = args.format or ("jsonl" if args.input.endswith((".jsonl", ".json")) else "csv")
     cfg = dataclasses.replace(cfg, series=series_from_config(cfg.series))  # one series for step and runner
     lags = None
-    if cfg.wants_batch_lags() and SPECS[cfg.procedure].lagged:
+    if cfg.wants_batch_lags():
         # batch lags start empty and grow record by record from the batch_id column
         lags = lags_from_config(cfg.lags, [])
         cfg = dataclasses.replace(cfg, lags=lags)
@@ -414,41 +413,56 @@ def _float_list(raw: str, flag: str, one: bool = False) -> list[float]:
     return values
 
 
+# the flags each solver reads, with their defaults; a solver refuses any other
+SOLVER_FLAGS = {
+    "optimal-q": {"n": "2,10,100,1000", "mu_a": "4.0", "alpha": 0.2},
+    "cstar": {"pi_a": "0.1,0.3,0.5", "mu_a": "4.0", "mu_n": 0.0},
+    "optimal-gamma": {"pi_a": "0.5", "mu_a": "4.0", "alpha": 0.2, "horizon": 10},
+    "expected-discoveries": {"n": "10,100,1000", "pi_a": "0.5", "mu_a": "4.0", "alpha": 0.2, "q": 2.0, "series": "q"},
+}
+
+
 def cmd_solve(args) -> int:
     from .power import GaussianMixModel, cstar_threshold, expected_true_discoveries, optimal_gamma_varying, optimal_q
 
+    reads = SOLVER_FLAGS.get(args.solver)
+    if reads is None:
+        raise ConfigError(f"unknown solver {args.solver!r}")
+    for flag in ("alpha", "mu_a", "mu_n", "pi_a", "n", "q", "series", "horizon"):
+        if getattr(args, flag) is None:
+            setattr(args, flag, reads.get(flag))
+        elif flag not in reads:
+            raise ConfigError(f"solve {args.solver} takes no --{flag.replace('_', '-')}")
     rows: list[list] = []
     mu = _float_list(args.mu_a, "--mu-a", one=args.solver != "optimal-gamma")
     mu_a = mu if len(mu) > 1 else mu[0]  # a list only for optimal-gamma
     if args.solver == "optimal-q":
         header = ["N", "q_star"]
-        for n in _float_list(args.n or "2,10,100,1000", "--n"):
+        for n in _float_list(args.n, "--n"):
             if not n.is_integer():
                 raise ConfigError(f"--n must list integers, got {n!r}")
             rows.append([int(n), optimal_q(int(n), mu_a, args.alpha)])
     elif args.solver == "cstar":
         header = ["pi_a", "mu_a", "mu_n", "c_star"]
-        for pi in _float_list(args.pi_a or "0.1,0.3,0.5", "--pi-a"):
+        for pi in _float_list(args.pi_a, "--pi-a"):
             model = GaussianMixModel(pi_a=pi, mu_a=mu_a, mu_n=args.mu_n)
             rows.append([pi, mu_a, args.mu_n, cstar_threshold(model)])
     elif args.solver == "optimal-gamma":
         header = ["i", "gamma"]
-        pi = _float_list(args.pi_a or "0.5", "--pi-a")
+        pi = _float_list(args.pi_a, "--pi-a")
         gam = optimal_gamma_varying(pi if len(pi) > 1 else pi[0], mu_a, args.alpha, args.horizon)
         rows = [[i + 1, g] for i, g in enumerate(gam.tolist())]
-    elif args.solver == "expected-discoveries":
+    else:
         header = ["N", "expected_discoveries"]
         series = {"kind": "q", "q": args.q} if args.series != "logq" else {"kind": "log-q", "q": args.q}
-        model = GaussianMixModel(pi_a=_float_list(args.pi_a or "0.5", "--pi-a", one=True)[0], mu_a=mu_a, mu_n=0.0)
-        for tok in (args.n or "10,100,1000").split(","):
+        model = GaussianMixModel(pi_a=_float_list(args.pi_a, "--pi-a", one=True)[0], mu_a=mu_a, mu_n=0.0)
+        for tok in args.n.split(","):
             tok = tok.strip()
             try:
                 n = math.inf if tok in ("inf", "infinity") else int(tok)
             except ValueError:
                 raise ConfigError(f"--n must list integers or 'inf', got {tok!r}") from None
             rows.append([tok, expected_true_discoveries(n, args.alpha, series, model)])
-    else:
-        raise ConfigError(f"unknown solver {args.solver!r}")
     with _output(args.out) as out:
         writer = csv.writer(out)
         writer.writerow(header)
@@ -515,14 +529,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     solve_p = sub.add_parser("solve", help="power-theory solvers")
     solve_p.add_argument("solver", help="optimal-q | cstar | optimal-gamma | expected-discoveries")
-    solve_p.add_argument("--alpha", type=float, default=0.2)
-    solve_p.add_argument("--mu-a", dest="mu_a", default="4.0", help="comma list for optimal-gamma")
-    solve_p.add_argument("--mu-n", dest="mu_n", type=float, default=0.0)
+    # each solver reads some of these flags and refuses the others (SOLVER_FLAGS, which holds the defaults)
+    solve_p.add_argument("--alpha", type=float, default=None)
+    solve_p.add_argument("--mu-a", dest="mu_a", default=None, help="comma list for optimal-gamma")
+    solve_p.add_argument("--mu-n", dest="mu_n", type=float, default=None)
     solve_p.add_argument("--pi-a", dest="pi_a", default=None, help="comma list (one value for expected-discoveries)")
     solve_p.add_argument("--n", default=None, help="comma list; 'inf' allowed for expected-discoveries")
-    solve_p.add_argument("--q", type=float, default=2.0)
-    solve_p.add_argument("--series", choices=("q", "logq"), default="q")
-    solve_p.add_argument("--horizon", type=int, default=10)
+    solve_p.add_argument("--q", type=float, default=None)
+    solve_p.add_argument("--series", choices=("q", "logq"), default=None)
+    solve_p.add_argument("--horizon", type=int, default=None)
     solve_p.add_argument("--out", default=None)
     solve_p.set_defaults(fn=cmd_solve)
 

@@ -1,34 +1,22 @@
 """Procedure configuration: a plain, serializable description of a scheduler.
 
 A :class:`ProcedureConfig` mirrors the CLI flags / JSON config keys and
-knows how to build the concrete scheduler.  Canonical procedure names are
-the rows of :data:`fwerstream.spec.SPECS`, with the short aliases below.
+knows how to build the concrete scheduler.  Procedure names are the rows of
+:data:`fwerstream.spec.SPECS`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
-from .core import BATCH_KINDS, SCHEDULERS, lags_from_config
+from .core import BATCH_KIND, SCHEDULERS, lags_from_config
 from .errors import ConfigError
 from .series import series_from_config
-from .spec import PROCEDURES, SPECS, level_budget
-
-_ALIASES = {
-    "discard": "discard-spending",
-    "adaptive": "adaptive-spending",
-    "addis": "addis-spending",
-    "addis-local": "addis-spending-local",
-    "fallback": "online-fallback",
-    "fallback-1": "online-fallback-1",
-    "sidak": "online-sidak",
-    "spending": "alpha-spending",
-}
+from .spec import PROCEDURES, level_budget
 
 
 def canonical_name(name: str) -> str:
     n = str(name).strip().lower()
-    n = _ALIASES.get(n, n)
     if n not in PROCEDURES:
         raise ConfigError(f"unknown procedure {name!r}; known: {', '.join(PROCEDURES)}")
     return n
@@ -55,20 +43,20 @@ class ProcedureConfig:
         object.__setattr__(self, "procedure", canonical_name(self.procedure))
 
     def build(self, batch_ids=None):
-        """Instantiate the scheduler; ``batch_ids`` resolves stream-derived lags.
-
-        Options the procedure's row does not use are ignored.
+        """Instantiate the scheduler; ``batch_ids``, when given, resolves lags
+        of the from-batch-ids kind.  The class refuses an option its row does
+        not take (:attr:`fwerstream.spec.ProcedureSpec.options`).
         """
-        spec = SPECS[self.procedure]
-        options = {name: getattr(self, name) for name in spec.options}
-        if spec.lagged:
-            options["lags"] = lags_from_config(self.lags, batch_ids)
-        return SCHEDULERS[self.procedure](self.alpha, self.series, k=self.k, **options)
+        lags = self.lags
+        if batch_ids is not None and self.wants_batch_lags():
+            lags = lags_from_config(lags, batch_ids)
+        return SCHEDULERS[self.procedure](self.alpha, self.series, tau=self.tau, lam=self.lam, lags=lags,
+                                          weights=self.weights, k=self.k)
 
     def wants_batch_lags(self) -> bool:
         """True when the lags come from the stream's batch ids."""
         cfg = self.lags
-        return isinstance(cfg, dict) and str(cfg.get("kind", "")).lower() in BATCH_KINDS
+        return isinstance(cfg, dict) and str(cfg.get("kind", "")).lower() == BATCH_KIND
 
     def validate(self) -> list[str]:
         """Return a list of human-readable findings; empty means valid."""
@@ -108,7 +96,7 @@ class ProcedureConfig:
             raise ConfigError("procedure config needs a 'procedure' key")
         if "alpha" not in d:
             raise ConfigError("procedure config needs an 'alpha' key")
-        known = {"procedure", "alpha", "series", "tau", "lambda", "lam", "lags", "weights", "fallback_weights", "k"}
+        known = {"procedure", "alpha", "series", "tau", "lambda", "lags", "weights", "k"}
         unknown = set(d) - known
         if unknown:
             raise ConfigError(f"unknown procedure config keys: {sorted(unknown)}")
@@ -123,9 +111,9 @@ class ProcedureConfig:
             alpha=float(alpha),
             series=d.get("series", _default_series()),
             tau=d.get("tau"),
-            lam=d.get("lambda", d.get("lam")),
+            lam=d.get("lambda"),
             lags=d.get("lags"),
-            weights=d.get("weights", d.get("fallback_weights")),
+            weights=d.get("weights"),
             k=k,
         )
 

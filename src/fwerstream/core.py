@@ -140,7 +140,7 @@ def threshold_schedule(spec, name: str, lo: float, hi: float, lo_open: bool, hi_
     return Schedule(name, seq=[check(v) for v in values])
 
 
-BATCH_KINDS = ("from-batch-ids", "batch")  # lags kinds read from the stream's batch ids
+BATCH_KIND = "from-batch-ids"  # the lags kind read from the stream's batch ids
 
 
 class LagSchedule(Schedule):
@@ -159,8 +159,6 @@ class LagSchedule(Schedule):
         super().__init__("lag", const=constant, seq=values)
         self._seen: set = set()  # batch ids pushed so far ...
         self._current = object()  # ... and the one of the open run
-
-    lag = Schedule.value
 
     @classmethod
     def constant(cls, lag: int) -> "LagSchedule":
@@ -204,8 +202,8 @@ class LagSchedule(Schedule):
 
 
 def lags_from_config(cfg, batch_ids=None) -> LagSchedule:
-    """Build a lag schedule; the from-batch-ids kind (alias ``batch``) takes
-    the stream's ``batch_ids``, and a config that lists its own is refused."""
+    """Build a lag schedule; the from-batch-ids kind takes the stream's
+    ``batch_ids``, and a config that lists its own is refused."""
     if isinstance(cfg, LagSchedule):
         return cfg
     if cfg is None:
@@ -221,7 +219,7 @@ def lags_from_config(cfg, batch_ids=None) -> LagSchedule:
         return LagSchedule.constant(cfg.get("value", 0))
     if kind == "list":
         return LagSchedule.from_list(cfg.get("values", []))
-    if kind in BATCH_KINDS:
+    if kind == BATCH_KIND:
         if "batch_ids" in cfg:
             raise ConfigError(f"lags kind {cfg['kind']!r} takes the stream's batch ids, not a 'batch_ids' key")
         if batch_ids is None:
@@ -373,7 +371,7 @@ class OnlineProcedure:
 
     def _step(self, i: int, p: float) -> Decision:
         state = self.state
-        lag = 0 if self.lags is None else min(self.lags.lag(i), i - 1)
+        lag = 0 if self.lags is None else min(self.lags.value(i), i - 1)
         visible = i - 1 - lag
         t = 1 + lag + state.window[visible - state.window_start]
         tau, lam = self.thresholds or self._thresholds(i, visible)
@@ -488,7 +486,7 @@ def weights_from_config(cfg, series) -> FallbackWeights:
     kind = str(cfg["kind"]).lower()
     if kind == "one-step":
         return OneStepWeights()
-    if kind in ("lagged-gamma", "lagged"):
+    if kind == "lagged-gamma":
         return LaggedSeriesWeights(series)
     if kind == "explicit":
         if not isinstance(cfg.get("rows"), list):

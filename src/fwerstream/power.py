@@ -186,7 +186,7 @@ def expected_true_discoveries(n, alpha, series, model: GaussianMixModel) -> floa
         raise ConfigError(f"alpha must lie in (0, 1), got {alpha}")
     series = series_from_config(series)
     pi, mu, _ = model.scalar_params()
-    if n is None or (isinstance(n, float) and math.isinf(n)):
+    if isinstance(n, float) and n == math.inf:
         if isinstance(series, ExplicitSeries):
             n_eff = len(series.config()["weights"])
             return pi * _finite_sum(n_eff, alpha, series, mu)

@@ -1,10 +1,10 @@
 """Weight series gamma_1, gamma_2, ... that drive every allocation rule.
 
-Three kinds are supported:
+Three kinds are supported, each named by its config ``kind``:
 
-* q-series:      gamma_i proportional to i^(-q), q > 1
-* log-q-series:  gamma_i proportional to 1/((i+1) * log(i+1)^q), q > 1
-* explicit:      a finite user-supplied list with sum at most one
+* ``q``:         gamma_i proportional to i^(-q), q > 1
+* ``log-q``:     gamma_i proportional to 1/((i+1) * log(i+1)^q), q > 1
+* ``explicit``:  a finite user-supplied list with sum at most one
 
 For the two infinite families the normalizer (the infinite sum of the
 unnormalized terms) is computed by partial summation plus integral tail
@@ -233,24 +233,14 @@ class ExplicitSeries(WeightSeries):
         return {"kind": "explicit", "weights": [float(x) for x in self._w]}
 
 
-_KIND_ALIASES = {
-    "q": "q",
-    "q-series": "q",
-    "log-q": "log-q",
-    "logq": "log-q",
-    "log-q-series": "log-q",
-    "explicit": "explicit",
-}
-
-
 def series_from_config(cfg) -> WeightSeries:
     """Build a series from {"kind": ..., "q": ...} / {"kind": "explicit", "weights": [...]}."""
     if isinstance(cfg, WeightSeries):
         return cfg
     if not isinstance(cfg, dict) or "kind" not in cfg:
         raise ConfigError(f"series config must be a dict with a 'kind', got {cfg!r}")
-    kind = _KIND_ALIASES.get(str(cfg["kind"]).lower())
-    if kind is None:
+    kind = str(cfg["kind"]).lower()
+    if kind not in ("q", "log-q", "explicit"):
         raise ConfigError(f"unknown series kind {cfg['kind']!r}")
     if kind == "explicit":
         if "weights" not in cfg:

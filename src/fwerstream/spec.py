@@ -23,13 +23,13 @@ not discard and lambda = 0 on rows that do not adapt, all rows share
   (fallback).
 
 The scalar step (:class:`fwerstream.core.OnlineProcedure`), the batch runner
-(:func:`fwerstream.fast.make_runner`), the audit
-(:func:`fwerstream.audit.audit_trace`) and
-:meth:`fwerstream.config.ProcedureConfig.build` all read their rules from
-this table, and :data:`fwerstream.core.SCHEDULERS` builds each row's public
-class from its ``name`` and ``doc``.  :func:`level_map` is the one copy of
-the level maps: the step calls it with one series weight, the runner with an
-array of them.  Only spending rows bound the PFER, so only they admit k-FWER
+(:func:`fwerstream.fast.make_runner`) and the audit
+(:func:`fwerstream.audit.audit_trace`) all read their rules from this table,
+and :data:`fwerstream.core.SCHEDULERS` builds each row's public class from
+its ``name`` and ``doc``.  A row's ``options`` are the only rule of which
+settings a procedure takes: its class refuses any other.  :func:`level_map`
+is the one copy of the level maps: the step calls it with one series weight,
+the runner with an array of them.  Only spending rows bound the PFER, so only they admit k-FWER
 budget inflation (:func:`level_budget`).
 """
 

@@ -202,7 +202,7 @@ class TestAddisLocal:
 
     def test_batch_ids_to_lags(self):
         lags = LagSchedule.from_batch_ids(["a", "a", "a", "b", "b", "c"])
-        assert [lags.lag(i) for i in range(1, 7)] == [0, 1, 2, 0, 1, 0]
+        assert [lags.value(i) for i in range(1, 7)] == [0, 1, 2, 0, 1, 0]
 
     def test_batch_ids_must_be_contiguous(self):
         with pytest.raises(ConfigError):
@@ -217,12 +217,12 @@ class TestAddisLocal:
         const, listed = LagSchedule.constant(2), LagSchedule.from_list([0, 1, 2, 0])
         batched = LagSchedule.from_batch_ids(["a", "a"])
         batched.extend(["b"])
-        assert [const.lag(i) for i in (1, 5, 10**9)] == [2, 2, 2]
+        assert [const.value(i) for i in (1, 5, 10**9)] == [2, 2, 2]
         assert const.values(3, 6) == [2, 2, 2] and listed.values(1, 4) == [1, 2, 0] == listed.seq[1:]
-        assert [batched.lag(i) for i in (1, 2, 3)] == [0, 1, 0] == batched.values(0, 3)
+        assert [batched.value(i) for i in (1, 2, 3)] == [0, 1, 0] == batched.values(0, 3)
         assert const.config() == {"kind": "constant", "value": 2}
         assert batched.config() == {"kind": "list", "values": [0, 1, 0]}
-        for read, step in ((lambda: listed.lag(5), 5), (lambda: listed.values(2, 6), 5),
+        for read, step in ((lambda: listed.value(5), 5), (lambda: listed.values(2, 6), 5),
                            (lambda: listed.values(5, 7), 6)):  # the first step past the end
             with pytest.raises(ConfigError, match=rf"^lag schedule has 4 entries; step {step} requested$"):
                 read()

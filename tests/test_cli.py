@@ -134,7 +134,7 @@ class TestRun:
 
     def test_config_file(self, tmp_path):
         cfg = tmp_path / "proc.json"
-        cfg.write_text(json.dumps({"procedure": "addis", "alpha": 0.2,
+        cfg.write_text(json.dumps({"procedure": "addis-spending", "alpha": 0.2,
                                    "series": {"kind": "log-q", "q": 2.0},
                                    "tau": 0.5, "lambda": 0.25}))
         inp = tmp_path / "in.csv"
@@ -174,19 +174,32 @@ class TestRun:
         assert capsys.readouterr().err == f"config error: --config takes no {flag}: the file sets the procedure\n"
         assert not out.exists()
 
-    @pytest.mark.parametrize("kind", ["batch", "from-batch-ids"])
-    def test_a_lags_config_that_lists_batch_ids_is_refused(self, tmp_path, capsys, kind):
+    def test_a_lags_config_that_lists_batch_ids_is_refused(self, tmp_path, capsys):
         # batch ids come with the stream, here its batch_id column
         cfg, inp, out = tmp_path / "proc.json", tmp_path / "in.csv", tmp_path / "o.csv"
         cfg.write_text(json.dumps({"procedure": "addis-spending-local", "alpha": 0.2,
-                                   "lags": {"kind": kind, "batch_ids": ["x", "y", "z"]}}))
+                                   "lags": {"kind": "from-batch-ids", "batch_ids": ["x", "y", "z"]}}))
         write_stream(inp, [0.01] * 4, batch_ids=["a", "a", "b", "b"])
-        message = f"lags kind {kind!r} takes the stream's batch ids, not a 'batch_ids' key"
+        message = "lags kind 'from-batch-ids' takes the stream's batch ids, not a 'batch_ids' key"
         assert main(["run", "--input", str(inp), "--out", str(out), "--config", str(cfg)]) == 3
         assert capsys.readouterr().err == f"config error: {message}\n"
         assert not out.exists()
         assert main(["validate", "--config", str(cfg)]) == 3
         assert capsys.readouterr().out == f"FAIL addis-spending-local: {message}\n"
+
+    @pytest.mark.parametrize("name,flags", [
+        ("alpha-spending", ["--tau", "0.5"]), ("alpha-spending", ["--lags", "batch"]),
+        ("online-sidak", ["--lambda", "0.1"]), ("addis-spending", ["--lags", "2"]),
+        ("addis-spending", ["--weights", "one-step"]), ("online-fallback-1", ["--weights", "lagged-gamma"]),
+    ])
+    def test_an_option_the_procedure_does_not_take_exits_3_before_any_output(self, tmp_path, capsys, name, flags):
+        inp, out = tmp_path / "in.csv", tmp_path / "o.csv"
+        write_stream(inp, [0.01, 0.5], batch_ids=["a", "b"])
+        option = {"--lambda": "lam"}.get(flags[0], flags[0][2:])
+        assert main(["run", "--input", str(inp), "--out", str(out), "--procedure", name, "--alpha", "0.2",
+                     *flags]) == 3
+        assert capsys.readouterr().err == f"config error: {name} takes no {option!r} option\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("ext", ["csv", "jsonl"])
     def test_leading_byte_order_mark_is_dropped(self, tmp_path, ext):
@@ -268,12 +281,17 @@ class TestExperiment:
          "fallback weights config must be a dict with a 'kind', got 'x'"),
         ("procedures", [{"procedure": "online-fallback", "alpha": 0.2, "weights": {"kind": "nope"}}],
          "unknown fallback weights kind 'nope'"),
+        ("procedures", [{"procedure": "alpha-spending", "alpha": 0.2, "tau": 0.5}],
+         "alpha-spending takes no 'tau' option"),
+        ("procedures", [{"procedure": "alpha-spending", "alpha": 0.2, "lags": {"kind": "from-batch-ids"}}],
+         "alpha-spending takes no 'lags' option"),
     ], ids=["grid", "pi_a", "mu_n", "trials", "trials-fraction", "trials-bool",
             "trials-string", "seed-fraction", "seed-bool", "T-fraction",
             "pi_a-bool", "pi_a-string", "mu_n-string", "mu_a-string", "mu_a-bool",
             "alpha-string", "alpha-out-of-range", "tau-below-grid-alpha",
             "pi_a-number", "pi_a-text", "grid-list", "procedures-text", "procedures-empty",
-            "pi_a-empty", "mu_n-empty", "lags-text", "lags-kind", "weights-text", "weights-kind"])
+            "pi_a-empty", "mu_n-empty", "lags-text", "lags-kind", "weights-text", "weights-kind",
+            "tau-on-alpha-spending", "batch-lags-on-alpha-spending"])
     def test_malformed_config_exits_3_before_any_output(self, tmp_path, capsys, key, value, named):
         cfg = tmp_path / "exp.json"
         cfg.write_text(json.dumps({"procedures": [{"procedure": "alpha-spending", "alpha": 0.2}],
@@ -439,6 +457,18 @@ class TestSolve:
         assert capsys.readouterr().err == f"config error: {message}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv,flag", [
+        (["optimal-q", "--n", "10", "--pi-a", "0.9", "--horizon", "3", "--q", "7"], "--pi-a"),
+        (["cstar", "--alpha", "0.05", "--horizon", "4"], "--alpha"),
+        (["optimal-gamma", "--n", "5"], "--n"),
+        (["expected-discoveries", "--n", "10", "--mu-n", "-1"], "--mu-n"),
+    ], ids=["optimal-q", "cstar", "optimal-gamma", "expected-discoveries"])
+    def test_a_flag_the_solver_does_not_read_exits_3(self, tmp_path, capsys, argv, flag):
+        out = tmp_path / "s.csv"
+        assert main(["solve", *argv, "--out", str(out)]) == 3
+        assert capsys.readouterr().err == f"config error: solve {argv[0]} takes no {flag}\n"
+        assert not out.exists()
+
     def test_unknown_solver_exit_3(self):
         assert main(["solve", "newton"]) == 3
 
@@ -524,6 +554,36 @@ class TestValidate:
         write_stream(inp, [0.3, 0.6])
         assert main(["run", "--input", str(inp), "--out", str(tmp_path / "o.csv"), "--config", str(cfg)]) == 3
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("config,message", [
+        ({"procedure": "alpha-spending", "alpha": 0.2, "tau": 0.5}, "alpha-spending takes no 'tau' option"),
+        ({"procedure": "online-sidak", "alpha": 0.2, "lags": 1}, "online-sidak takes no 'lags' option"),
+        ({"procedure": "alpha-spending", "alpha": 0.2, "lags": {"kind": "from-batch-ids"}},
+         "alpha-spending takes no 'lags' option"),
+        ({"procedure": "online-fallback-1", "alpha": 0.2, "weights": {"kind": "one-step"}},
+         "online-fallback-1 takes no 'weights' option"),
+        # one key and one spelling per setting: the others are unknown
+        ({"procedure": "addis-spending", "alpha": 0.2, "lambda": 0.1, "lam": 0.3},
+         "unknown procedure config keys: ['lam']"),
+        ({"procedure": "online-fallback", "alpha": 0.2, "fallback_weights": {"kind": "one-step"}},
+         "unknown procedure config keys: ['fallback_weights']"),
+        *(({"procedure": alias, "alpha": 0.2}, f"unknown procedure {alias!r}; known: {', '.join(PROCEDURES)}")
+          for alias in ("discard", "adaptive", "addis", "addis-local", "fallback", "fallback-1", "sidak", "spending")),
+        *(({"procedure": "alpha-spending", "alpha": 0.2, "series": {"kind": kind, "q": 2.0}},
+           f"series: unknown series kind {kind!r}") for kind in ("q-series", "logq", "log-q-series")),
+        ({"procedure": "online-fallback", "alpha": 0.2, "weights": {"kind": "lagged"}},
+         "unknown fallback weights kind 'lagged'"),
+        ({"procedure": "addis-spending-local", "alpha": 0.2, "lags": {"kind": "batch"}}, "unknown lags kind 'batch'"),
+    ])
+    def test_a_setting_the_procedure_does_not_take_fails(self, tmp_path, capsys, config, message):
+        cfg, inp, out = tmp_path / "proc.json", tmp_path / "in.csv", tmp_path / "o.csv"
+        cfg.write_text(json.dumps(config))
+        assert main(["validate", "--config", str(cfg)]) == 3
+        assert capsys.readouterr().out == f"FAIL {config['procedure']}: {message}\n"
+        write_stream(inp, [0.01, 0.5], batch_ids=["a", "b"])
+        assert main(["run", "--input", str(inp), "--out", str(out), "--config", str(cfg)]) == 3
+        assert capsys.readouterr().err == f"config error: {message.removeprefix('series: ')}\n"
+        assert not out.exists()
 
     def test_bad_series_reported_once(self, tmp_path, capsys):
         cfg = tmp_path / "series.json"

@@ -301,7 +301,7 @@ def test_a_stepped_stream_keeps_no_trace_without_a_callable_schedule():
     assert [d.index for d in decisions] == [100_001, 100_002] and proc.trace == []
 
 
-# a valid value of each option a row may take; ProcedureConfig ignores one its row does not use
+# a valid value of each option a row may take; the class and ProcedureConfig refuse one its row does not take
 OPTIONS = {"tau": 0.5, "lam": 0.1, "lags": 2, "weights": {"kind": "one-step"}}
 
 
@@ -318,13 +318,14 @@ def test_each_row_has_one_public_class(name):
 @pytest.mark.parametrize("name,option", [(n, o) for n in PROCEDURES for o in OPTIONS])
 def test_class_refuses_an_option_its_row_does_not_take(name, option):
     cls, value = SCHEDULERS[name], OPTIONS[option]
-    built = ProcedureConfig(procedure=name, alpha=0.2, **{option: value}).build()
-    assert type(built) is cls
+    cfg = ProcedureConfig(procedure=name, alpha=0.2, **{option: value})
     if option in SPECS[name].options:
+        assert type(cfg.build()) is cls
         assert type(cls(0.2, Q2, **{option: value})) is cls
     else:
-        with pytest.raises(ConfigError, match=f"^{name} takes no '{option}' option$"):
-            cls(0.2, Q2, **{option: value})
+        for build in (cfg.build, lambda: cls(0.2, Q2, **{option: value})):
+            with pytest.raises(ConfigError, match=f"^{name} takes no '{option}' option$"):
+                build()
 
 
 @pytest.mark.parametrize("name", PROCEDURES)

@@ -29,11 +29,11 @@ CONFIGS = [
     ProcedureConfig(procedure="online-fallback", alpha=0.25, series={"kind": "log-q", "q": 2.0},
                     weights={"kind": "explicit", "rows": [[0.5, 0.5], [1.0], [0.2, 0.2, 0.2]]}),
     ProcedureConfig(procedure="online-fallback-1", alpha=0.2, series={"kind": "log-q", "q": 2.0}),
-    # the default weights, spelled out and by their alias
+    # the default weights, spelled out
     ProcedureConfig(procedure="online-fallback", alpha=0.2, series={"kind": "q", "q": 2.0},
                     weights={"kind": "lagged-gamma"}),
     ProcedureConfig(procedure="discard-fallback", alpha=0.2, series={"kind": "log-q", "q": 2.0}, tau=0.6,
-                    weights={"kind": "lagged"}),
+                    weights={"kind": "lagged-gamma"}),
     ProcedureConfig(procedure="discard-spending", alpha=0.2, series={"kind": "q", "q": 2.0}, tau=0.5),
     ProcedureConfig(procedure="discard-spending", alpha=0.2, series={"kind": "log-q", "q": 2.0}, tau=0.9),
     ProcedureConfig(procedure="adaptive-spending", alpha=0.2, series={"kind": "q", "q": 2.0}, lam=0.5),
@@ -53,10 +53,11 @@ CONFIGS = [
     ProcedureConfig(procedure="discard-fallback", alpha=0.2, series={"kind": "q", "q": 2.0}, tau=0.5),
     ProcedureConfig(procedure="discard-fallback", alpha=0.2, series={"kind": "log-q", "q": 2.0},
                     tau=0.6, weights={"kind": "one-step"}),
-    # lam=None pins the default lambda of the procedure table; the "logq"
-    # spelling of the series kind keeps these test ids apart from the rows above
-    ProcedureConfig(procedure="adaptive-spending", alpha=0.2, series={"kind": "logq", "q": 2.0}, lam=None),
-    ProcedureConfig(procedure="adaptive-sidak", alpha=0.2, series={"kind": "logq", "q": 2.0}, lam=None),
+    # lam=None pins the default lambda of the procedure table
+    *(pytest.param(cfg, id=f"{cfg.procedure}-log-q-default-lambda") for cfg in (
+        ProcedureConfig(procedure="adaptive-spending", alpha=0.2, series={"kind": "log-q", "q": 2.0}, lam=None),
+        ProcedureConfig(procedure="adaptive-sidak", alpha=0.2, series={"kind": "log-q", "q": 2.0}, lam=None),
+    )),
     ProcedureConfig(procedure="discard-fallback", alpha=0.2, series={"kind": "q", "q": 2.0}, tau=0.5,
                     weights={"kind": "explicit", "rows": [[0.5, 0.5], [1.0], [], [0.25] * 4] * 100}),
     ProcedureConfig(procedure="addis-sidak", alpha=0.2, series={"kind": "q", "q": 2.0}, tau=0.7, lam=0.1),
@@ -122,7 +123,7 @@ def test_fast_equals_step_bitwise(cfg):
         np.testing.assert_array_equal(fast.candidate, slow.candidate)
         np.testing.assert_array_equal(fast.tau, slow.tau)
         np.testing.assert_array_equal(fast.lam, slow.lam)
-        if isinstance(cfg.weights, dict) and cfg.weights["kind"] in ("lagged-gamma", "lagged"):
+        if isinstance(cfg.weights, dict) and cfg.weights["kind"] == "lagged-gamma":
             default = make_runner(replace(cfg, weights=None))(p)
             np.testing.assert_array_equal(fast.levels, default.levels)
 

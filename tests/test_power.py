@@ -96,9 +96,9 @@ class TestExpectedDiscoveries:
         interior_min = (vals[1:-1] < vals[:-2]) & (vals[1:-1] < vals[2:])
         assert not interior_min.any()
 
-    @pytest.mark.parametrize("flag", [True, False])
+    @pytest.mark.parametrize("flag", [True, False, None, -math.inf])
     def test_boolean_n_rejected(self, flag):
-        with pytest.raises(ConfigError, match="^n must be a nonnegative integer"):
+        with pytest.raises(ConfigError, match="^n must be a nonnegative integer or infinity"):
             expected_true_discoveries(flag, 0.2, Q2_CFG, GaussianMixModel(pi_a=1.0, mu_a=4.0, mu_n=0.0))
 
     def test_values_are_python_floats(self):

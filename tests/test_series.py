@@ -155,7 +155,7 @@ class TestAccessors:
 class TestConfigParsing:
     def test_kinds(self):
         assert isinstance(series_from_config({"kind": "q", "q": 2}), QSeries)
-        assert isinstance(series_from_config({"kind": "logq", "q": 2}), LogQSeries)
+        assert isinstance(series_from_config({"kind": "log-q", "q": 2}), LogQSeries)
         assert isinstance(series_from_config({"kind": "explicit", "weights": [1.0]}), ExplicitSeries)
 
     def test_bad_configs(self):

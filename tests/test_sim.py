@@ -141,11 +141,11 @@ class TestEstimateMetrics:
                                lags={"kind": "from-batch-ids"})
         with pytest.raises(ConfigError):
             estimate_metrics(proc, cfg)
-        # only the lagged row reads lags; alpha-spending ignores them, as `run` does
+        # only the lagged row takes lags; alpha-spending refuses them, as `run` does, with or without blocks
         lagged = ProcedureConfig(procedure="alpha-spending", alpha=0.2, series=LOG2, lags={"kind": "from-batch-ids"})
-        plain = ProcedureConfig(procedure="alpha-spending", alpha=0.2, series=LOG2)
-        a, b = estimate_metrics(lagged, cfg), estimate_metrics(plain, cfg)
-        assert (a.fwer, a.pfer, a.power) == (b.fwer, b.pfer, b.power)
+        for blocks in (cfg, sim(trials=2, block_size=10)):
+            with pytest.raises(ConfigError, match="^alpha-spending takes no 'lags' option$"):
+                estimate_metrics(lagged, blocks)
 
     def test_batch_lags_run_on_blocked_streams(self):
         cfg = sim(trials=5, block_size=10)
