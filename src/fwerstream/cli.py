@@ -19,7 +19,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
-import dataclasses
 import itertools
 import json
 import math
@@ -29,9 +28,8 @@ import sys
 import numpy as np
 
 from . import fast
-from .audit import audit_trace
 from .config import ProcedureConfig
-from .core import _check_p, lags_from_config
+from .core import _check_p
 from .errors import AuditError, BudgetError, ConfigError, StreamError
 from .series import series_from_config
 
@@ -125,7 +123,7 @@ def _take(lines, n: int):
     return chunk, None
 
 
-def _iter_records(fh, fmt: str, lags):
+def _iter_records(fh, fmt: str, batched: bool):
     """Yield the records of the open file ``fh`` a chunk of ``RUN_CHUNK`` lines at a time, as
     ``_read_chunk`` gives them; a JSONL chunk's columns come from its record parser.  A CSV
     row the reader cannot split ends the records, with an error naming the line it starts on."""
@@ -148,9 +146,9 @@ def _iter_records(fh, fmt: str, lags):
         end = last + len(chunk) if fmt == "jsonl" else lines.line_num
         # the line each row starts on, and the line after the chunk starts on
         at = range(last + 1, end + 2) if end - last == len(chunk) else _row_lines(last + 1, chunk + [[]])
-        ps, error = _read_chunk(at, chunk, *parsers, lags)
+        ps, batches, lines_of, error = _read_chunk(at, chunk, *parsers, batched)
         del chunk  # the lines are not kept while their records are decided and written
-        yield ps, error or (broken and StreamError(f"line {at[-1]}: {broken}"))
+        yield ps, batches, lines_of, error or (broken and StreamError(f"line {at[-1]}: {broken}"))
         last = end
 
 
@@ -233,14 +231,14 @@ def _procedure_from_args(args) -> ProcedureConfig:
     )
 
 
-def _read_chunk(at, lines: list, columns, record, lags) -> tuple[np.ndarray, StreamError | None]:
-    """The checked p-values of the lines numbered ``at``, their batch ids pushed into
-    ``lags`` (if given), and the error of the first malformed record, which ends them short.
-    ``columns`` parses the whole chunk; one that fails goes through ``record`` line by line."""
+def _read_chunk(at, lines: list, columns, record, batched: bool):
+    """The checked p-values of the lines numbered ``at``, their batch ids if ``batched``, the line of each, and
+    the error of the first malformed record, which ends them short; a batch id is read before its p-value, so a
+    refused p-value's is kept.  ``columns`` parses the chunk; one that fails goes through ``record`` line by line."""
     try:
         raw, batches = columns(lines)
         ps = np.array(list(map(float, raw)))
-        if (lags is not None and None in batches) or not (ps.min() >= 0.0 and ps.max() <= 1.0):
+        if (batched and None in batches) or not (ps.min() >= 0.0 and ps.max() <= 1.0):
             raise ValueError("a missing batch id, or a p-value outside [0, 1]")  # a NaN fails both bounds
         error = None
     except (LookupError, OverflowError, StreamError, TypeError, ValueError):
@@ -249,62 +247,43 @@ def _read_chunk(at, lines: list, columns, record, lags) -> tuple[np.ndarray, Str
             for line_no, line in zip(at, lines):
                 if (rec := record(line)) is None:
                     continue
-                if lags is not None and rec[1] is None:
+                if batched and rec[1] is None:
                     raise StreamError("--lags batch needs a batch_id column")
-                batches.append(rec[1])  # a batch id is pushed before its p-value is checked
+                batches.append(rec[1])
                 kept.append(line_no)
                 ps.append(_check_p(rec[0]))
         except StreamError as exc:
             error = StreamError(f"line {line_no}: {exc}")
         ps, at = np.array(ps, dtype=np.float64), kept
-    if lags is not None:
-        before = len(lags.seq)
-        try:
-            lags.extend(batches)
-        except ConfigError as exc:
-            bad = len(lags.seq) - before
-            return ps[:bad], StreamError(f"line {at[bad]}: {exc}")
-    return ps, error
+    return ps, batches if batched else None, at, error
 
 
-def _write_rows(out, start: int, decided, n: int) -> None:
-    """Write the first n decisions, steps start+1, ..., start+n, one row each,
-    with one write: the bytes of csv.writer, which quotes no number."""
-    flags = (getattr(decided, c)[:n].astype(np.int8).tolist() for c in ("rejected", "selected", "candidate"))
-    rows = zip(range(start + 1, start + n + 1), decided.p[:n].tolist(), decided.levels[:n].tolist(), *flags)
+def _write_rows(out, start: int, decided) -> None:
+    """Write the decisions, steps start+1, ..., one row each, with one write:
+    the bytes of csv.writer, which quotes no number."""
+    flags = (getattr(decided, c).astype(np.int8).tolist() for c in ("rejected", "selected", "candidate"))
+    rows = zip(itertools.count(start + 1), decided.p.tolist(), decided.levels.tolist(), *flags)
     out.write("".join(map("%d,%r,%r,%d,%d,%d\r\n".__mod__, rows)))
 
 
 def cmd_run(args) -> int:
     cfg = _procedure_from_args(args)
     fmt = args.format or ("jsonl" if args.input.endswith((".jsonl", ".json")) else "csv")
-    cfg = dataclasses.replace(cfg, series=series_from_config(cfg.series))  # one series for step and runner
-    lags = None
-    if cfg.wants_batch_lags():
-        # batch lags start empty and grow record by record from the batch_id column
-        lags = lags_from_config(cfg.lags, [])
-        cfg = dataclasses.replace(cfg, lags=lags)
-    scheduler = cfg.build()
-    state, sequences = scheduler.state, scheduler.sequences()
-    runner = fast.make_runner(cfg)  # a config file holds no callable schedule
+    proc = cfg.build()  # lags of kind from-batch-ids are fed, chunk by chunk, from the batch_id column
     try:
         fh = open(args.input, "r", encoding="utf-8-sig")  # utf-8-sig: a leading byte-order mark is dropped
     except OSError as exc:
         raise StreamError(f"cannot read {args.input}: {exc}") from None
     with fh, _output(args.out, args.input) as out:
         out.write("index,p,alpha_i,rejected,selected,candidate\r\n")
-        for ps, bad_line in _iter_records(fh, fmt, lags):
-            start = state.i
-            n = min([ps.size, *(len(s.seq) - start for s in sequences)])  # the steps every sequence defines
-            decided = runner(ps[:n], state=state)
-            report = audit_trace(decided, cfg, state)
-            stop = len(decided) if report.passed else report.first_bad_index - 1 - start
-            _write_rows(out, start, decided, stop)
-            report.raise_if_failed()
-            if n < ps.size:
-                runner(ps[n : n + 1], state=state)  # raises: the step past the end of a sequence
-            if bad_line is not None:
-                raise bad_line
+        for ps, batch_ids, lines, bad_line in _iter_records(fh, fmt, cfg.wants_batch_lags()):
+            start = proc.t
+            rows, error = fast.decide(proc, ps, batch_ids)
+            _write_rows(out, start, rows)
+            if isinstance(error, StreamError):  # a repeated batch id, named by its line
+                error = StreamError(f"line {lines[len(rows)]}: {error}")
+            if error or bad_line:
+                raise error or bad_line
         out.flush()
     return 0
 

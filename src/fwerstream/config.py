@@ -15,13 +15,6 @@ from .series import series_from_config
 from .spec import PROCEDURES, level_budget
 
 
-def canonical_name(name: str) -> str:
-    n = str(name).strip().lower()
-    if n not in PROCEDURES:
-        raise ConfigError(f"unknown procedure {name!r}; known: {', '.join(PROCEDURES)}")
-    return n
-
-
 def _default_series() -> dict:
     return {"kind": "log-q", "q": 2.0}
 
@@ -40,23 +33,20 @@ class ProcedureConfig:
     k: int = 1
 
     def __post_init__(self):
-        object.__setattr__(self, "procedure", canonical_name(self.procedure))
+        if self.procedure not in PROCEDURES:  # a row name, spelled exactly as in the table
+            raise ConfigError(f"unknown procedure {self.procedure!r}; known: {', '.join(PROCEDURES)}")
 
     def build(self, batch_ids=None):
-        """Instantiate the scheduler; ``batch_ids``, when given, resolves lags
-        of the from-batch-ids kind.  The class refuses an option its row does
-        not take (:attr:`fwerstream.spec.ProcedureSpec.options`).
+        """Instantiate the scheduler; ``batch_ids`` give lags of the from-batch-ids kind (none yet, if not
+        given).  The class refuses an option its row does not take (:attr:`~fwerstream.spec.ProcedureSpec.options`).
         """
-        lags = self.lags
-        if batch_ids is not None and self.wants_batch_lags():
-            lags = lags_from_config(lags, batch_ids)
+        lags = lags_from_config(self.lags, batch_ids) if self.wants_batch_lags() else self.lags
         return SCHEDULERS[self.procedure](self.alpha, self.series, tau=self.tau, lam=self.lam, lags=lags,
                                           weights=self.weights, k=self.k)
 
     def wants_batch_lags(self) -> bool:
         """True when the lags come from the stream's batch ids."""
-        cfg = self.lags
-        return isinstance(cfg, dict) and str(cfg.get("kind", "")).lower() == BATCH_KIND
+        return isinstance(self.lags, dict) and self.lags.get("kind") == BATCH_KIND
 
     def validate(self) -> list[str]:
         """Return a list of human-readable findings; empty means valid."""
@@ -67,7 +57,7 @@ class ProcedureConfig:
             findings.append(f"series: {exc}")
             series = _default_series()  # reported once; check the other options against a valid series
         try:
-            replace(self, series=series).build(batch_ids=[])
+            replace(self, series=series).build()
         except (ConfigError, ValueError) as exc:
             findings.append(str(exc))
         return findings

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import BudgetError, ConfigError, StreamError
 from .series import WeightSeries, series_from_config, weight_vector
-from .spec import DEFAULT_TAU, SPECS, level_budget, level_map
+from .spec import DEFAULT_TAU, SPECS, SUM_TOL, level_budget, level_map
 
 
 @dataclass(frozen=True, slots=True)
@@ -150,15 +150,14 @@ class LagSchedule(Schedule):
     shrinks).  Build one with :meth:`constant`, :meth:`from_list`, or
     :meth:`from_batch_ids`; batch ids give each item a lag equal to the
     number of earlier items in its batch, so a whole batch depends only on
-    pre-batch information.
+    pre-batch information.  Built from no batch ids, it holds no lag, and
+    :func:`fwerstream.fast.decide` reads each chunk's from its batch ids.
     """
 
-    __slots__ = ("_seen", "_current")
+    __slots__ = ()
 
     def __init__(self, constant: int | None = None, values: list[int] | None = None):
         super().__init__("lag", const=constant, seq=values)
-        self._seen: set = set()  # batch ids pushed so far ...
-        self._current = object()  # ... and the one of the open run
 
     @classmethod
     def constant(cls, lag: int) -> "LagSchedule":
@@ -179,21 +178,10 @@ class LagSchedule(Schedule):
 
     @classmethod
     def from_batch_ids(cls, batch_ids) -> "LagSchedule":
-        lags = cls(values=[])
-        lags.extend(batch_ids)
-        return lags
-
-    def extend(self, batch_ids) -> None:
-        """Append the lags of more items, given their batch ids, a run of equal ids
-        at a time; an id of an earlier run raises before its run is appended."""
-        for batch_id, run in itertools.groupby(batch_ids):
-            start = self.seq[-1] + 1 if batch_id == self._current else 0  # 0: a new run starts
-            if not start:
-                if batch_id in self._seen:
-                    raise ConfigError(f"batch id {batch_id!r} appears in two separate runs")
-                self._seen.add(batch_id)
-                self._current = batch_id
-            self.seq.extend(range(start, start + len(list(run))))
+        lags, error = StreamState().batch_lags(batch_ids)
+        if error is not None:
+            raise ConfigError(str(error))
+        return cls(values=lags)
 
     def config(self) -> dict:
         if self.const is not None:
@@ -202,8 +190,7 @@ class LagSchedule(Schedule):
 
 
 def lags_from_config(cfg, batch_ids=None) -> LagSchedule:
-    """Build a lag schedule; the from-batch-ids kind takes the stream's
-    ``batch_ids``, and a config that lists its own is refused."""
+    """Build a lag schedule; the from-batch-ids kind takes the stream's ``batch_ids``, not a config's own."""
     if isinstance(cfg, LagSchedule):
         return cfg
     if cfg is None:
@@ -214,7 +201,7 @@ def lags_from_config(cfg, batch_ids=None) -> LagSchedule:
         return LagSchedule.from_list(cfg)
     if not isinstance(cfg, dict) or "kind" not in cfg:
         raise ConfigError(f"lags config must be a dict with a 'kind', got {cfg!r}")
-    kind = str(cfg["kind"]).lower()
+    kind = cfg["kind"]
     if kind == "constant":
         return LagSchedule.constant(cfg.get("value", 0))
     if kind == "list":
@@ -222,30 +209,27 @@ def lags_from_config(cfg, batch_ids=None) -> LagSchedule:
     if kind == BATCH_KIND:
         if "batch_ids" in cfg:
             raise ConfigError(f"lags kind {cfg['kind']!r} takes the stream's batch ids, not a 'batch_ids' key")
-        if batch_ids is None:
-            raise ConfigError("lags kind 'from-batch-ids' needs batch ids: a batch_id column, or block_size > 1")
-        return LagSchedule.from_batch_ids(batch_ids)
+        return LagSchedule.from_batch_ids([] if batch_ids is None else batch_ids)
     raise ConfigError(f"unknown lags kind {cfg['kind']!r}")
 
 
 class StreamState:
     """The running state of one scheduler over one stream.
 
-    The scalar step (:meth:`OnlineProcedure.step`), the runners of
-    :func:`fwerstream.fast.make_runner` and the chunked audit
-    (:func:`fwerstream.audit.audit_trace`) all advance this one object, so a
-    stream can be decided a step or a chunk at a time, by either path, from
-    where the last one stopped.  It holds the number of steps taken, the
+    The scalar step, the runners of :func:`fwerstream.fast.make_runner`,
+    :func:`fwerstream.fast.decide` and the chunked audit all advance this one
+    object, so a stream can be decided a step or a chunk at a time, by either
+    path, from where the last one stopped.  It holds the steps taken; the
     window of counted-step prefix sums that the index rule of
-    :data:`fwerstream.spec.SPECS` reads (every row has one, with lag 0 on
-    rows that are not lagged; ``window[-1]`` counts all the steps taken),
-    the :class:`RecycleBuffer` it builds from the fallback ``weights`` it
-    is given (none without them), and the audit's last compensated prefix
-    sum, as ``audit_sum`` (rounded to a float) and ``audit_err`` (what that
-    rounding dropped), from which the next chunk's prefixes continue.
+    :data:`fwerstream.spec.SPECS` reads (lag 0 on rows that are not lagged;
+    ``window[-1]`` counts every step); the :class:`RecycleBuffer` of the
+    fallback ``weights`` it is given; the audit's last compensated prefix
+    sum, ``audit_sum`` plus what its rounding dropped, ``audit_err``; and the
+    open batch of a stream fed by batch ids: its id, the lag of its last
+    step, and every batch id seen (:meth:`batch_lags`).
     """
 
-    __slots__ = ("i", "window", "window_start", "recycled", "audit_sum", "audit_err")
+    __slots__ = ("i", "window", "window_start", "recycled", "audit_sum", "audit_err", "batch", "batch_lag", "seen")
 
     TRIM = 64  # a consumed prefix this long, and half the window, is dropped in one go
 
@@ -255,6 +239,21 @@ class StreamState:
         self.window_start = 0
         self.recycled = None if weights is None else RecycleBuffer(weights)  # indexed by t
         self.audit_sum = self.audit_err = 0.0
+        self.batch, self.batch_lag, self.seen = None, -1, set()  # no batch is open yet
+
+    def batch_lags(self, batch_ids) -> tuple[list[int], StreamError | None]:
+        """The lags of the next steps from their batch ids, each the number of earlier
+        steps in its batch, up to the first id of a closed batch, with its error."""
+        lags = []
+        for batch_id, run in itertools.groupby(batch_ids):
+            if batch_id != self.batch or self.batch_lag < 0:  # the next batch opens (the first, even with id None)
+                if batch_id in self.seen:
+                    return lags, StreamError(f"batch id {batch_id!r} appears in two separate runs")
+                self.seen.add(batch_id)
+                self.batch, self.batch_lag = batch_id, -1
+            first, self.batch_lag = self.batch_lag + 1, self.batch_lag + len(list(run))
+            lags.extend(range(first, self.batch_lag + 1))
+        return lags, None
 
     def advance(self, count: bool, visible: int) -> None:
         """Record one more step, counted or not, that saw the first ``visible`` steps.
@@ -316,6 +315,10 @@ class OnlineProcedure:
         self.lags = lags_from_config(lags) if spec.lagged else None
         weights = OneStepWeights() if spec.one_step else weights  # the fallback rows' transfer weights
         self.weights = weights_from_config(weights, self.series) if spec.family == "fallback" else None
+        # recycling can pass a level alpha times the series total to one step
+        if self.weights is not None and self.budget * self.series.total >= 1.0 - SUM_TOL:
+            raise ConfigError(f"{self.kind}: alpha times the series total, {self.budget} * {self.series.total}, "
+                              f"is within {SUM_TOL} of one, so a recycled level could reach one")
         self.state = StreamState(self.weights)
         self._adapts = spec.adapts
 
@@ -483,7 +486,7 @@ def weights_from_config(cfg, series) -> FallbackWeights:
         return LaggedSeriesWeights(series)
     if not isinstance(cfg, dict) or "kind" not in cfg:
         raise ConfigError(f"fallback weights config must be a dict with a 'kind', got {cfg!r}")
-    kind = str(cfg["kind"]).lower()
+    kind = cfg["kind"]
     if kind == "one-step":
         return OneStepWeights()
     if kind == "lagged-gamma":

@@ -1,16 +1,14 @@
 """Whole-stream runners for the simulation harness and the command line.
 
-``make_runner`` compiles a :class:`ProcedureConfig` into a function that
-maps p-values to a :class:`StreamResult` (columnar trace of the same
-shape).  A 2-d block (rows, T) holds rows of fresh streams; a 1-d array
-(T,) is one stream, the next chunk of the given
-:class:`~fwerstream.core.StreamState` or of a fresh one, which the call
-advances; the index t counts from the start of the stream.  The runner
-computes the index rule of :mod:`fwerstream.spec`, with tau and lambda
-constant or by step, with the same operations as the step scheduler, and
-its level through :func:`fwerstream.spec.level_map`, so both give
-bit-identical traces; only a callable tau or lambda takes the step-by-step
-scheduler, row by row.
+``make_runner`` builds a :class:`ProcedureConfig` once into a function
+that maps p-values, a block of fresh streams or the next chunk of one (t
+counts from the start of the stream), to a :class:`StreamResult`;
+:func:`decide` also audits a scheduler's next chunk and cuts it at its
+first error.  The runner computes the index rule of
+:mod:`fwerstream.spec`, with tau and lambda constant or by step, with the
+same operations as the step scheduler, and its level through
+:func:`fwerstream.spec.level_map`, so both give bit-identical traces; only
+a callable tau or lambda takes the step-by-step scheduler, row by row.
 Each call builds the counted-step prefix sums of its chunk or block once,
 continuing the state's window (a fresh stream starts from ``[0]``), and
 reads t - 1 from them: the counted steps before i - L_i, plus min(L_i,
@@ -47,8 +45,7 @@ import numpy as np
 
 from .config import ProcedureConfig
 from .core import Decision, OneStepWeights, StreamState
-from .errors import ConfigError, StreamError
-from .series import series_from_config
+from .errors import AuditError, ConfigError, StreamError
 from .spec import level_map
 
 
@@ -122,78 +119,106 @@ def make_runner(cfg: ProcedureConfig, batch_ids=None):
     or of a fresh state: the runner decides it from where the state stands
     and advances the state past it, so a stream's chunks give its levels.
     """
-    cfg = replace(cfg, series=series_from_config(cfg.series))
-    probe = cfg.build(batch_ids=batch_ids)  # full validation + k*alpha warning happen once
-    if probe.reads_trace:
+    proc = cfg.build(batch_ids=batch_ids)  # full validation + k*alpha warning happen once
+    if not proc.reads_trace:
+        return lambda p, state=None: _run(proc, p, state)
 
-        def run_slow(p, state=None):
-            if state is not None:
-                raise ConfigError("a callable tau or lambda: continue a carried state with the scheduler's step")
-            p = _check_p_array(p)
-            res = from_decisions(cfg, [d for row in np.atleast_2d(p) for d in cfg.build(batch_ids=batch_ids).run(row)])
-            return replace(res, **{c: getattr(res, c).reshape(p.shape) for c in _COLUMNS})
+    def run_slow(p, state=None):
+        if state is not None:
+            raise ConfigError("a callable tau or lambda: continue a carried state with the scheduler's step")
+        p, decisions = _check_p_array(p), []
+        for row in np.atleast_2d(p):  # each row a fresh stream of the one build
+            proc.state, proc.trace = StreamState(proc.weights), []
+            decisions += proc.run(row)
+        res = from_decisions(cfg, decisions)
+        return replace(res, **{c: getattr(res, c).reshape(p.shape) for c in _COLUMNS})
 
-        return run_slow
+    return run_slow
 
-    spec = probe.spec
-    series = cfg.series
-    budget = probe.budget
-    lags = probe.lags
-    weights = probe.weights
 
-    def run(p, state=None):
-        p = _check_p_array(p)
-        if state is None:  # one fresh stream, or rows of fresh streams
-            state = StreamState(weights)
-        elif p.ndim != 1:
-            raise StreamError("a carried state continues one stream: pass a 1-d chunk")
-        block = np.atleast_2d(p)  # a single stream is a block of one row
-        rows, n = block.shape
-        i0, window, start = state.i, state.window, state.window_start
-        # a sequence gives the chunk's values, and raises, before the state changes, if it ends inside the chunk
-        tau, lam = probe.thresholds or [np.array(s.values(i0, i0 + n)) for s in (probe.tau, probe.lam)]
-        selected = block <= tau if spec.discards else np.broadcast_to(True, block.shape)
-        candidate = block <= lam if spec.adapts else np.broadcast_to(False, block.shape)
-        # prefix[:, j] = counted steps among the first start + j, from the carried window on
-        w = len(window)
-        itype = np.int32 if i0 + n < 2**31 else np.intp  # holds every count, at most i0 + n
-        prefix = np.empty((rows, w + n), dtype=itype)
-        prefix[:, :w] = window
-        np.cumsum(selected & ~candidate if spec.adapts else selected, axis=1, dtype=itype, out=prefix[:, w:])
-        prefix[:, w:] += window[-1]
-        # t - 1 = lag + the counted steps among the first i - 1 - lag, lag = min(L_i, i-1) (spec.py)
-        if lags is None:  # lag 0: a view
-            t0 = prefix[:, w - 1 : w - 1 + n]
-        else:  # a lag schedule that ends inside the chunk raises here, before the state changes
-            idx = np.arange(i0, i0 + n, dtype=np.intp)  # i - 1
-            lag = np.minimum(np.asarray(lags.values(i0, i0 + n), dtype=np.intp), idx)
-            visible = idx - lag
-            t0 = prefix[:, visible - start]
-            t0 += lag
-        # the weights of the series indices the steps read, lo + 1, ..., hi
-        lo, hi = (int(t0.min()), int(t0.max()) + 1) if t0.size else (0, 0)
-        gam = series.weights_upto(hi)[lo:]
-        if spec.family == "fallback":  # the base level, for any tau
-            base = level_map(spec.family, budget, 1.0, 0.0, gam)
-            levels = (_recycle(block, selected, t0, tau, base, weights) if p.ndim == 2
-                      else _recycle_carried(p, selected[0], t0[0], lo, tau, base, state.recycled))
-        else:  # a fresh stream starts at lo = 0: gather by t0 itself
-            at = t0 - lo if lo else t0
-            if probe.thresholds is None:  # each step's weight, tau and lambda
-                levels = level_map(spec.family, budget, tau, lam, gam[at])
-            else:  # one level per series index
-                levels = level_map(spec.family, budget, tau, lam, gam)[at]
-        if t0.size:  # keep the window from what the last step sees on
-            last = i0 + n - 1 if lags is None else int(visible[-1])
-            state.i = i0 + n
-            state.window, state.window_start = prefix[0, last - start :].tolist(), last
-        rejected = block <= levels
-        rejected &= levels > 0.0
-        return StreamResult(cfg.procedure, cfg.alpha, cfg.k, p, levels.reshape(p.shape),
-                            rejected.reshape(p.shape), selected.reshape(p.shape), candidate.reshape(p.shape),
-                            np.broadcast_to(tau, p.shape), np.broadcast_to(lam, p.shape))
+def _run(proc, p, state=None, lags=None):
+    """The runner of :func:`make_runner` on ``proc``; ``lags``, from batch ids, replace its empty ones."""
+    p = _check_p_array(p)
+    if state is None:  # one fresh stream, or rows of fresh streams
+        state = StreamState(proc.weights)
+    elif p.ndim != 1:
+        raise StreamError("a carried state continues one stream: pass a 1-d chunk")
+    spec, block = proc.spec, np.atleast_2d(p)  # a single stream is a block of one row
+    rows, n = block.shape
+    i0, window, start = state.i, state.window, state.window_start
+    # a sequence gives the chunk's values, and raises, before the state changes, if it ends inside the chunk
+    tau, lam = proc.thresholds or [np.array(s.values(i0, i0 + n)) for s in (proc.tau, proc.lam)]
+    selected = block <= tau if spec.discards else np.broadcast_to(True, block.shape)
+    candidate = block <= lam if spec.adapts else np.broadcast_to(False, block.shape)
+    # prefix[:, j] = counted steps among the first start + j, from the carried window on
+    w = len(window)
+    itype = np.int32 if i0 + n < 2**31 else np.intp  # holds every count, at most i0 + n
+    prefix = np.empty((rows, w + n), dtype=itype)
+    prefix[:, :w] = window
+    np.cumsum(selected & ~candidate if spec.adapts else selected, axis=1, dtype=itype, out=prefix[:, w:])
+    prefix[:, w:] += window[-1]
+    # t - 1 = lag + the counted steps among the first i - 1 - lag, lag = min(L_i, i-1) (spec.py)
+    if proc.lags is None:  # lag 0: a view
+        t0 = prefix[:, w - 1 : w - 1 + n]
+    else:  # a lag schedule that ends inside the chunk raises here, before the state changes
+        idx = np.arange(i0, i0 + n, dtype=np.intp)  # i - 1
+        lag = np.minimum(np.asarray(proc.lags.values(i0, i0 + n) if lags is None else lags[:n], dtype=np.intp), idx)
+        visible = idx - lag
+        t0 = prefix[:, visible - start]
+        t0 += lag
+    # the weights of the series indices the steps read, lo + 1, ..., hi
+    lo, hi = (int(t0.min()), int(t0.max()) + 1) if t0.size else (0, 0)
+    gam = proc.series.weights_upto(hi)[lo:]
+    if spec.family == "fallback":  # the base level, for any tau
+        base = level_map(spec.family, proc.budget, 1.0, 0.0, gam)
+        levels = (_recycle(block, selected, t0, tau, base, proc.weights) if p.ndim == 2
+                  else _recycle_carried(p, selected[0], t0[0], lo, tau, base, state.recycled))
+    else:  # a fresh stream starts at lo = 0: gather by t0 itself
+        at = t0 - lo if lo else t0
+        if proc.thresholds is None:  # each step's weight, tau and lambda
+            levels = level_map(spec.family, proc.budget, tau, lam, gam[at])
+        else:  # one level per series index
+            levels = level_map(spec.family, proc.budget, tau, lam, gam)[at]
+    if t0.size:  # keep the window from what the last step sees on
+        last = i0 + n - 1 if proc.lags is None else int(visible[-1])
+        state.i = i0 + n
+        state.window, state.window_start = prefix[0, last - start :].tolist(), last
+    rejected = block <= levels
+    rejected &= levels > 0.0
+    return StreamResult(proc.kind, proc.alpha, proc.k, p, levels.reshape(p.shape),
+                        rejected.reshape(p.shape), selected.reshape(p.shape), candidate.reshape(p.shape),
+                        np.broadcast_to(tau, p.shape), np.broadcast_to(lam, p.shape))
 
-    return run
+
+def decide(proc, p, batch_ids=None):
+    """Decide and audit the next chunk ``p`` of the scheduler ``proc``'s stream, and return the
+    :class:`StreamResult` of the steps that may be kept with the error that stopped the chunk, or
+    None: the step past a sequence's end (:class:`ConfigError`), the first index failing the audit
+    (:class:`AuditError`) or the first id of a closed batch (:class:`StreamError`).  ``batch_ids``,
+    one per p-value (any past ``p`` are checked too), give the lags of a schedule built from none."""
+    from .audit import audit_trace  # audit imports this module
+
+    if proc.reads_trace:
+        raise ConfigError("a callable tau or lambda: decide its stream with the scheduler's step")
+    p, state, start, lags, error = _check_p_array(p), proc.state, proc.state.i, None, None
+    if batch_ids is not None:
+        if proc.lags is None or proc.lags.seq != [] or len(batch_ids) < p.size:
+            raise ConfigError(f"{proc.kind}: batch ids give the lags of a schedule built from none, one per p-value")
+        lags, error = state.batch_lags(batch_ids)
+        p = p[: len(lags)]
+    sequences = [s for s in proc.sequences() if s.seq or s is not proc.lags]  # an empty lag list takes batch lags
+    n = min([p.size, *(len(s.seq) - start for s in sequences)])  # the steps every sequence defines
+    rows = _run(proc, p[:n], state, lags)
+    report = audit_trace(rows, state=state)
+    if not report.passed:  # the rows from the first failing index on go
+        rows = replace(rows, **{c: getattr(rows, c)[: report.first_bad_index - 1 - start] for c in _COLUMNS})
+    try:
+        report.raise_if_failed()
+        for s in sequences if n < p.size else ():  # a sequence ends: the step past it raises
+            s.value(start + n + 1)
+    except (AuditError, ConfigError) as exc:
+        error = exc
+    return rows, error
 
 
 def _recycle(p, selected, t0, tau, base, weights):

@@ -39,6 +39,7 @@ class WeightSeries:
     """
 
     kind = "base"
+    total = 1.0  # the sum of all the weights: 1 for a normalized series, certified to 1e-12
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
@@ -205,7 +206,7 @@ class ExplicitSeries(WeightSeries):
 
     def __init__(self, weights):
         super().__init__()
-        w, _ = weight_vector(weights, "explicit series")
+        w, self.total = weight_vector(weights, "explicit series")
         if w.size == 0:
             raise ConfigError("explicit series needs a nonempty weight list")
         self._w = w
@@ -239,7 +240,7 @@ def series_from_config(cfg) -> WeightSeries:
         return cfg
     if not isinstance(cfg, dict) or "kind" not in cfg:
         raise ConfigError(f"series config must be a dict with a 'kind', got {cfg!r}")
-    kind = str(cfg["kind"]).lower()
+    kind = cfg["kind"]
     if kind not in ("q", "log-q", "explicit"):
         raise ConfigError(f"unknown series kind {cfg['kind']!r}")
     if kind == "explicit":

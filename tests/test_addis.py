@@ -17,6 +17,7 @@ from fwerstream import (
     QSeries,
     kfwer_wrap,
 )
+from fwerstream.core import StreamState
 
 Q2 = QSeries(2.0)
 
@@ -215,8 +216,8 @@ class TestAddisLocal:
 
     def test_lag_schedule_reads_like_a_schedule(self):
         const, listed = LagSchedule.constant(2), LagSchedule.from_list([0, 1, 2, 0])
-        batched = LagSchedule.from_batch_ids(["a", "a"])
-        batched.extend(["b"])
+        state = StreamState()  # the state's batch rule continues the open batch from one call to the next
+        batched = LagSchedule.from_list([lag for ids in (["a", "a"], ["b"]) for lag in state.batch_lags(ids)[0]])
         assert [const.value(i) for i in (1, 5, 10**9)] == [2, 2, 2]
         assert const.values(3, 6) == [2, 2, 2] and listed.values(1, 4) == [1, 2, 0] == listed.seq[1:]
         assert [batched.value(i) for i in (1, 2, 3)] == [0, 1, 0] == batched.values(0, 3)

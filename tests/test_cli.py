@@ -919,22 +919,18 @@ class TestStreamingRun:
             factor = 0.2 / levels[:2000].sum()
             bad = int(np.flatnonzero(np.cumsum(factor * levels) > 0.2 + 1e-9)[0]) + 1
             assert 1024 < bad < 3000
-        make_runner = fast.make_runner
+        run = fast._run  # the runner that proc.decide calls on each chunk
 
-        def overspending(cfg, *args, **kwargs):
-            run = make_runner(cfg, *args, **kwargs)
+        def run_chunk(proc, p, state=None, lags=None):
+            start = state.i
+            res = run(proc, p, state, lags)
+            if factor is not None:
+                res.levels *= factor
+            elif start < bad <= state.i:
+                res.levels[bad - 1 - start] = 0.5
+            return res
 
-            def run_chunk(p, state=None):
-                start = state.i
-                res = run(p, state=state)
-                if factor is not None:
-                    res.levels *= factor
-                elif start < bad <= state.i:
-                    res.levels[bad - 1 - start] = 0.5
-                return res
-            return run_chunk
-
-        monkeypatch.setattr(fast, "make_runner", overspending)
+        monkeypatch.setattr(fast, "_run", run_chunk)
         monkeypatch.setattr(cli, "RUN_CHUNK", chunk)
         inp, out = tmp_path / "in.csv", tmp_path / "out.csv"
         write_stream(inp, ps)

@@ -1,0 +1,160 @@
+"""Procedure configs: the JSON round trip, and the configs that build refuses."""
+
+import json
+
+import numpy as np
+import pytest
+
+from fwerstream import (PROCEDURES, ConfigError, ExplicitSeries, ExplicitWeights, LaggedSeriesWeights, LagSchedule,
+                        LogQSeries, OneStepWeights, ProcedureConfig, QSeries, run_stream)
+from fwerstream.cli import main
+from fwerstream.spec import SPECS
+
+N = 300  # the stream every round-tripped config decides
+RNG = np.random.default_rng(21)
+P = RNG.random(N)
+P[::7] = 1e-9  # every row rejects, the first step included
+TAUS = RNG.uniform(0.3, 0.9, N).tolist()
+LAMS = [t / 3 for t in TAUS]
+ROWS = [[0.5, 0.25], [1.0], [], [0.2] * 5] * (N // 4)
+
+
+def _series():
+    """Each series kind, as a config and built."""
+    yield "q", {"kind": "q", "q": 2.0}
+    yield "log-q", {"kind": "log-q", "q": 1.5}
+    yield "explicit", {"kind": "explicit", "weights": (np.full(N, 0.9 / N)).tolist()}
+    yield "built-q", QSeries(3.0)
+    yield "built-log-q", LogQSeries(2.0)
+    yield "built-explicit", ExplicitSeries([0.3, 0.2, 0.1, 0.1] + [0.05] * 4)
+
+
+def _options(name, series):
+    """Each option kind the row takes: constants and lists, configs and built objects."""
+    spec = SPECS[name]
+    yield "plain", {}
+    if spec.discards:
+        yield "tau", {"tau": 0.6}
+        yield "tau-list", {"tau": TAUS}
+    if spec.adapts:
+        yield "lambda", {"lam": 0.1}
+        yield "lambda-list", {"lam": LAMS, **({"tau": TAUS} if spec.discards else {})}
+    if spec.lagged:
+        yield "lags", {"lags": {"kind": "constant", "value": 3}}
+        yield "lag-list", {"lags": {"kind": "list", "values": [0, 1, 2, 3, 0, 1] * (N // 6)}}
+        yield "built-lags", {"lags": LagSchedule.constant(2)}
+        yield "built-lag-list", {"lags": LagSchedule.from_list([0, 1, 2, 0] * (N // 4))}
+    if "weights" in spec.options:
+        yield "one-step", {"weights": {"kind": "one-step"}}
+        yield "lagged-gamma", {"weights": {"kind": "lagged-gamma"}}
+        yield "explicit-weights", {"weights": {"kind": "explicit", "rows": ROWS}}
+        yield "built-one-step", {"weights": OneStepWeights()}
+        yield "built-lagged-gamma", {"weights": LaggedSeriesWeights(series)}  # the config's own series
+        yield "built-explicit-weights", {"weights": ExplicitWeights(ROWS)}
+    if spec.pfer:
+        yield "k2", {"k": 2}
+
+
+CASES = [(f"{name}-{s_id}-{o_id}", ProcedureConfig(procedure=name, alpha=0.2, series=series, **options))
+         for name in PROCEDURES for s_id, series in _series() for o_id, options in _options(name, series)]
+
+
+@pytest.mark.parametrize("cfg", [c for _, c in CASES], ids=[i for i, _ in CASES])
+def test_a_config_decides_as_its_json_round_trip(cfg):
+    text = json.dumps(cfg.to_dict())
+    back = ProcedureConfig.from_dict(json.loads(text))
+    assert json.dumps(back.to_dict()) == text
+    want, got = run_stream(cfg, P), run_stream(back, P)
+    assert [x.hex() for x in got.levels.tolist()] == [x.hex() for x in want.levels.tolist()]
+    assert got.rejected.tolist() == want.rejected.tolist() and want.rejected.any()
+    assert (back.procedure, back.alpha, back.k) == (cfg.procedure, cfg.alpha, cfg.k)
+
+
+def test_the_round_trip_covers_every_row_and_option_kind():
+    ids = {i for i, _ in CASES}
+    assert {name for name in PROCEDURES if any(i.startswith(f"{name}-q-") for i in ids)} == set(PROCEDURES)
+    for kind in ("one-step", "lagged-gamma", "explicit-weights", "lags", "lag-list", "tau", "tau-list", "lambda",
+                 "lambda-list", "k2"):
+        assert any(i.endswith(f"-built-q-{kind}") or i.endswith(f"-q-{kind}") for i in ids), kind
+
+
+# one spelling per setting: a name or kind in another letter case, or with spaces, is unknown
+MISSPELT = [
+    ({"procedure": "Addis-Spending ", "alpha": 0.2, "series": {"kind": "LOG-Q", "q": 2}}, "unknown procedure"),
+    ({"procedure": "Alpha-Spending", "alpha": 0.2}, "unknown procedure 'Alpha-Spending'"),
+    ({"procedure": "addis-spending", "alpha": 0.2, "series": {"kind": "LOG-Q", "q": 2}}, "unknown series kind 'LOG-Q'"),
+    ({"procedure": "online-fallback", "alpha": 0.2, "weights": {"kind": "One-Step"}},
+     "unknown fallback weights kind 'One-Step'"),
+    ({"procedure": "addis-spending-local", "alpha": 0.2, "lags": {"kind": "Constant", "value": 1}},
+     "unknown lags kind 'Constant'"),
+    ({"procedure": "addis-spending-local", "alpha": 0.2, "lags": {"kind": "From-Batch-Ids"}},
+     "unknown lags kind 'From-Batch-Ids'"),
+]
+
+
+@pytest.mark.parametrize("config,message", MISSPELT, ids=[str(i) for i in range(len(MISSPELT))])
+def test_a_setting_in_another_spelling_is_refused(tmp_path, capsys, config, message):
+    with pytest.raises(ConfigError, match=message):
+        ProcedureConfig.from_dict(config).build()
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(config))
+    assert main(["validate", "--config", str(path)]) == 3
+    assert message in capsys.readouterr().out
+    inp, out = tmp_path / "in.csv", tmp_path / "out.csv"
+    inp.write_text("p\n0.1\n")
+    assert main(["run", "--input", str(inp), "--out", str(out), "--config", str(path)]) == 3
+    assert message in capsys.readouterr().err and not out.exists()
+
+
+def test_run_refuses_a_procedure_flag_in_another_case(tmp_path, capsys):
+    inp, out = tmp_path / "in.csv", tmp_path / "out.csv"
+    inp.write_text("p\n0.1\n")
+    assert main(["run", "--input", str(inp), "--out", str(out), "--procedure", "Alpha-Spending", "--alpha", "0.2"]) == 3
+    assert "unknown procedure 'Alpha-Spending'" in capsys.readouterr().err and not out.exists()
+    # the flag spellings stay: --lags batch, and --series q|logq
+    inp.write_text("p,batch_id\n0.1,a\n")
+    assert main(["run", "--input", str(inp), "--out", str(out), "--procedure", "addis-spending-local",
+                 "--alpha", "0.2", "--lags", "batch", "--series", "logq", "--q", "2"]) == 0
+
+
+# alpha 1 - 1e-13 on weights that sum to 1 + 1e-12: recycling can pass 1 + 9e-13 to step 2
+REACHES_ONE = {"procedure": "online-fallback-1", "alpha": 0.9999999999999,
+               "series": {"kind": "explicit", "weights": [0.5, 0.500000000001]}}
+
+
+@pytest.mark.parametrize("name", ["online-fallback", "online-fallback-1", "discard-fallback"])
+def test_a_fallback_row_refuses_a_level_that_could_reach_one(name):
+    config = {**REACHES_ONE, "procedure": name, **({"tau": 1.0} if name == "discard-fallback" else {})}
+    with pytest.raises(ConfigError, match=rf"^{name}: alpha times the series total, .* is within 1e-09 of one"):
+        ProcedureConfig.from_dict(config).build()
+    # the same alpha on a series that sums to 0.999 is a valid config, and so are the spending and Sidak rows
+    ProcedureConfig.from_dict({**config, "series": {"kind": "explicit", "weights": [0.5, 0.499]}}).build()
+    for other in ("alpha-spending", "online-sidak"):
+        ProcedureConfig.from_dict({**REACHES_ONE, "procedure": other}).build()
+
+
+def test_validate_and_run_refuse_a_fallback_level_that_could_reach_one(tmp_path, capsys):
+    path, inp, out = tmp_path / "c.json", tmp_path / "in.csv", tmp_path / "out.csv"
+    path.write_text(json.dumps(REACHES_ONE))
+    inp.write_text("p\n0.1\n0.2\n")
+    assert main(["validate", "--config", str(path)]) == 3
+    assert "FAIL online-fallback-1: online-fallback-1: alpha times the series total" in capsys.readouterr().out
+    assert main(["run", "--input", str(inp), "--out", str(out), "--config", str(path)]) == 3
+    assert "config error: online-fallback-1: alpha times" in capsys.readouterr().err
+    assert not out.exists()  # refused before --out is opened
+    path.write_text(json.dumps({"procedures": [REACHES_ONE], "grid": {"pi_a": [0.3], "T": 20,
+                                                                       "alpha": REACHES_ONE["alpha"]}, "trials": 2}))
+    assert main(["experiment", "--config", str(path), "--out", str(out)]) == 3
+    assert "config error: online-fallback-1: alpha times" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_an_experiment_grid_refuses_batch_lags_naming_the_procedure(tmp_path, capsys):
+    path, out = tmp_path / "exp.json", tmp_path / "r.csv"
+    path.write_text(json.dumps({"procedures": [{"procedure": "addis-spending-local", "alpha": 0.2,
+                                                "lags": {"kind": "from-batch-ids"}}],
+                                "grid": {"pi_a": [0.3], "T": 20}, "trials": 2}))
+    assert main(["experiment", "--config", str(path), "--out", str(out)]) == 3
+    assert capsys.readouterr().err == ("config error: procedure addis-spending-local takes its lags from batch ids, "
+                                       "which an experiment grid does not have: give it a constant or list lag\n")
+    assert not out.exists()
