@@ -10,8 +10,9 @@ Subcommands:
 Exit codes: 0 ok, 1 stdout closed by its reader, 2 input error, 3 config error,
 4 budget-audit failure.
 
-``run`` and ``validate`` load no scipy: ``experiment`` and ``solve`` import
-the simulator and the power solvers when they start.
+``run`` and ``validate`` of a procedure config load no scipy: ``experiment``,
+``validate`` of an experiment config and ``solve`` import the simulator and
+the power solvers when they start.
 """
 
 from __future__ import annotations
@@ -292,60 +293,8 @@ def cmd_run(args) -> int:
 # experiment
 # ----------------------------------------------------------------------
 
-def _number(value, name: str) -> float:
-    """A config value that must be a finite number (not a boolean or a string)."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
-        raise ConfigError(f"experiment config: {name} must be a finite number, got {value!r}")
-    return float(value)
-
-
-def _whole(value, name: str) -> int:
-    """A config value that must be a whole number."""
-    if not _number(value, name).is_integer():
-        raise ConfigError(f"experiment config: {name} must be an integer, got {value!r}")
-    return int(value)
-
-
-def _nonempty_list(value, name: str) -> list:
-    """A config value that must be a list with at least one entry."""
-    if not (isinstance(value, list) and value):
-        raise ConfigError(f"experiment config: {name} must be a non-empty list, got {value!r}")
-    return value
-
-
-def _custom_cells(spec: dict, trials: int | None = None, seed: int | None = None):
-    """The cells of an experiment config, every value of it checked first;
-    ``trials`` and ``seed``, when given, override the config's."""
-    from .power import GaussianMixModel
-    from .sim import grid_cells
-
-    if not isinstance(spec, dict):
-        raise ConfigError(f"experiment config must be an object, got {spec!r}")
-    try:
-        procedures = {}
-        for p in map(ProcedureConfig.from_dict, _nonempty_list(spec.get("procedures"), "procedures")):
-            procedures[p.procedure if p.procedure not in procedures else f"{p.procedure}#{len(procedures)}"] = p
-        grid = spec.get("grid")
-        if not isinstance(grid, dict):
-            raise ConfigError(f"experiment config: grid must be an object, got {grid!r}")
-        mu_a = _number(grid.get("mu_a", 4.0), "grid.mu_a")
-        points = [(GaussianMixModel(pi_a=_number(pi_a, "grid.pi_a"), mu_a=mu_a, mu_n=_number(mu_n, "grid.mu_n")),
-                   {"pi_a": pi_a, "mu_a": mu_a, "mu_n": mu_n})
-                  for mu_n in _nonempty_list(grid.get("mu_n", [0.0]), "grid.mu_n")
-                  for pi_a in _nonempty_list(grid.get("pi_a", [0.5]), "grid.pi_a")]
-        config_trials = _whole(spec.get("trials", 2000), "trials")
-        config_seed = _whole(spec.get("seed", 1), "seed")
-        return grid_cells(procedures, points, trials=config_trials if trials is None else trials,
-                          seed=config_seed if seed is None else seed, horizon=_whole(grid.get("T", 1000), "grid.T"),
-                          alpha=_number(grid.get("alpha", 0.2), "grid.alpha"))
-    except ConfigError:
-        raise
-    except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
-        raise ConfigError(f"experiment config: {exc!r}") from None
-
-
 def cmd_experiment(args) -> int:
-    from .sim import estimate_metrics_many, fig1_cells, fig2_cells
+    from .sim import estimate_metrics_many, experiment_cells, fig1_cells, fig2_cells
 
     # a flag left out keeps the preset's or the config's value
     given = {k: v for k, v in (("trials", args.trials), ("seed", args.seed)) if v is not None}
@@ -358,7 +307,7 @@ def cmd_experiment(args) -> int:
         cells = fig2_cells(**given)
         extra_cols = ("f", "r")
     elif args.config:
-        cells = _custom_cells(_load_json(args.config), **given)
+        cells = experiment_cells(_load_json(args.config), **given)
         extra_cols = ()
     else:
         raise ConfigError("pass --preset fig1|fig2 or --config FILE")
@@ -456,23 +405,19 @@ def cmd_solve(args) -> int:
 
 def cmd_validate(args) -> int:
     spec = _load_json(args.config)
-    entries = spec["procedures"] if isinstance(spec, dict) and "procedures" in spec else [spec]
-    if not isinstance(entries, list):
-        raise ConfigError(f"'procedures' must be a list of procedure configs, got {entries!r}")
-    failures = 0
-    for idx, entry in enumerate(entries, start=1):
-        name = entry.get("procedure", f"entry {idx}") if isinstance(entry, dict) else f"entry {idx}"
-        try:
-            findings = ProcedureConfig.from_dict(entry).validate()
-        except ConfigError as exc:
-            findings = [str(exc)]
-        if findings:
-            failures += 1
-            for f in findings:
-                print(f"FAIL {name}: {f}")
-        else:
-            print(f"ok   {name}")
-    return 0 if failures == 0 else 3
+    if isinstance(spec, dict) and "procedures" in spec:  # an experiment config, read as `experiment` reads it
+        from .sim import experiment_cells
+
+        for cfg in next(experiment_cells(spec))[1].values():
+            print(f"ok   {cfg.procedure}")
+        return 0
+    name = spec.get("procedure", "entry 1") if isinstance(spec, dict) else "entry 1"
+    try:
+        findings = ProcedureConfig.from_dict(spec).validate()
+    except ConfigError as exc:
+        findings = [str(exc)]
+    print("\n".join(f"FAIL {name}: {f}" for f in findings) or f"ok   {name}")
+    return 3 if findings else 0
 
 
 # ----------------------------------------------------------------------

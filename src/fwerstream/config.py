@@ -11,7 +11,7 @@ from dataclasses import dataclass, field, replace
 
 from .core import BATCH_KIND, SCHEDULERS, lags_from_config
 from .errors import ConfigError
-from .series import series_from_config
+from .series import real, series_from_config
 from .spec import PROCEDURES, level_budget
 
 
@@ -90,15 +90,13 @@ class ProcedureConfig:
         unknown = set(d) - known
         if unknown:
             raise ConfigError(f"unknown procedure config keys: {sorted(unknown)}")
-        alpha = d["alpha"]
-        if not isinstance(alpha, (int, float)) or isinstance(alpha, bool):
-            raise ConfigError(f"alpha must be a number, got {alpha!r}")
+        alpha = real(d["alpha"], f"alpha must be a number, got {d['alpha']!r}")
         k = d.get("k", 1)
         if not isinstance(k, int) or isinstance(k, bool):
             raise ConfigError(f"k must be an integer, got {k!r}")
         return cls(
             procedure=d["procedure"],
-            alpha=float(alpha),
+            alpha=alpha,
             series=d.get("series", _default_series()),
             tau=d.get("tau"),
             lam=d.get("lambda"),

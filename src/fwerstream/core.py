@@ -128,16 +128,16 @@ def threshold_schedule(spec, name: str, lo: float, hi: float, lo_open: bool, hi_
 
     if callable(spec):
         return Schedule(name, fn=lambda prefix: check(float(spec(prefix))))
-    if isinstance(spec, (int, float)) and not isinstance(spec, bool):
-        return Schedule(name, const=check(float(spec)))
+    const = isinstance(spec, (int, float)) and not isinstance(spec, bool)
     try:
-        values = list(spec)
+        values = [spec] if const else list(spec)
         if isinstance(spec, str) or any(isinstance(v, bool) for v in values):
             raise TypeError
         values = [float(v) for v in values]
-    except (TypeError, ValueError):
+    except (OverflowError, TypeError, ValueError):  # OverflowError: an integer too large for a float
         raise ConfigError(f"{name} must be a number, a sequence of numbers, or a callable, got {spec!r}") from None
-    return Schedule(name, seq=[check(v) for v in values])
+    values = [check(v) for v in values]
+    return Schedule(name, const=values[0]) if const else Schedule(name, seq=values)
 
 
 BATCH_KIND = "from-batch-ids"  # the lags kind read from the stream's batch ids
@@ -480,6 +480,8 @@ class ExplicitWeights(FallbackWeights):
 
 def weights_from_config(cfg, series) -> FallbackWeights:
     """Build transfer weights; ``series`` backs the lagged-gamma kind."""
+    if isinstance(cfg, LaggedSeriesWeights) and cfg.series.config() != series.config():
+        raise ConfigError(f"lagged-gamma weights take the procedure's series, not {cfg.series.config()}")
     if isinstance(cfg, FallbackWeights):
         return cfg
     if cfg is None:
@@ -501,7 +503,8 @@ def weights_from_config(cfg, series) -> FallbackWeights:
 class RecycleBuffer:
     """Recycled level addressed to each later index of one scheduler.
 
-    ``reject(k, a)`` records a rejection at index k with realized level a;
+    ``reject(k, a)`` records a rejection at index k with realized level a,
+    after ``mass`` or ``masses`` has read index k, so k is below the capacity;
     ``mass(i)`` returns the sum of w[k, i] * a_k over the rejections k < i.
     One-step weights keep only the latest rejection as a carry.  Other
     weights keep a float64 array of the mass addressed to every index below
@@ -545,8 +548,6 @@ class RecycleBuffer:
         if self._one_step:
             self._last, self._carry = k, a
             return
-        if k >= self._buf.size:
-            self._grow(k)
         span = self._weights.span(k, self._buf.size - 1)
         self._buf[k + 1 : k + 1 + span.size] += a * span
         if k + 1 + span.size == self._buf.size:  # the row may reach past the capacity

@@ -1,10 +1,10 @@
 """Whole-stream runners for the simulation harness and the command line.
 
 ``make_runner`` builds a :class:`ProcedureConfig` once into a function
-that maps p-values, a block of fresh streams or the next chunk of one (t
-counts from the start of the stream), to a :class:`StreamResult`;
-:func:`decide` also audits a scheduler's next chunk and cuts it at its
-first error.  The runner computes the index rule of
+that maps p-values, a fresh stream or a block of them, to a
+:class:`StreamResult`; :func:`decide` decides a scheduler's next chunk on
+its state (t counts from the start of the stream), audits it and cuts it
+at its first error.  The runner computes the index rule of
 :mod:`fwerstream.spec`, with tau and lambda constant or by step, with the
 same operations as the step scheduler, and its level through
 :func:`fwerstream.spec.level_map`, so both give bit-identical traces; only
@@ -110,22 +110,17 @@ def _check_p_array(p) -> np.ndarray:
 
 
 def make_runner(cfg: ProcedureConfig, batch_ids=None):
-    """Compile ``cfg`` into a reusable ``run(p, state=None) -> StreamResult`` function.
+    """Compile ``cfg`` into a reusable ``run(p) -> StreamResult`` function.
 
-    ``p`` is a block of fresh streams (rows, T), which takes no state, or
-    one stream (T,), and every column of the result takes its shape.  One
-    stream is the next chunk of ``state``, the
-    :class:`~fwerstream.core.StreamState` of a scheduler built from ``cfg``,
-    or of a fresh state: the runner decides it from where the state stands
-    and advances the state past it, so a stream's chunks give its levels.
+    ``p`` is one fresh stream (T,) or a block of them (rows, T), and every
+    column of the result takes its shape.  The next chunk of a stream goes,
+    on its scheduler's state, to :func:`decide`.
     """
     proc = cfg.build(batch_ids=batch_ids)  # full validation + k*alpha warning happen once
     if not proc.reads_trace:
-        return lambda p, state=None: _run(proc, p, state)
+        return lambda p: _run(proc, p)
 
-    def run_slow(p, state=None):
-        if state is not None:
-            raise ConfigError("a callable tau or lambda: continue a carried state with the scheduler's step")
+    def run_slow(p):
         p, decisions = _check_p_array(p), []
         for row in np.atleast_2d(p):  # each row a fresh stream of the one build
             proc.state, proc.trace = StreamState(proc.weights), []
@@ -137,7 +132,8 @@ def make_runner(cfg: ProcedureConfig, batch_ids=None):
 
 
 def _run(proc, p, state=None, lags=None):
-    """The runner of :func:`make_runner` on ``proc``; ``lags``, from batch ids, replace its empty ones."""
+    """The runner of :func:`make_runner` on ``proc``, or, given ``state``, that of :func:`decide`, which continues
+    it by one 1-d chunk; ``lags``, from batch ids, replace the empty ones of ``proc``."""
     p = _check_p_array(p)
     if state is None:  # one fresh stream, or rows of fresh streams
         state = StreamState(proc.weights)

@@ -100,10 +100,11 @@ class PowerLawSeries(WeightSeries):
     """
 
     def __init__(self, q: float):
-        if not (isinstance(q, (int, float)) and math.isfinite(q) and q > 1.0):
-            raise ConfigError(f"{self.kind}-series requires q > 1, got {q!r}")
+        message = f"{self.kind}-series requires q > 1, got {q!r}"
+        if not (math.isfinite(q := real(q, message)) and q > 1.0):
+            raise ConfigError(message)
         super().__init__()
-        self.q = float(q)
+        self.q = q
         self._z_lo, self._z_hi = self._certify()
         self._z = 0.5 * (self._z_lo + self._z_hi)
 
@@ -168,6 +169,17 @@ class LogQSeries(PowerLawSeries):
         return math.log(m + 1.5) ** (1.0 - self.q) / (self.q - 1.0)
 
 
+def real(value, message: str) -> float:
+    """``value`` as a float if it is a number a float holds: not a boolean, a string or an integer too large
+    for a float, each of which raises ``ConfigError(message)``."""
+    try:
+        if isinstance(value, (int, float)) and not isinstance(value, bool):
+            return float(value)
+    except OverflowError:
+        pass
+    raise ConfigError(message)
+
+
 def weight_vector(values, name: str) -> tuple[np.ndarray, float]:
     """``values`` as a read-only flat float64 array of finite entries in
     [0, 1] summing to at most one (1e-12 slack), with its ``math.fsum`` total.
@@ -181,7 +193,7 @@ def weight_vector(values, name: str) -> tuple[np.ndarray, float]:
         w = np.asarray(values, dtype=np.float64)
         if w.ndim != 1:
             raise ValueError
-    except (TypeError, ValueError):
+    except (OverflowError, TypeError, ValueError):  # OverflowError: an integer too large for a float
         raise ConfigError(f"{name} must be a flat list of numbers") from None
     if not np.all(np.isfinite(w)) or np.any(w < 0.0):
         raise ConfigError(f"{name} has negative or non-finite entries")

@@ -42,6 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
+from .series import real
 
 DEFAULT_TAU = 0.5
 
@@ -127,7 +128,7 @@ def level_budget(kind: str, alpha: float, k) -> float:
         raise ConfigError(f"k must be a positive integer, got {k!r}")
     if k > 1 and not SPECS[kind].pfer:
         raise ConfigError(f"k-FWER wrapping requires a PFER-controlling procedure, got {kind!r}")
-    budget = k * alpha
+    budget = real(k, f"k must be an integer a float holds, got {k!r}") * alpha
     if budget >= 1.0:
         warnings.warn(f"k*alpha = {budget} >= 1: test levels may saturate and will be clamped below tau_i and 1",
                       stacklevel=3)

@@ -256,7 +256,7 @@ class TestExperiment:
         assert "0.1" in f_values and "1.0" in f_values
         assert len(rows) == 1 + (9 + 9) * 4
 
-    # named: what the error message must name
+    # named: what the error message must name; validate --config reads the config as experiment does
     @pytest.mark.parametrize("key,value,named", [
         ("grid", 5, "grid must be an object"), ("grid", {"pi_a": ["x"]}, "grid.pi_a"),
         ("grid", {"mu_n": 5}, "grid.mu_n must be a non-empty list"), ("trials", 0, "trials"),
@@ -285,23 +285,42 @@ class TestExperiment:
          "alpha-spending takes no 'tau' option"),
         ("procedures", [{"procedure": "alpha-spending", "alpha": 0.2, "lags": {"kind": "from-batch-ids"}}],
          "alpha-spending takes no 'lags' option"),
+        ("tirals", 2, "unknown keys ['tirals']"), ("grid", {"mu_N": [0.0]}, "grid has unknown keys ['mu_N']"),
+        ("grid", {"pi_a": [10**400]}, f"grid.pi_a must be a finite number, got {10**400}"),
+        ("grid", {"T": 10**400}, f"grid.T must be a finite number, got {10**400}"),
+        ("procedures", [{"procedure": "alpha-spending", "alpha": 0.1}],
+         "procedure alpha-spending has alpha 0.1, but the grid runs at alpha 0.2"),
+        ("procedures", [{"procedure": "addis-spending-local", "alpha": 0.2, "lags": {"kind": "from-batch-ids"}}],
+         "procedure addis-spending-local takes its lags from batch ids"),
+        ("procedures", [{"procedure": "discard-spending", "alpha": 0.2, "tau": [0.5, 0.5]}],
+         "tau schedule has 2 entries; step 3 requested"),
     ], ids=["grid", "pi_a", "mu_n", "trials", "trials-fraction", "trials-bool",
             "trials-string", "seed-fraction", "seed-bool", "T-fraction",
             "pi_a-bool", "pi_a-string", "mu_n-string", "mu_a-string", "mu_a-bool",
             "alpha-string", "alpha-out-of-range", "tau-below-grid-alpha",
             "pi_a-number", "pi_a-text", "grid-list", "procedures-text", "procedures-empty",
             "pi_a-empty", "mu_n-empty", "lags-text", "lags-kind", "weights-text", "weights-kind",
-            "tau-on-alpha-spending", "batch-lags-on-alpha-spending"])
+            "tau-on-alpha-spending", "batch-lags-on-alpha-spending", "unknown-key", "unknown-grid-key",
+            "pi_a-huge", "T-huge", "alpha-other-than-the-grids", "batch-lags", "tau-list-shorter-than-T"])
     def test_malformed_config_exits_3_before_any_output(self, tmp_path, capsys, key, value, named):
         cfg = tmp_path / "exp.json"
         cfg.write_text(json.dumps({"procedures": [{"procedure": "alpha-spending", "alpha": 0.2}],
-                                   "grid": {}, "trials": 2, key: value}))
+                                   "grid": {"T": 20}, "trials": 2, key: value}))
         out = tmp_path / "r.csv"
         assert main(["experiment", "--config", str(cfg), "--out", str(out)]) == 3
         err = capsys.readouterr().err
         assert err.startswith("config error: ")
         assert named in err
         assert not out.exists()
+        assert main(["validate", "--config", str(cfg)]) == 3
+        assert capsys.readouterr() == ("", err)
+
+    def test_a_valid_config_validates_and_runs(self, tmp_path, capsys):
+        cfg, out = self._one_cell(tmp_path, trials=2, seed=1), tmp_path / "r.csv"
+        assert main(["validate", "--config", cfg]) == 0
+        assert capsys.readouterr() == ("ok   alpha-spending\n", "")
+        assert main(["experiment", "--config", cfg, "--out", str(out)]) == 0
+        assert len(read_csv(out)) == 2
 
     @pytest.mark.parametrize("key,name", [("tau", "tau"), ("lambda", "lambda"), ("lags", "lag")])
     def test_sequence_shorter_than_the_horizon_exits_3_before_any_output(self, tmp_path, capsys, key, name):
@@ -509,7 +528,7 @@ class TestValidate:
         cfg = tmp_path / "five.json"
         cfg.write_text(json.dumps({"procedures": 5}))
         assert main(["validate", "--config", str(cfg)]) == 3
-        assert capsys.readouterr().err.startswith("config error: 'procedures' must be a list")
+        assert capsys.readouterr().err.startswith("config error: experiment config: procedures must be a non-empty list")
 
     def test_lambda_tau_order_fails(self, tmp_path, capsys):
         cfg = tmp_path / "bad.json"

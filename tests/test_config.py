@@ -158,3 +158,46 @@ def test_an_experiment_grid_refuses_batch_lags_naming_the_procedure(tmp_path, ca
     assert capsys.readouterr().err == ("config error: procedure addis-spending-local takes its lags from batch ids, "
                                        "which an experiment grid does not have: give it a constant or list lag\n")
     assert not out.exists()
+
+
+def test_lagged_gamma_weights_on_another_series_are_refused():
+    # {"kind": "lagged-gamma"} means the procedure's own series: an object built on another one has no JSON
+    # form, and it would decide other levels than its round trip (at step 2, 0.1083 against 0.0748)
+    other = ProcedureConfig(procedure="online-fallback", alpha=0.2, series={"kind": "log-q", "q": 2.0},
+                            weights=LaggedSeriesWeights(QSeries(3.0)))
+    with pytest.raises(ConfigError, match=r"^lagged-gamma weights take the procedure's series, not \{'kind': 'q'"):
+        other.build()
+    assert other.validate() == ["lagged-gamma weights take the procedure's series, not {'kind': 'q', 'q': 3.0}"]
+    own = ProcedureConfig(procedure="online-fallback", alpha=0.2, series={"kind": "log-q", "q": 2.0},
+                          weights=LaggedSeriesWeights(LogQSeries(2.0)))
+    back = ProcedureConfig.from_dict(json.loads(json.dumps(own.to_dict())))
+    p = np.full(50, 1e-9)
+    want, got = run_stream(own, p).levels.tolist(), run_stream(back, p).levels.tolist()
+    assert [x.hex() for x in got] == [x.hex() for x in want]
+    assert round(want[1], 4) == 0.0748  # the round trip's level at step 2
+
+
+HUGE = 10**400  # an integer that JSON holds and a float does not
+
+
+@pytest.mark.parametrize("config,named", [
+    ({"procedure": "alpha-spending", "alpha": HUGE}, "alpha must be a number"),
+    ({"procedure": "alpha-spending", "alpha": 0.2, "series": {"kind": "log-q", "q": HUGE}},
+     "log-q-series requires q > 1"),
+    ({"procedure": "alpha-spending", "alpha": 0.2, "k": HUGE}, "k must be an integer a float holds"),
+    ({"procedure": "discard-spending", "alpha": 0.2, "tau": HUGE}, "tau must be a number"),
+    ({"procedure": "addis-spending", "alpha": 0.2, "lambda": [0.1, HUGE]}, "lambda must be a number"),
+    ({"procedure": "alpha-spending", "alpha": 0.2, "series": {"kind": "explicit", "weights": [HUGE]}},
+     "explicit series must be a flat list of numbers"),
+    ({"procedure": "online-fallback", "alpha": 0.2, "weights": {"kind": "explicit", "rows": [[HUGE]]}},
+     "fallback weight row 1 must be a flat list of numbers"),
+], ids=["alpha", "q", "k", "tau", "lambda", "series-weights", "weight-rows"])
+def test_an_integer_too_large_for_a_float_is_refused_naming_its_key(tmp_path, capsys, config, named):
+    path, inp, out = tmp_path / "proc.json", tmp_path / "in.csv", tmp_path / "o.csv"
+    path.write_text(json.dumps(config))
+    assert main(["validate", "--config", str(path)]) == 3
+    assert named in capsys.readouterr().out
+    inp.write_text("p\n0.5\n")
+    assert main(["run", "--input", str(inp), "--out", str(out), "--config", str(path)]) == 3
+    assert named in capsys.readouterr().err
+    assert not out.exists()

@@ -11,7 +11,7 @@ import pytest
 from fwerstream import PROCEDURES, LogQSeries, ProcedureConfig, make_runner, run_stream
 from fwerstream.core import RecycleBuffer, StreamState
 from fwerstream.errors import ConfigError, StreamError
-from fwerstream.fast import _COLUMNS, from_decisions
+from fwerstream.fast import _COLUMNS, _run, decide, from_decisions
 
 # tau and lambda by step, lambda < tau at every step; no tau reaches the 0.9 that
 # _growth_stream uses for a discarded step, and the lists cover its 2100 steps
@@ -141,8 +141,8 @@ def test_callable_schedule_falls_back_to_step_path(cfg=None):
     fast = make_runner(cfg)(p)
     slow = from_decisions(cfg, cfg.build().run(p))
     np.testing.assert_array_equal(fast.levels, slow.levels)
-    with pytest.raises(ConfigError, match="^a callable tau or lambda: continue a carried state with the scheduler"):
-        make_runner(cfg)(p, state=cfg.build().state)
+    with pytest.raises(ConfigError, match="^a callable tau or lambda: decide its stream with the scheduler"):
+        decide(cfg.build(), p)
 
 
 def test_decisions_roundtrip():
@@ -309,13 +309,14 @@ def test_chunks_and_steps_continue_one_state(cfg):
     p = _growth_stream(n, tau, seed=8)
     batch_ids = [i // 7 for i in range(p.size)] if cfg.wants_batch_lags() else None
     want = cfg.build(batch_ids=batch_ids).run(p)
-    proc, run = cfg.build(batch_ids=batch_ids), make_runner(cfg, batch_ids=batch_ids)
+    proc = cfg.build(batch_ids=batch_ids)
     got, i = [], 0
     for size in [0, 1, 5, 1000, 2, 17, 1024] * 3:
         if size == 2:  # two scalar steps
             got += [(d.alpha, d.rejected, d.selected, d.candidate) for d in proc.run(p[i : i + 2])]
         else:
-            part = run(p[i : i + size], state=proc.state)
+            part, error = decide(proc, p[i : i + size])
+            assert error is None
             got += list(zip(part.levels.tolist(), part.rejected.tolist(), part.selected.tolist(),
                             part.candidate.tolist()))
         i = min(i + size, p.size)
@@ -343,15 +344,15 @@ def test_window_stays_bounded_on_a_long_stream(cfg, max_lag, how):
     if cfg.wants_batch_lags():  # batches of 1 to 16 records: lags up to 15
         batch_ids = np.repeat(np.arange(n), rng.integers(1, max_lag + 2, size=n))[:n].tolist()
     proc = cfg.build(batch_ids=batch_ids)
-    run = make_runner(cfg, batch_ids=batch_ids) if how != "steps" else None
+    chunks = how != "steps"
     longest, i = 0, 0
     while i < n:
-        if run is not None:  # a chunk of a drawn size, then a drawn number of single steps
+        if chunks:  # a chunk of a drawn size, then a drawn number of single steps
             size = int(rng.integers(0, 3000))
-            run(p[i : i + size], state=proc.state)
+            assert decide(proc, p[i : i + size])[1] is None
             i = min(i + size, n)
             longest = max(longest, len(proc.state.window))
-        steps = n - i if run is None else int(rng.integers(0, 200))
+        steps = int(rng.integers(0, 200)) if chunks else n - i
         for x in p[i : i + steps].tolist():
             proc.step(x)
             proc.trace.clear()  # no callable schedule reads the trace
@@ -362,9 +363,8 @@ def test_window_stays_bounded_on_a_long_stream(cfg, max_lag, how):
 
 
 def test_a_carried_state_takes_one_stream():
-    proc, run = CONFIGS[0].build(), make_runner(CONFIGS[0])
     with pytest.raises(StreamError, match="1-d chunk"):
-        run(np.full((2, 5), 0.5), state=proc.state)
+        decide(CONFIGS[0].build(), np.full((2, 5), 0.5))
 
 
 CLAMP_CONFIGS = [  # (config, number of leading levels a saturating budget clamps)
@@ -382,9 +382,9 @@ def test_chunked_levels_equal_one_shot_through_clamps(cfg, saturated):
     # the one-shot levels, through the leading levels a saturating budget clamps
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)  # k * alpha >= 1 warns that levels saturate
-        proc, chunked, one_shot = cfg.build(), make_runner(cfg), make_runner(cfg)
+        proc, one_shot = cfg.build(), make_runner(cfg)
     p = np.ones(4096)
-    got = [chunked(p[i : i + 1000], state=proc.state).levels for i in range(0, p.size, 1000)]
+    got = [decide(proc, p[i : i + 1000])[0].levels for i in range(0, p.size, 1000)]
     got = [float(x).hex() for x in np.concatenate(got)]
     want = [float(x).hex() for x in one_shot(p).levels]
     assert got == want
@@ -430,8 +430,8 @@ def _zero_base_stream() -> np.ndarray:
 
 
 def _carried(cfg, p, size):
-    proc, run = cfg.build(), make_runner(cfg)
-    parts = [run(p[i : i + size], state=proc.state) for i in range(0, p.size, size)]
+    proc = cfg.build()
+    parts = [decide(proc, p[i : i + size])[0] for i in range(0, p.size, size)]
     return np.concatenate([r.levels for r in parts]), np.concatenate([r.rejected for r in parts])
 
 
@@ -456,11 +456,12 @@ def test_a_rejection_run_reads_the_buffer_a_few_times(cfg, monkeypatch):
     # it, and positions inside it read one at a time, not the rest of the chunk each
     p = np.full(4096, 0.5)
     p[1000:1200] = 1e-12
-    proc, run = cfg.build(), make_runner(cfg)
+    proc = cfg.build()
     recycled, calls = proc.state.recycled, []
     masses = recycled.masses
     monkeypatch.setattr(recycled, "masses", lambda lo, hi: calls.append((lo, hi)) or masses(lo, hi))
-    res = run(p, state=proc.state)
+    res, error = decide(proc, p)
+    assert error is None
     assert np.flatnonzero(res.rejected).tolist() == list(range(1000, 1200))
     assert len(calls) <= 3
     assert res.levels.tolist() == [d.alpha for d in cfg.build().run(p)]
@@ -492,11 +493,11 @@ def test_a_chunk_costs_the_same_wherever_the_stream_stands(name):
     head = 2**20 - 100
     p = np.random.default_rng(11).random(head + 4096)
     p[::997] = 1e-12  # rejections all along, each recycled by the fallback row
-    proc, run = cfg.build(), make_runner(cfg)
-    run(p[:head], state=proc.state)
+    proc = cfg.build()
+    _run(proc, p[:head], proc.state)  # the runner alone: the audit's own allocations are not the runner's
     tracemalloc.start()
     try:
-        chunk = run(p[head:], state=proc.state)
+        chunk = _run(proc, p[head:], proc.state)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
