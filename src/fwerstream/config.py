@@ -11,7 +11,7 @@ from dataclasses import dataclass, field, replace
 
 from .core import BATCH_KIND, SCHEDULERS, lags_from_config
 from .errors import ConfigError
-from .series import real, series_from_config
+from .series import config_object, real, series_from_config
 from .spec import PROCEDURES, level_budget
 
 
@@ -80,16 +80,11 @@ class ProcedureConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ProcedureConfig":
-        if not isinstance(d, dict):
-            raise ConfigError(f"procedure config must be a dict, got {d!r}")
+        config_object(d, "procedure config", ("procedure", "alpha", "series", "tau", "lambda", "lags", "weights", "k"))
         if "procedure" not in d:
             raise ConfigError("procedure config needs a 'procedure' key")
         if "alpha" not in d:
             raise ConfigError("procedure config needs an 'alpha' key")
-        known = {"procedure", "alpha", "series", "tau", "lambda", "lags", "weights", "k"}
-        unknown = set(d) - known
-        if unknown:
-            raise ConfigError(f"unknown procedure config keys: {sorted(unknown)}")
         alpha = real(d["alpha"], f"alpha must be a number, got {d['alpha']!r}")
         k = d.get("k", 1)
         if not isinstance(k, int) or isinstance(k, bool):

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BudgetError, ConfigError, StreamError
-from .series import WeightSeries, series_from_config, weight_vector
+from .series import WeightSeries, from_kind, series_from_config, weight_vector
 from .spec import DEFAULT_TAU, SPECS, SUM_TOL, level_budget, level_map
 
 
@@ -167,6 +167,8 @@ class LagSchedule(Schedule):
 
     @classmethod
     def from_list(cls, lags) -> "LagSchedule":
+        if not (isinstance(lags, (list, tuple)) and lags):  # an empty sequence means from-batch-ids without ids
+            raise ConfigError(f"lag 'values' must be a nonempty list, got {lags!r}")
         values = []
         for i, lag in enumerate(lags, start=1):
             if not (isinstance(lag, int) and not isinstance(lag, bool) and lag >= 0):
@@ -190,27 +192,14 @@ class LagSchedule(Schedule):
 
 
 def lags_from_config(cfg, batch_ids=None) -> LagSchedule:
-    """Build a lag schedule; the from-batch-ids kind takes the stream's ``batch_ids``, not a config's own."""
+    """Build a lag schedule (None: constant lag 0); the from-batch-ids kind takes the stream's ``batch_ids``."""
     if isinstance(cfg, LagSchedule):
         return cfg
     if cfg is None:
         return LagSchedule.constant(0)
-    if isinstance(cfg, int):
-        return LagSchedule.constant(cfg)
-    if isinstance(cfg, (list, tuple)):
-        return LagSchedule.from_list(cfg)
-    if not isinstance(cfg, dict) or "kind" not in cfg:
-        raise ConfigError(f"lags config must be a dict with a 'kind', got {cfg!r}")
-    kind = cfg["kind"]
-    if kind == "constant":
-        return LagSchedule.constant(cfg.get("value", 0))
-    if kind == "list":
-        return LagSchedule.from_list(cfg.get("values", []))
-    if kind == BATCH_KIND:
-        if "batch_ids" in cfg:
-            raise ConfigError(f"lags kind {cfg['kind']!r} takes the stream's batch ids, not a 'batch_ids' key")
-        return LagSchedule.from_batch_ids([] if batch_ids is None else batch_ids)
-    raise ConfigError(f"unknown lags kind {cfg['kind']!r}")
+    return from_kind(cfg, "lags", {
+        "constant": (LagSchedule.constant, ("value",)), "list": (LagSchedule.from_list, ("values",)),
+        BATCH_KIND: (lambda: LagSchedule.from_batch_ids([] if batch_ids is None else batch_ids), ())})
 
 
 class StreamState:
@@ -459,6 +448,8 @@ class ExplicitWeights(FallbackWeights):
     _EMPTY = np.empty(0)
 
     def __init__(self, rows):
+        if not isinstance(rows, list):
+            raise ConfigError(f"explicit fallback weights need a list of 'rows', got {rows!r}")
         self._rows = [weight_vector(row, f"fallback weight row {k}")[0] for k, row in enumerate(rows, start=1)]
 
     def weight(self, k: int, i: int) -> float:
@@ -479,25 +470,16 @@ class ExplicitWeights(FallbackWeights):
 
 
 def weights_from_config(cfg, series) -> FallbackWeights:
-    """Build transfer weights; ``series`` backs the lagged-gamma kind."""
+    """Build transfer weights (None: lagged-gamma); ``series`` backs the lagged-gamma kind."""
     if isinstance(cfg, LaggedSeriesWeights) and cfg.series.config() != series.config():
         raise ConfigError(f"lagged-gamma weights take the procedure's series, not {cfg.series.config()}")
     if isinstance(cfg, FallbackWeights):
         return cfg
     if cfg is None:
         return LaggedSeriesWeights(series)
-    if not isinstance(cfg, dict) or "kind" not in cfg:
-        raise ConfigError(f"fallback weights config must be a dict with a 'kind', got {cfg!r}")
-    kind = cfg["kind"]
-    if kind == "one-step":
-        return OneStepWeights()
-    if kind == "lagged-gamma":
-        return LaggedSeriesWeights(series)
-    if kind == "explicit":
-        if not isinstance(cfg.get("rows"), list):
-            raise ConfigError("explicit fallback weights config needs a list of 'rows'")
-        return ExplicitWeights(cfg["rows"])
-    raise ConfigError(f"unknown fallback weights kind {cfg['kind']!r}")
+    return from_kind(cfg, "fallback weights", {
+        "one-step": (OneStepWeights, ()), "lagged-gamma": (lambda: LaggedSeriesWeights(series), ()),
+        "explicit": (ExplicitWeights, ("rows",))})
 
 
 class RecycleBuffer:

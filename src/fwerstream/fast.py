@@ -202,7 +202,7 @@ def decide(proc, p, batch_ids=None):
             raise ConfigError(f"{proc.kind}: batch ids give the lags of a schedule built from none, one per p-value")
         lags, error = state.batch_lags(batch_ids)
         p = p[: len(lags)]
-    sequences = [s for s in proc.sequences() if s.seq or s is not proc.lags]  # an empty lag list takes batch lags
+    sequences = [s for s in proc.sequences() if s.seq or s is not proc.lags]  # lags built from no batch ids take them
     n = min([p.size, *(len(s.seq) - start for s in sequences)])  # the steps every sequence defines
     rows = _run(proc, p[:n], state, lags)
     report = audit_trace(rows, state=state)

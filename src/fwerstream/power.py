@@ -33,15 +33,9 @@ import numpy as np
 from scipy.special import log_ndtr, ndtr, ndtri
 
 from .errors import ConfigError
-from .series import ExplicitSeries, LogQSeries, QSeries, WeightSeries, series_from_config
+from .series import ExplicitSeries, LogQSeries, QSeries, WeightSeries, real, series_from_config
 
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
-
-
-def _scalar(x, name: str) -> float:
-    if not isinstance(x, (int, float)) or isinstance(x, bool):
-        raise ConfigError(f"{name} must be a scalar number, got {x!r}")
-    return float(x)
 
 
 @dataclass(frozen=True)
@@ -59,14 +53,14 @@ class GaussianMixModel:
             raise ConfigError("pi_a must lie in [0, 1]")
         if np.any(~np.isfinite(mu)) or np.any(mu < 0.0):
             raise ConfigError("mu_a must be >= 0")
-        mu_n = _scalar(self.mu_n, "mu_n")
+        mu_n = real(self.mu_n, f"mu_n must be a scalar number, got {self.mu_n!r}")
         if not (math.isfinite(mu_n) and mu_n <= 0.0):
             raise ConfigError(f"mu_n must be <= 0, got {mu_n}")
 
     def scalar_params(self) -> tuple[float, float, float]:
         """(pi_a, mu_a, mu_n) for solver use; rejects per-index sequences."""
-        pi = _scalar(self.pi_a, "pi_a")
-        mu = _scalar(self.mu_a, "mu_a")
+        pi = real(self.pi_a, f"pi_a must be a scalar number, got {self.pi_a!r}")
+        mu = real(self.mu_a, f"mu_a must be a scalar number, got {self.mu_a!r}")
         return pi, mu, float(self.mu_n)
 
     def pi_vector(self, n: int) -> np.ndarray:
@@ -181,7 +175,7 @@ def expected_true_discoveries(n, alpha, series, model: GaussianMixModel) -> floa
     that is wider); for log-q-series the infinite sum diverges and +inf is
     returned.
     """
-    alpha = _scalar(alpha, "alpha")
+    alpha = real(alpha, f"alpha must be a scalar number, got {alpha!r}")
     if not 0.0 < alpha < 1.0:
         raise ConfigError(f"alpha must lie in (0, 1), got {alpha}")
     series = series_from_config(series)
@@ -217,10 +211,10 @@ def optimal_q(n: int, mu_a: float, alpha: float) -> float:
         raise ConfigError(f"n must be a positive integer, got {n!r}")
     if n == 1:
         raise ConfigError("n = 1 has no interior optimum: expected discoveries increase with q")
-    mu_a = _scalar(mu_a, "mu_a")
+    mu_a = real(mu_a, f"mu_a must be a scalar number, got {mu_a!r}")
     if mu_a <= 0.0:
         raise ConfigError(f"mu_a must be > 0, got {mu_a}")
-    alpha = _scalar(alpha, "alpha")
+    alpha = real(alpha, f"alpha must be a scalar number, got {alpha!r}")
     if not 0.0 < alpha < 0.5:
         raise ConfigError(f"alpha must lie in (0, 1/2), got {alpha}")
     from scipy.optimize import minimize_scalar
@@ -300,7 +294,7 @@ def optimal_gamma_varying(pi_seq, mu_seq, alpha, horizon: int) -> np.ndarray:
     """
     if isinstance(horizon, bool) or not (isinstance(horizon, int) and horizon >= 1):
         raise ConfigError(f"horizon must be a positive integer, got {horizon!r}")
-    alpha = _scalar(alpha, "alpha")
+    alpha = real(alpha, f"alpha must be a scalar number, got {alpha!r}")
     if not 0.0 < alpha < 1.0:
         raise ConfigError(f"alpha must lie in (0, 1), got {alpha}")
     pi, mu = (np.asarray(seq, dtype=np.float64) for seq in (pi_seq, mu_seq))

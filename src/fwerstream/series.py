@@ -246,22 +246,32 @@ class ExplicitSeries(WeightSeries):
         return {"kind": "explicit", "weights": [float(x) for x in self._w]}
 
 
+def config_object(value, name: str, keys) -> dict:
+    """``value`` if it is a dict with no key outside ``keys``; else a :class:`ConfigError` naming the unknown keys."""
+    if not isinstance(value, dict):
+        raise ConfigError(f"{name} must be an object, got {value!r}")
+    if unknown := set(value) - set(keys):
+        raise ConfigError(f"{name} has unknown keys {sorted(unknown, key=str)}; known: {', '.join(keys)}")
+    return value
+
+
+def from_kind(cfg, name: str, table: dict):
+    """Build the ``name`` config ``cfg``: a dict whose ``kind`` names an entry ``(builder, keys)`` of ``table``.
+    Every one of ``keys`` is required and passed to ``builder`` in that order; any other key is refused."""
+    if not isinstance(cfg, dict) or "kind" not in cfg:
+        raise ConfigError(f"{name} config must be a dict with a 'kind', got {cfg!r}")
+    if not (isinstance(cfg["kind"], str) and cfg["kind"] in table):
+        raise ConfigError(f"unknown {name} kind {cfg['kind']!r}")
+    builder, keys = table[cfg["kind"]]
+    config_object(cfg, what := f"{name} kind {cfg['kind']!r}", ("kind", *keys))
+    if missing := [key for key in keys if key not in cfg]:
+        raise ConfigError(f"{what} needs {', '.join(map(repr, missing))}")
+    return builder(*(cfg[key] for key in keys))
+
+
 def series_from_config(cfg) -> WeightSeries:
-    """Build a series from {"kind": ..., "q": ...} / {"kind": "explicit", "weights": [...]}."""
+    """Build a series from {"kind": "q" or "log-q", "q": ...} or {"kind": "explicit", "weights": [...]}."""
     if isinstance(cfg, WeightSeries):
         return cfg
-    if not isinstance(cfg, dict) or "kind" not in cfg:
-        raise ConfigError(f"series config must be a dict with a 'kind', got {cfg!r}")
-    kind = cfg["kind"]
-    if kind not in ("q", "log-q", "explicit"):
-        raise ConfigError(f"unknown series kind {cfg['kind']!r}")
-    if kind == "explicit":
-        if "weights" not in cfg:
-            raise ConfigError("explicit series config needs 'weights'")
-        return ExplicitSeries(cfg["weights"])
-    if "q" not in cfg:
-        raise ConfigError(f"{kind}-series config needs 'q'")
-    q = cfg["q"]
-    if not isinstance(q, (int, float)):
-        raise ConfigError(f"series exponent q must be a number, got {q!r}")
-    return QSeries(q) if kind == "q" else LogQSeries(q)
+    return from_kind(cfg, "series", {"q": (QSeries, ("q",)), "log-q": (LogQSeries, ("q",)),
+                                     "explicit": (ExplicitSeries, ("weights",))})

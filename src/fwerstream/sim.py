@@ -22,7 +22,7 @@ from .config import ProcedureConfig
 from .errors import ConfigError
 from .fast import make_runner
 from .power import GaussianMixModel
-from .series import real, series_from_config
+from .series import config_object, real, series_from_config
 
 # Stream elements (trials x horizon) simulated and run per block of trials:
 # 128 rows at T = 1000, enough to amortize the fallback runners' loop over
@@ -228,14 +228,6 @@ def grid_cells(procedures: dict[str, ProcedureConfig], points, *, trials: int, s
     return (({**meta, "T": horizon, "alpha": alpha}, dict(procedures), sim) for (_, meta), sim in zip(points, sims))
 
 
-def _object(value, name: str, keys: tuple) -> dict:
-    if not isinstance(value, dict):
-        raise ConfigError(f"{name} must be an object, got {value!r}")
-    if unknown := set(value) - set(keys):
-        raise ConfigError(f"{name} has unknown keys {sorted(unknown)}; known: {', '.join(keys)}")
-    return value
-
-
 def _number(value, key: str) -> float:
     message = f"experiment config: {key} must be a finite number, got {value!r}"
     if not math.isfinite(number := real(value, message)):
@@ -259,19 +251,22 @@ def _nonempty_list(value, key: str) -> list:
 def experiment_cells(spec, trials: int | None = None, seed: int | None = None):
     """The :func:`grid_cells` of the experiment config ``spec``, every key and value of it checked first, each
     refusal a :class:`ConfigError` naming its key; ``trials`` and ``seed``, when given, override the config's."""
-    spec = _object(spec, "experiment config", ("procedures", "grid", "trials", "seed"))
+    spec = config_object(spec, "experiment config", ("procedures", "grid", "trials", "seed"))
     procedures = {}
     for p in map(ProcedureConfig.from_dict, _nonempty_list(spec.get("procedures"), "procedures")):
         procedures[p.procedure if p.procedure not in procedures else f"{p.procedure}#{len(procedures)}"] = p
-    grid = _object(spec.get("grid"), "experiment config: grid", ("T", "alpha", "mu_a", "pi_a", "mu_n"))
+    grid = config_object(spec.get("grid"), "experiment config: grid", ("T", "alpha", "mu_a", "pi_a", "mu_n"))
     mu_a = _number(grid.get("mu_a", 4.0), "grid.mu_a")
     points = [(GaussianMixModel(pi_a=_number(pi_a, "grid.pi_a"), mu_a=mu_a, mu_n=_number(mu_n, "grid.mu_n")),
                {"pi_a": pi_a, "mu_a": mu_a, "mu_n": mu_n})
               for mu_n in _nonempty_list(grid.get("mu_n", [0.0]), "grid.mu_n")
               for pi_a in _nonempty_list(grid.get("pi_a", [0.5]), "grid.pi_a")]
     config_trials, config_seed = _whole(spec.get("trials", 2000), "trials", 1), _whole(spec.get("seed", 1), "seed", 0)
+    if (horizon := _whole(grid.get("T", 1000), "grid.T", 1)) > (longest := np.iinfo(np.intp).max // 8):
+        raise ConfigError(f"experiment config: grid.T must be at most {longest}, the longest float64 array numpy "
+                          f"can shape, got {horizon}")
     return grid_cells(procedures, points, trials=config_trials if trials is None else trials,
-                      seed=config_seed if seed is None else seed, horizon=_whole(grid.get("T", 1000), "grid.T", 1),
+                      seed=config_seed if seed is None else seed, horizon=horizon,
                       alpha=_number(grid.get("alpha", 0.2), "grid.alpha"))
 
 

@@ -180,7 +180,7 @@ class TestRun:
         cfg.write_text(json.dumps({"procedure": "addis-spending-local", "alpha": 0.2,
                                    "lags": {"kind": "from-batch-ids", "batch_ids": ["x", "y", "z"]}}))
         write_stream(inp, [0.01] * 4, batch_ids=["a", "a", "b", "b"])
-        message = "lags kind 'from-batch-ids' takes the stream's batch ids, not a 'batch_ids' key"
+        message = "lags kind 'from-batch-ids' has unknown keys ['batch_ids']; known: kind"
         assert main(["run", "--input", str(inp), "--out", str(out), "--config", str(cfg)]) == 3
         assert capsys.readouterr().err == f"config error: {message}\n"
         assert not out.exists()
@@ -288,6 +288,7 @@ class TestExperiment:
         ("tirals", 2, "unknown keys ['tirals']"), ("grid", {"mu_N": [0.0]}, "grid has unknown keys ['mu_N']"),
         ("grid", {"pi_a": [10**400]}, f"grid.pi_a must be a finite number, got {10**400}"),
         ("grid", {"T": 10**400}, f"grid.T must be a finite number, got {10**400}"),
+        ("grid", {"T": 10**300}, f"grid.T must be at most {2**60 - 1}, the longest float64 array numpy can shape"),
         ("procedures", [{"procedure": "alpha-spending", "alpha": 0.1}],
          "procedure alpha-spending has alpha 0.1, but the grid runs at alpha 0.2"),
         ("procedures", [{"procedure": "addis-spending-local", "alpha": 0.2, "lags": {"kind": "from-batch-ids"}}],
@@ -301,7 +302,7 @@ class TestExperiment:
             "pi_a-number", "pi_a-text", "grid-list", "procedures-text", "procedures-empty",
             "pi_a-empty", "mu_n-empty", "lags-text", "lags-kind", "weights-text", "weights-kind",
             "tau-on-alpha-spending", "batch-lags-on-alpha-spending", "unknown-key", "unknown-grid-key",
-            "pi_a-huge", "T-huge", "alpha-other-than-the-grids", "batch-lags", "tau-list-shorter-than-T"])
+            "pi_a-huge", "T-huge", "T-unshapeable", "alpha-other-than-the-grids", "batch-lags", "tau-list-shorter-than-T"])
     def test_malformed_config_exits_3_before_any_output(self, tmp_path, capsys, key, value, named):
         cfg = tmp_path / "exp.json"
         cfg.write_text(json.dumps({"procedures": [{"procedure": "alpha-spending", "alpha": 0.2}],
@@ -324,7 +325,7 @@ class TestExperiment:
 
     @pytest.mark.parametrize("key,name", [("tau", "tau"), ("lambda", "lambda"), ("lags", "lag")])
     def test_sequence_shorter_than_the_horizon_exits_3_before_any_output(self, tmp_path, capsys, key, name):
-        short = {"tau": [0.5] * 19, "lambda": [0.25] * 19, "lags": [0] * 19}[key]
+        short = {"tau": [0.5] * 19, "lambda": [0.25] * 19, "lags": {"kind": "list", "values": [0] * 19}}[key]
         cfg = tmp_path / "exp.json"
         cfg.write_text(json.dumps({"procedures": [{"procedure": "addis-spending-local", "alpha": 0.2, key: short}],
                                    "grid": {"pi_a": [0.3], "T": 20}, "trials": 2}))
@@ -583,9 +584,11 @@ class TestValidate:
          "online-fallback-1 takes no 'weights' option"),
         # one key and one spelling per setting: the others are unknown
         ({"procedure": "addis-spending", "alpha": 0.2, "lambda": 0.1, "lam": 0.3},
-         "unknown procedure config keys: ['lam']"),
+         "procedure config has unknown keys ['lam']; "
+         "known: procedure, alpha, series, tau, lambda, lags, weights, k"),
         ({"procedure": "online-fallback", "alpha": 0.2, "fallback_weights": {"kind": "one-step"}},
-         "unknown procedure config keys: ['fallback_weights']"),
+         "procedure config has unknown keys ['fallback_weights']; "
+         "known: procedure, alpha, series, tau, lambda, lags, weights, k"),
         *(({"procedure": alias, "alpha": 0.2}, f"unknown procedure {alias!r}; known: {', '.join(PROCEDURES)}")
           for alias in ("discard", "adaptive", "addis", "addis-local", "fallback", "fallback-1", "sidak", "spending")),
         *(({"procedure": "alpha-spending", "alpha": 0.2, "series": {"kind": kind, "q": 2.0}},

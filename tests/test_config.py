@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from fwerstream import (PROCEDURES, ConfigError, ExplicitSeries, ExplicitWeights, LaggedSeriesWeights, LagSchedule,
-                        LogQSeries, OneStepWeights, ProcedureConfig, QSeries, run_stream)
+                        LogQSeries, OneStepWeights, ProcedureConfig, QSeries, fast, run_stream)
 from fwerstream.cli import main
 from fwerstream.spec import SPECS
 
@@ -201,3 +201,60 @@ def test_an_integer_too_large_for_a_float_is_refused_naming_its_key(tmp_path, ca
     assert main(["run", "--input", str(inp), "--out", str(out), "--config", str(path)]) == 3
     assert named in capsys.readouterr().err
     assert not out.exists()
+
+
+# every kind of series, lags and fallback weights: (option, a procedure that takes it, a valid config of the kind,
+# a key the kind does not take)
+KINDS = {
+    "q-series": ("series", "alpha-spending", {"kind": "q", "q": 2.0}, "weights"),
+    "log-q-series": ("series", "alpha-spending", {"kind": "log-q", "q": 2.0}, "weights"),
+    "explicit-series": ("series", "alpha-spending", {"kind": "explicit", "weights": [0.5, 0.25]}, "q"),
+    "constant-lags": ("lags", "addis-spending-local", {"kind": "constant", "value": 3}, "values"),
+    "list-lags": ("lags", "addis-spending-local", {"kind": "list", "values": [0, 1]}, "value"),
+    "from-batch-ids-lags": ("lags", "addis-spending-local", {"kind": "from-batch-ids"}, "batch_ids"),
+    "one-step-weights": ("weights", "online-fallback", {"kind": "one-step"}, "rows"),
+    "lagged-gamma-weights": ("weights", "online-fallback", {"kind": "lagged-gamma"}, "q"),
+    "explicit-weights": ("weights", "online-fallback", {"kind": "explicit", "rows": [[0.5]]}, "weights"),
+}
+
+
+def _refused():
+    """(id, procedure config, the key its refusal names): each kind with a key it does not take, and without each
+    key it needs; then the bare lag spellings, an empty lag list and a misspelt lag key."""
+    for name, (option, procedure, kind, extra) in KINDS.items():
+        config = {"procedure": procedure, "alpha": 0.2}
+        yield f"{name}-with-{extra}", {**config, option: {**kind, extra: 1}}, extra
+        for key in set(kind) - {"kind"}:
+            yield f"{name}-without-{key}", {**config, option: {k: v for k, v in kind.items() if k != key}}, key
+    config = {"procedure": "addis-spending-local", "alpha": 0.2}
+    yield "bare-constant-lag", {**config, "lags": 3}, "kind"
+    yield "bare-lag-list", {**config, "lags": [0, 1]}, "kind"
+    yield "empty-lag-list", {**config, "lags": {"kind": "list", "values": []}}, "values"
+    yield "constant-lag-as-values", {**config, "lags": {"kind": "constant", "values": 3}}, "values"
+
+
+REFUSED = list(_refused())
+
+
+@pytest.mark.parametrize("config,key", [c[1:] for c in REFUSED], ids=[c[0] for c in REFUSED])
+def test_a_kind_config_with_a_key_missing_or_unknown_is_refused_naming_the_key(tmp_path, capsys, config, key):
+    with pytest.raises(ConfigError) as refused:
+        ProcedureConfig.from_dict(config).build()
+    assert repr(key) in str(refused.value)
+    path, inp, out = tmp_path / "c.json", tmp_path / "in.csv", tmp_path / "out.csv"
+    path.write_text(json.dumps(config))
+    inp.write_text("p,batch_id\n0.1,a\n0.2,b\n")
+    assert main(["validate", "--config", str(path)]) == 3
+    assert capsys.readouterr().out == f"FAIL {config['procedure']}: {'series: ' * ('series' in config)}{refused.value}\n"
+    assert main(["run", "--input", str(inp), "--out", str(out), "--config", str(path)]) == 3
+    assert capsys.readouterr().err == f"config error: {refused.value}\n"
+    assert not out.exists()
+
+
+def test_decide_refuses_batch_ids_on_a_list_lag_schedule():
+    # a lag list is never empty, so an empty lag sequence is always one built from no batch ids
+    with pytest.raises(ConfigError, match=r"^lag 'values' must be a nonempty list, got \[\]$"):
+        LagSchedule.from_list([])
+    listed = ProcedureConfig(procedure="addis-spending-local", alpha=0.2, lags={"kind": "list", "values": [0, 1]})
+    with pytest.raises(ConfigError, match="batch ids give the lags of a schedule built from none"):
+        fast.decide(listed.build(), np.full(2, 0.5), ["a", "a"])

@@ -302,7 +302,7 @@ def test_a_stepped_stream_keeps_no_trace_without_a_callable_schedule():
 
 
 # a valid value of each option a row may take; the class and ProcedureConfig refuse one its row does not take
-OPTIONS = {"tau": 0.5, "lam": 0.1, "lags": 2, "weights": {"kind": "one-step"}}
+OPTIONS = {"tau": 0.5, "lam": 0.1, "lags": {"kind": "constant", "value": 2}, "weights": {"kind": "one-step"}}
 
 
 @pytest.mark.parametrize("name", PROCEDURES)

@@ -119,8 +119,9 @@ def test_decide_refuses_what_it_cannot_decide():
     p = np.full(5, 0.5)
     with pytest.raises(ConfigError, match="batch ids give the lags of a schedule built from none"):
         fast.decide(ProcedureConfig(procedure="addis-spending", alpha=0.2).build(), p, list("abcde"))
+    constant = ProcedureConfig(procedure="addis-spending-local", alpha=0.2, lags={"kind": "constant", "value": 2})
     with pytest.raises(ConfigError, match="batch ids give the lags"):  # constant lags come from the config
-        fast.decide(ProcedureConfig(procedure="addis-spending-local", alpha=0.2, lags=2).build(), p, list("abcde"))
+        fast.decide(constant.build(), p, list("abcde"))
     fed = ProcedureConfig(procedure="addis-spending-local", alpha=0.2, lags={"kind": "from-batch-ids"}).build()
     with pytest.raises(ConfigError, match="one per p-value"):
         fast.decide(fed, p, list("abc"))

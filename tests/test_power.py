@@ -240,3 +240,12 @@ class TestOptimalGammaVarying:
     def test_sequence_neither_one_nor_horizon_long_names_both_lengths(self, pi, mu, named):
         with pytest.raises(ConfigError, match=f"^{named}; horizon 10 takes 1 or 10$"):
             optimal_gamma_varying(pi, mu, 0.2, 10)
+
+
+@pytest.mark.parametrize("value", [10**400, True, "-1"], ids=["huge", "bool", "text"])
+def test_a_mixture_refuses_a_mu_n_that_is_no_float(value):
+    # 10**400 is an integer too large for a float: a ConfigError, not an OverflowError
+    with pytest.raises(ConfigError, match=f"^mu_n must be a scalar number, got {value!r}$"):
+        GaussianMixModel(pi_a=0.5, mu_a=4.0, mu_n=value)
+    with pytest.raises(ConfigError, match=f"^alpha must be a scalar number, got {value!r}$"):
+        expected_true_discoveries(10, value, {"kind": "q", "q": 2.0}, GaussianMixModel(pi_a=0.5, mu_a=4.0))
