@@ -32,7 +32,6 @@ from . import fast
 from .config import ProcedureConfig
 from .core import _check_p
 from .errors import AuditError, BudgetError, ConfigError, StreamError
-from .series import series_from_config
 
 RESULT_COLUMNS = ("procedure", "pi_A", "mu_A", "mu_N", "T", "alpha",
                   "fwer", "fwer_se", "pfer", "power", "power_se", "fdr")
@@ -173,8 +172,7 @@ def _load_json(path: str):
 
 
 def _series_from_flags(args):
-    """The series config of ``--series`` and ``--q``; a series file, which sets its own q,
-    is built, and so checked, here."""
+    """The series config of ``--series`` and ``--q``: a kind and q, or a series file, which sets its own q."""
     spec = args.series
     if spec is None:
         return {"kind": "log-q", "q": args.q if args.q is not None else 2.0}
@@ -183,7 +181,7 @@ def _series_from_flags(args):
         return {"kind": kind, "q": args.q if args.q is not None else 2.0}
     if args.q is not None:
         raise ConfigError(f"--q applies to --series q or logq, not to the series file {spec}")
-    return series_from_config(_load_json(spec))
+    return _load_json(spec)
 
 
 def _lags_from_flag(spec: str | None):

@@ -11,8 +11,8 @@ from dataclasses import dataclass, field, replace
 
 from .core import BATCH_KIND, SCHEDULERS, lags_from_config
 from .errors import ConfigError
-from .series import config_object, real, series_from_config
-from .spec import PROCEDURES, level_budget
+from .series import config_object, series_from_config
+from .spec import PROCEDURES
 
 
 def _default_series() -> dict:
@@ -85,20 +85,10 @@ class ProcedureConfig:
             raise ConfigError("procedure config needs a 'procedure' key")
         if "alpha" not in d:
             raise ConfigError("procedure config needs an 'alpha' key")
-        alpha = real(d["alpha"], f"alpha must be a number, got {d['alpha']!r}")
-        k = d.get("k", 1)
-        if not isinstance(k, int) or isinstance(k, bool):
-            raise ConfigError(f"k must be an integer, got {k!r}")
-        return cls(
-            procedure=d["procedure"],
-            alpha=alpha,
-            series=d.get("series", _default_series()),
-            tau=d.get("tau"),
-            lam=d.get("lambda"),
-            lags=d.get("lags"),
-            weights=d.get("weights"),
-            k=k,
-        )
+        # the scheduler checks every value when it is built
+        return cls(procedure=d["procedure"], alpha=d["alpha"], series=d.get("series", _default_series()),
+                   tau=d.get("tau"), lam=d.get("lambda"), lags=d.get("lags"), weights=d.get("weights"),
+                   k=d.get("k", 1))
 
 
 def kfwer_wrap(config: ProcedureConfig, k: int) -> ProcedureConfig:
@@ -108,5 +98,6 @@ def kfwer_wrap(config: ProcedureConfig, k: int) -> ProcedureConfig:
     by Markov's inequality on the PFER, so only spending-family procedures
     qualify.  k = 1 is the identity.
     """
-    level_budget(config.procedure, config.alpha, k)
-    return replace(config, k=k)
+    wrapped = replace(config, k=k)
+    wrapped.build()  # the scheduler checks k, by the one rule of level_budget, and every other setting
+    return wrapped

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BudgetError, ConfigError, StreamError
-from .series import WeightSeries, from_kind, series_from_config, weight_vector
+from .series import WeightSeries, from_kind, real, series_from_config, weight_vector
 from .spec import DEFAULT_TAU, SPECS, SUM_TOL, level_budget, level_map
 
 
@@ -112,18 +112,15 @@ class Schedule:
         return self.seq[start:stop]
 
 
-def threshold_schedule(spec, name: str, lo: float, hi: float, lo_open: bool, hi_open: bool) -> Schedule:
-    """The tau or lambda schedule of ``spec``, a number, a sequence of numbers
-    or a callable, each value inside the interval from ``lo`` to ``hi``
-    (``lo_open``/``hi_open`` exclude an end); a callable's values are checked
-    as it returns them."""
+def threshold_schedule(spec, name: str, inside, bounds: str) -> Schedule:
+    """The tau or lambda schedule of ``spec``, a number, a nonempty sequence
+    of numbers or a callable, each value one that ``inside`` accepts (the
+    interval ``bounds``, as the message writes it); a callable's values are
+    checked as it returns them."""
 
     def check(v: float) -> float:
-        lo_ok = v > lo if lo_open else v >= lo
-        hi_ok = v < hi if hi_open else v <= hi
-        if not (math.isfinite(v) and lo_ok and hi_ok):
-            lo_b, hi_b = "(" if lo_open else "[", ")" if hi_open else "]"
-            raise ConfigError(f"{name} must lie in {lo_b}{lo}, {hi}{hi_b}, got {v}")
+        if not inside(v):  # NaN is inside no interval
+            raise ConfigError(f"{name} must lie in {bounds}, got {v}")
         return v
 
     if callable(spec):
@@ -131,11 +128,12 @@ def threshold_schedule(spec, name: str, lo: float, hi: float, lo_open: bool, hi_
     const = isinstance(spec, (int, float)) and not isinstance(spec, bool)
     try:
         values = [spec] if const else list(spec)
-        if isinstance(spec, str) or any(isinstance(v, bool) for v in values):
+        if isinstance(spec, str) or not values or any(isinstance(v, bool) for v in values):
             raise TypeError
         values = [float(v) for v in values]
     except (OverflowError, TypeError, ValueError):  # OverflowError: an integer too large for a float
-        raise ConfigError(f"{name} must be a number, a sequence of numbers, or a callable, got {spec!r}") from None
+        raise ConfigError(f"{name} must be a number, a nonempty sequence of numbers, or a callable, "
+                          f"got {spec!r}") from None
     values = [check(v) for v in values]
     return Schedule(name, const=values[0]) if const else Schedule(name, seq=values)
 
@@ -146,44 +144,51 @@ BATCH_KIND = "from-batch-ids"  # the lags kind read from the stream's batch ids
 class LagSchedule(Schedule):
     """Lags L_i: step i may depend on decisions with index < i - L_i only.
 
-    Admissibility requires L_{i+1} <= L_i + 1 (the observable past never
-    shrinks).  Build one with :meth:`constant`, :meth:`from_list`, or
-    :meth:`from_batch_ids`; batch ids give each item a lag equal to the
-    number of earlier items in its batch, so a whole batch depends only on
-    pre-batch information.  Built from no batch ids, it holds no lag, and
-    :func:`fwerstream.fast.decide` reads each chunk's from its batch ids.
+    It holds one ``constant`` lag or a list of ``values``, each a nonnegative
+    integer, and a list must be admissible: L_{i+1} <= L_i + 1 (the observable
+    past never shrinks).  The constructor refuses any other schedule, and
+    :meth:`constant` and :meth:`from_list` call it.  :meth:`from_batch_ids`
+    gives each item a lag equal to the number of earlier items in its batch,
+    admissible by construction, so a whole batch depends only on pre-batch
+    information.  Built from no batch ids, it holds the empty list, and
+    :func:`fwerstream.fast.decide` reads each chunk's lags from its batch ids.
     """
 
     __slots__ = ()
 
     def __init__(self, constant: int | None = None, values: list[int] | None = None):
-        super().__init__("lag", const=constant, seq=values)
+        if (constant is None) == (values is None):
+            raise ConfigError(f"a lag schedule takes exactly one of constant and values, "
+                              f"got constant={constant!r}, values={values!r}")
+        lags = [constant] if values is None else values
+        if not isinstance(lags, (list, tuple)):
+            raise ConfigError(f"lag values must be a list, got {values!r}")
+        for i, lag in enumerate(lags, start=1):
+            if not (isinstance(lag, int) and not isinstance(lag, bool) and lag >= 0):
+                what = "constant lag" if values is None else f"lag L_{i}"
+                raise ConfigError(f"{what} must be a nonnegative integer, got {lag!r}")
+            if i > 1 and lag > lags[i - 2] + 1:
+                raise ConfigError(f"inadmissible lags: L_{i} = {lag} > L_{i-1} + 1 = {lags[i - 2] + 1}")
+        super().__init__("lag", const=constant, seq=None if values is None else list(values))
 
     @classmethod
     def constant(cls, lag: int) -> "LagSchedule":
-        if not (isinstance(lag, int) and not isinstance(lag, bool) and lag >= 0):
-            raise ConfigError(f"constant lag must be a nonnegative integer, got {lag!r}")
         return cls(constant=lag)
 
     @classmethod
     def from_list(cls, lags) -> "LagSchedule":
         if not (isinstance(lags, (list, tuple)) and lags):  # an empty sequence means from-batch-ids without ids
             raise ConfigError(f"lag 'values' must be a nonempty list, got {lags!r}")
-        values = []
-        for i, lag in enumerate(lags, start=1):
-            if not (isinstance(lag, int) and not isinstance(lag, bool) and lag >= 0):
-                raise ConfigError(f"lag L_{i} must be a nonnegative integer, got {lag!r}")
-            if values and lag > values[-1] + 1:
-                raise ConfigError(f"inadmissible lags: L_{i} = {lag} > L_{i-1} + 1 = {values[-1] + 1}")
-            values.append(lag)
-        return cls(values=values)
+        return cls(values=lags)
 
     @classmethod
     def from_batch_ids(cls, batch_ids) -> "LagSchedule":
         lags, error = StreamState().batch_lags(batch_ids)
         if error is not None:
             raise ConfigError(str(error))
-        return cls(values=lags)
+        schedule = cls.__new__(cls)  # batch lags are admissible by construction: no per-lag check
+        Schedule.__init__(schedule, "lag", seq=lags)
+        return schedule
 
     def config(self) -> dict:
         if self.const is not None:
@@ -282,9 +287,9 @@ class OnlineProcedure:
         for name, value in (("tau", tau), ("lam", lam), ("lags", lags), ("weights", weights)):
             if value is not None and name not in spec.options:
                 raise ConfigError(f"{self.kind} takes no {name!r} option")
-        if not (isinstance(alpha, (int, float)) and 0.0 < alpha < 1.0):
+        self.alpha = real(alpha, f"alpha must be a number, got {alpha!r}")
+        if not 0.0 < self.alpha < 1.0:
             raise ConfigError(f"alpha must lie in (0, 1), got {alpha!r}")
-        self.alpha = float(alpha)
         self.budget = level_budget(self.kind, self.alpha, k)
         self.k = k
         self.series: WeightSeries = series_from_config(series)
@@ -292,8 +297,8 @@ class OnlineProcedure:
 
         tau = (DEFAULT_TAU if tau is None else tau) if spec.discards else 1.0
         lam = (spec.lam if lam is None else lam) if spec.adapts else 0.0
-        self.tau = threshold_schedule(tau, "tau", 0.0, 1.0, lo_open=True, hi_open=False)
-        self.lam = threshold_schedule(lam, "lambda", 0.0, 1.0, lo_open=False, hi_open=True)
+        self.tau = threshold_schedule(tau, "tau", lambda v: 0.0 < v <= 1.0, "(0.0, 1.0]")
+        self.lam = threshold_schedule(lam, "lambda", lambda v: 0.0 <= v < 1.0, "[0.0, 1.0)")
         self.reads_trace = self.tau.fn is not None or self.lam.fn is not None  # a callable sees the trace
         self.thresholds = None  # (tau, lambda) when both are constant
         if self.tau.const is not None and self.lam.const is not None:
@@ -326,17 +331,12 @@ class OnlineProcedure:
         if self.tau.fn is not None:
             return
         n = min((len(s.seq) for s in (self.tau, self.lam) if s.seq is not None), default=1)
-        taus = np.array(self.tau.values(0, n))
-        lams = None if self.lam.fn is not None else np.array(self.lam.values(0, n))
-        bad = taus < self.alpha if self.spec.family != "spending" else np.zeros(n, dtype=bool)
-        if lams is not None:
-            bad |= lams >= taus
-        if bad.any():
-            j = int(bad.argmax())
+        lams = [0.0] * n if self.lam.fn is not None else self.lam.values(0, n)
+        for j, (tau, lam) in enumerate(zip(self.tau.values(0, n), lams), start=1):
             try:
-                self._check(float(taus[j]), 0.0 if lams is None else float(lams[j]))
+                self._check(tau, lam)
             except ConfigError as exc:
-                raise ConfigError(f"step {j + 1}: {exc}") from None
+                raise ConfigError(f"step {j}: {exc}") from None
 
     def _thresholds(self, i: int, visible: int) -> tuple[float, float]:
         prefix = TracePrefix(self.trace, visible) if self.reads_trace else None

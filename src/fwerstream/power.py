@@ -38,6 +38,18 @@ from .series import ExplicitSeries, LogQSeries, QSeries, WeightSeries, real, ser
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 
 
+def _floats(value, name: str) -> np.ndarray:
+    """``value``, a number or a sequence of them, as a float64 array; a boolean, a string, an integer too large
+    for a float (numpy holds it as an object) or a ragged list is a :class:`ConfigError` naming ``name``."""
+    try:
+        arr = np.asarray(value)
+        if arr.dtype.kind not in "iuf":
+            raise ValueError
+    except ValueError:  # ragged rows, or an entry that is no number
+        raise ConfigError(f"{name} must be a number or a sequence of numbers, got {value!r}") from None
+    return arr.astype(np.float64)
+
+
 @dataclass(frozen=True)
 class GaussianMixModel:
     """Mixture parameters; pi_a and mu_a may be per-index sequences."""
@@ -47,8 +59,7 @@ class GaussianMixModel:
     mu_n: float = 0.0
 
     def __post_init__(self):
-        pi = np.asarray(self.pi_a, dtype=np.float64)
-        mu = np.asarray(self.mu_a, dtype=np.float64)
+        pi, mu = _floats(self.pi_a, "pi_a"), _floats(self.mu_a, "mu_a")
         if np.any(~np.isfinite(pi)) or np.any(pi < 0.0) or np.any(pi > 1.0):
             raise ConfigError("pi_a must lie in [0, 1]")
         if np.any(~np.isfinite(mu)) or np.any(mu < 0.0):
@@ -297,7 +308,7 @@ def optimal_gamma_varying(pi_seq, mu_seq, alpha, horizon: int) -> np.ndarray:
     alpha = real(alpha, f"alpha must be a scalar number, got {alpha!r}")
     if not 0.0 < alpha < 1.0:
         raise ConfigError(f"alpha must lie in (0, 1), got {alpha}")
-    pi, mu = (np.asarray(seq, dtype=np.float64) for seq in (pi_seq, mu_seq))
+    pi, mu = _floats(pi_seq, "pi_a"), _floats(mu_seq, "mu_a")
     for name, arr in (("pi_a", pi), ("mu_a", mu)):  # one value for every index, or one per index
         if arr.ndim > 1 or arr.size not in (1, horizon):
             raise ConfigError(f"{name} has {arr.size} entries; horizon {horizon} takes 1 or {horizon}")
@@ -314,23 +325,17 @@ def optimal_gamma_varying(pi_seq, mu_seq, alpha, horizon: int) -> np.ndarray:
         h = (u - log_pi) / mu + half_mu
         return float(np.sum(ndtr(-h))) / alpha
 
-    lo = hi = 0.0
-    step = 1.0
-    for _ in range(200):
-        if weight_sum(lo) > 1.0:
-            break
-        lo -= step
-        step *= 2.0
-    else:
-        raise ConfigError("no eta with weight sum above 1; problem infeasible")
-    step = 1.0
-    for _ in range(200):
-        if weight_sum(hi) < 1.0:
-            break
-        hi += step
-        step *= 2.0
-    else:
-        raise ConfigError("no eta with weight sum below 1; problem infeasible")
+    def bracket(direction: float) -> float:
+        """The first of u = 0, 1, 3, 7, ... times ``direction`` whose weight sum is on the far side of one:
+        above it for direction -1, below it for +1."""
+        u, step = 0.0, 1.0
+        for _ in range(200):
+            if (weight_sum(u) - 1.0) * direction < 0.0:
+                return u
+            u, step = u + direction * step, 2.0 * step
+        raise ConfigError(f"no eta with weight sum {'above' if direction < 0 else 'below'} 1; problem infeasible")
+
+    lo, hi = bracket(-1.0), bracket(1.0)
 
     from scipy.optimize import brentq
 

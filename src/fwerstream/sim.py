@@ -212,16 +212,15 @@ def grid_cells(procedures: dict[str, ProcedureConfig], points, *, trials: int, s
     covering the horizon, are checked before the first cell is returned;
     each procedure's series is built once and shared by the cells.
     """
-    for label, cfg in procedures.items():
-        if cfg.alpha != alpha:
-            raise ConfigError(f"procedure {label} has alpha {cfg.alpha!r}, but the grid runs at alpha {alpha!r}")
     procedures = {label: replace(cfg, series=series_from_config(cfg.series)) for label, cfg in procedures.items()}
     for label, cfg in procedures.items():
-        sequences = cfg.build().sequences()
+        proc = cfg.build()
+        if proc.alpha != alpha:
+            raise ConfigError(f"procedure {label} has alpha {cfg.alpha!r}, but the grid runs at alpha {alpha!r}")
         if cfg.wants_batch_lags():  # the simulated streams have no batch ids
             raise ConfigError(f"procedure {label} takes its lags from batch ids, which an experiment grid does not "
                               "have: give it a constant or list lag")
-        for schedule in sequences:
+        for schedule in proc.sequences():
             schedule.values(0, horizon)  # raises for one that ends before the horizon
     sims = [SimConfig(model=model, horizon=horizon, trials=trials, seed=seed + cell)
             for cell, (model, _) in enumerate(points)]

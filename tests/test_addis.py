@@ -256,6 +256,11 @@ class TestKfwerWrap:
         with pytest.warns(UserWarning):
             kfwer_wrap(ProcedureConfig(procedure="alpha-spending", alpha=0.3), 4)
 
+    def test_a_setting_the_scheduler_refuses_is_refused(self):
+        # alpha is checked where the scheduler holds it, so kfwer_wrap builds the wrapped config
+        with pytest.raises(ConfigError, match="^alpha must be a number, got 'x'$"):
+            kfwer_wrap(ProcedureConfig.from_dict({"procedure": "alpha-spending", "alpha": "x"}), 2)
+
     def test_boolean_k_refused(self):
         # k = True would pass an isinstance(k, int) check and mean k = 1
         with pytest.raises(ConfigError):

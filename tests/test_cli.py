@@ -295,6 +295,10 @@ class TestExperiment:
          "procedure addis-spending-local takes its lags from batch ids"),
         ("procedures", [{"procedure": "discard-spending", "alpha": 0.2, "tau": [0.5, 0.5]}],
          "tau schedule has 2 entries; step 3 requested"),
+        ("procedures", [{"procedure": "discard-spending", "alpha": 0.2, "tau": []}],
+         "tau must be a number, a nonempty sequence of numbers, or a callable, got []"),
+        ("procedures", [{"procedure": "addis-sidak", "alpha": 0.2, "lambda": []}],
+         "lambda must be a number, a nonempty sequence of numbers, or a callable, got []"),
     ], ids=["grid", "pi_a", "mu_n", "trials", "trials-fraction", "trials-bool",
             "trials-string", "seed-fraction", "seed-bool", "T-fraction",
             "pi_a-bool", "pi_a-string", "mu_n-string", "mu_a-string", "mu_a-bool",
@@ -302,7 +306,8 @@ class TestExperiment:
             "pi_a-number", "pi_a-text", "grid-list", "procedures-text", "procedures-empty",
             "pi_a-empty", "mu_n-empty", "lags-text", "lags-kind", "weights-text", "weights-kind",
             "tau-on-alpha-spending", "batch-lags-on-alpha-spending", "unknown-key", "unknown-grid-key",
-            "pi_a-huge", "T-huge", "T-unshapeable", "alpha-other-than-the-grids", "batch-lags", "tau-list-shorter-than-T"])
+            "pi_a-huge", "T-huge", "T-unshapeable", "alpha-other-than-the-grids", "batch-lags", "tau-list-shorter-than-T",
+            "empty-tau-list", "empty-lambda-list"])
     def test_malformed_config_exits_3_before_any_output(self, tmp_path, capsys, key, value, named):
         cfg = tmp_path / "exp.json"
         cfg.write_text(json.dumps({"procedures": [{"procedure": "alpha-spending", "alpha": 0.2}],
@@ -563,7 +568,7 @@ class TestValidate:
         ("lags", True), ("lags", [0, True]), ("lags", {"kind": "constant", "value": True}),
         ("tau", "0.5"), ("lambda", [0.1, "x"]), ("series", {"kind": "explicit", "weights": ["x"]}),
         ("series", {"kind": "explicit", "weights": ["0.5", True]}),
-        ("series", {"kind": "explicit", "weights": [True]}),
+        ("series", {"kind": "explicit", "weights": [True]}), ("tau", []), ("lambda", []),
     ])
     def test_non_number_where_a_number_is_wanted(self, tmp_path, capsys, key, value):
         cfg = tmp_path / "bool.json"
@@ -574,6 +579,7 @@ class TestValidate:
         write_stream(inp, [0.3, 0.6])
         assert main(["run", "--input", str(inp), "--out", str(tmp_path / "o.csv"), "--config", str(cfg)]) == 3
         assert "config error" in capsys.readouterr().err
+        assert not (tmp_path / "o.csv").exists()
 
     @pytest.mark.parametrize("config,message", [
         ({"procedure": "alpha-spending", "alpha": 0.2, "tau": 0.5}, "alpha-spending takes no 'tau' option"),

@@ -258,3 +258,25 @@ def test_decide_refuses_batch_ids_on_a_list_lag_schedule():
     listed = ProcedureConfig(procedure="addis-spending-local", alpha=0.2, lags={"kind": "list", "values": [0, 1]})
     with pytest.raises(ConfigError, match="batch ids give the lags of a schedule built from none"):
         fast.decide(listed.build(), np.full(2, 0.5), ["a", "a"])
+
+
+# each lag schedule its constructor refuses: (id, its keywords, what the refusal names, the same lags as a config,
+# or None where no config spells it: a lags config names one kind and that kind's one key)
+BAD_LAGS = [
+    ("negative-constant", {"constant": -1}, "got -1", {"kind": "constant", "value": -1}),
+    ("fractional-constant", {"constant": 2.5}, "got 2.5", {"kind": "constant", "value": 2.5}),
+    ("jump", {"values": [0, 5]}, "L_2 = 5", {"kind": "list", "values": [0, 5]}),
+    ("jump-after-200", {"values": [0] * 200 + [2, 3]}, "L_201 = 2", {"kind": "list", "values": [0] * 200 + [2, 3]}),
+    ("neither", {}, "constant=None, values=None", None),
+    ("both", {"constant": 1, "values": [0]}, "constant=1, values=[0]", None),
+]
+
+
+@pytest.mark.parametrize("kwargs,named,config", [c[1:] for c in BAD_LAGS], ids=[c[0] for c in BAD_LAGS])
+def test_every_lag_schedule_is_checked_however_it_is_built(kwargs, named, config):
+    with pytest.raises(ConfigError) as refused:
+        LagSchedule(**kwargs)
+    assert named in str(refused.value)
+    if config is not None:
+        cfg = ProcedureConfig(procedure="addis-spending-local", alpha=0.2, lags=config)
+        assert cfg.validate() == [str(refused.value)]

@@ -249,3 +249,14 @@ def test_a_mixture_refuses_a_mu_n_that_is_no_float(value):
         GaussianMixModel(pi_a=0.5, mu_a=4.0, mu_n=value)
     with pytest.raises(ConfigError, match=f"^alpha must be a scalar number, got {value!r}$"):
         expected_true_discoveries(10, value, {"kind": "q", "q": 2.0}, GaussianMixModel(pi_a=0.5, mu_a=4.0))
+
+
+@pytest.mark.parametrize("kwargs,named", [({"pi_a": 10**400, "mu_a": 4.0}, "pi_a"),
+                                          ({"pi_a": 0.5, "mu_a": 10**400}, "mu_a"),
+                                          ({"pi_a": "0.5", "mu_a": 4.0}, "pi_a"),
+                                          ({"pi_a": 0.5, "mu_a": True}, "mu_a")],
+                         ids=["huge-pi_a", "huge-mu_a", "text-pi_a", "bool-mu_a"])
+def test_a_mixture_refuses_a_pi_a_or_mu_a_that_is_no_float(kwargs, named):
+    # 10**400 is an integer too large for a float: a ConfigError, not an OverflowError
+    with pytest.raises(ConfigError, match=f"^{named} must be a number or a sequence of numbers, got "):
+        GaussianMixModel(**kwargs)
