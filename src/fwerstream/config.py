@@ -7,7 +7,7 @@ knows how to build the concrete scheduler.  Procedure names are the rows of
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 from .core import BATCH_KIND, SCHEDULERS, lags_from_config
 from .errors import ConfigError
@@ -17,6 +17,11 @@ from .spec import PROCEDURES
 
 def _default_series() -> dict:
     return {"kind": "log-q", "q": 2.0}
+
+
+# each key of a procedure config, in the order to_dict writes them, and the field that holds it
+_KEYS = {"procedure": "procedure", "alpha": "alpha", "series": "series", "tau": "tau", "lambda": "lam",
+         "lags": "lags", "weights": "weights", "k": "k"}
 
 
 @dataclass(frozen=True)
@@ -63,32 +68,22 @@ class ProcedureConfig:
         return findings
 
     def to_dict(self) -> dict:
-        out = {"procedure": self.procedure, "alpha": self.alpha}
-        series = self.series
-        out["series"] = series.config() if hasattr(series, "config") else series
-        if self.tau is not None:
-            out["tau"] = self.tau
-        if self.lam is not None:
-            out["lambda"] = self.lam
-        if self.lags is not None:
-            out["lags"] = self.lags.config() if hasattr(self.lags, "config") else self.lags
-        if self.weights is not None:
-            out["weights"] = self.weights.config() if hasattr(self.weights, "config") else self.weights
-        if self.k != 1:
-            out["k"] = self.k
+        """The config as :meth:`from_dict` reads it: an option at its default, None or k = 1, is left out."""
+        defaults = {f.name: f.default for f in fields(self)}
+        out = {}
+        for key, name in _KEYS.items():
+            value = getattr(self, name)
+            if not (value is None and defaults[name] is None or name == "k" and value == 1):
+                out[key] = value.config() if hasattr(value, "config") else value
         return out
 
     @classmethod
     def from_dict(cls, d: dict) -> "ProcedureConfig":
-        config_object(d, "procedure config", ("procedure", "alpha", "series", "tau", "lambda", "lags", "weights", "k"))
-        if "procedure" not in d:
-            raise ConfigError("procedure config needs a 'procedure' key")
-        if "alpha" not in d:
-            raise ConfigError("procedure config needs an 'alpha' key")
-        # the scheduler checks every value when it is built
-        return cls(procedure=d["procedure"], alpha=d["alpha"], series=d.get("series", _default_series()),
-                   tau=d.get("tau"), lam=d.get("lambda"), lags=d.get("lags"), weights=d.get("weights"),
-                   k=d.get("k", 1))
+        config_object(d, "procedure config", tuple(_KEYS))
+        if missing := [key for key in ("procedure", "alpha") if key not in d]:
+            raise ConfigError(f"procedure config needs {', '.join(map(repr, missing))}")
+        # a missing key takes its field's default; the scheduler checks every value when it is built
+        return cls(**{_KEYS[key]: value for key, value in d.items()})
 
 
 def kfwer_wrap(config: ProcedureConfig, k: int) -> ProcedureConfig:

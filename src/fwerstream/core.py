@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -144,13 +145,14 @@ BATCH_KIND = "from-batch-ids"  # the lags kind read from the stream's batch ids
 class LagSchedule(Schedule):
     """Lags L_i: step i may depend on decisions with index < i - L_i only.
 
-    It holds one ``constant`` lag or a list of ``values``, each a nonnegative
-    integer, and a list must be admissible: L_{i+1} <= L_i + 1 (the observable
-    past never shrinks).  The constructor refuses any other schedule, and
-    :meth:`constant` and :meth:`from_list` call it.  :meth:`from_batch_ids`
-    gives each item a lag equal to the number of earlier items in its batch,
-    admissible by construction, so a whole batch depends only on pre-batch
-    information.  Built from no batch ids, it holds the empty list, and
+    It holds one ``constant`` lag or a nonempty list of ``values``, each an
+    integer in [0, ``sys.maxsize``] (a larger lag would see nothing on any
+    stream, and no runner can index it), and a list must be admissible:
+    L_{i+1} <= L_i + 1 (the observable past never shrinks).  The constructor
+    refuses any other schedule.  :meth:`from_batch_ids` gives each item a
+    lag equal to the number of earlier items in its batch, admissible by
+    construction, so a whole batch depends only on pre-batch information.
+    Built from no batch ids, it is the fed schedule: it holds no lag, and
     :func:`fwerstream.fast.decide` reads each chunk's lags from its batch ids.
     """
 
@@ -161,25 +163,15 @@ class LagSchedule(Schedule):
             raise ConfigError(f"a lag schedule takes exactly one of constant and values, "
                               f"got constant={constant!r}, values={values!r}")
         lags = [constant] if values is None else values
-        if not isinstance(lags, (list, tuple)):
-            raise ConfigError(f"lag values must be a list, got {values!r}")
+        if not (isinstance(lags, (list, tuple)) and lags):
+            raise ConfigError(f"lag 'values' must be a nonempty list, got {values!r}")
         for i, lag in enumerate(lags, start=1):
-            if not (isinstance(lag, int) and not isinstance(lag, bool) and lag >= 0):
+            if not (isinstance(lag, int) and not isinstance(lag, bool) and 0 <= lag <= sys.maxsize):
                 what = "constant lag" if values is None else f"lag L_{i}"
-                raise ConfigError(f"{what} must be a nonnegative integer, got {lag!r}")
+                raise ConfigError(f"{what} must be an integer in [0, {sys.maxsize}], got {lag!r}")
             if i > 1 and lag > lags[i - 2] + 1:
                 raise ConfigError(f"inadmissible lags: L_{i} = {lag} > L_{i-1} + 1 = {lags[i - 2] + 1}")
         super().__init__("lag", const=constant, seq=None if values is None else list(values))
-
-    @classmethod
-    def constant(cls, lag: int) -> "LagSchedule":
-        return cls(constant=lag)
-
-    @classmethod
-    def from_list(cls, lags) -> "LagSchedule":
-        if not (isinstance(lags, (list, tuple)) and lags):  # an empty sequence means from-batch-ids without ids
-            raise ConfigError(f"lag 'values' must be a nonempty list, got {lags!r}")
-        return cls(values=lags)
 
     @classmethod
     def from_batch_ids(cls, batch_ids) -> "LagSchedule":
@@ -193,7 +185,7 @@ class LagSchedule(Schedule):
     def config(self) -> dict:
         if self.const is not None:
             return {"kind": "constant", "value": self.const}
-        return {"kind": "list", "values": list(self.seq)}
+        return {"kind": "list", "values": list(self.seq)} if self.seq else {"kind": BATCH_KIND}
 
 
 def lags_from_config(cfg, batch_ids=None) -> LagSchedule:
@@ -201,9 +193,9 @@ def lags_from_config(cfg, batch_ids=None) -> LagSchedule:
     if isinstance(cfg, LagSchedule):
         return cfg
     if cfg is None:
-        return LagSchedule.constant(0)
+        return LagSchedule(constant=0)
     return from_kind(cfg, "lags", {
-        "constant": (LagSchedule.constant, ("value",)), "list": (LagSchedule.from_list, ("values",)),
+        "constant": (LagSchedule, ("value",)), "list": (lambda values: LagSchedule(values=values), ("values",)),
         BATCH_KIND: (lambda: LagSchedule.from_batch_ids([] if batch_ids is None else batch_ids), ())})
 
 

@@ -135,8 +135,8 @@ def _run(proc, p, state=None, lags=None):
     """The runner of :func:`make_runner` on ``proc``, or, given ``state``, that of :func:`decide`, which continues
     it by one 1-d chunk; ``lags``, from batch ids, replace the empty ones of ``proc``."""
     p = _check_p_array(p)
-    if state is None:  # one fresh stream, or rows of fresh streams
-        state = StreamState(proc.weights)
+    if state is None:  # one fresh stream, or rows of fresh streams, whose _recycle reads no buffer
+        state = StreamState(proc.weights if p.ndim == 1 else None)
     elif p.ndim != 1:
         raise StreamError("a carried state continues one stream: pass a 1-d chunk")
     spec, block = proc.spec, np.atleast_2d(p)  # a single stream is a block of one row

@@ -218,7 +218,7 @@ def optimal_q(n: int, mu_a: float, alpha: float) -> float:
     lands on its upper edge.  n = 1 is rejected:
     the curve is monotone increasing there and has no interior maximum.
     """
-    if not (isinstance(n, int) and n >= 1):
+    if isinstance(n, bool) or not (isinstance(n, int) and n >= 1):
         raise ConfigError(f"n must be a positive integer, got {n!r}")
     if n == 1:
         raise ConfigError("n = 1 has no interior optimum: expected discoveries increase with q")

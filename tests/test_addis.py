@@ -151,7 +151,7 @@ class TestAddisSpending:
             kept.append(prefix)
             return 0.5
 
-        proc = AddisLocalSpending(0.2, Q2, tau=keep_fn, lam=0.25, lags=LagSchedule.constant(2))
+        proc = AddisLocalSpending(0.2, Q2, tau=keep_fn, lam=0.25, lags=LagSchedule(constant=2))
         proc.run([0.3, 0.01, 0.9, 0.2, 0.6, 0.1, 0.4])
         assert [len(v) for v in kept] == [max(0, i - 3) for i in range(1, 8)]
         for view in kept:
@@ -170,20 +170,20 @@ class TestAddisSpending:
 class TestAddisLocal:
     def test_zero_lags_equal_addis(self):
         for p in fuzz_streams(20, 200, seed=51):
-            a = AddisLocalSpending(0.2, Q2, lags=LagSchedule.constant(0)).run(p)
+            a = AddisLocalSpending(0.2, Q2, lags=LagSchedule(constant=0)).run(p)
             b = AddisSpending(0.2, Q2).run(p)
             assert a == b
 
     def test_first_step_any_lag(self):
         for lag in (0, 3, 100):
-            proc = AddisLocalSpending(0.2, Q2, lags=LagSchedule.constant(lag))
+            proc = AddisLocalSpending(0.2, Q2, lags=LagSchedule(constant=lag))
             d = proc.step(0.3)
             assert d.alpha == 0.2 * 0.25 * Q2.weight(1)  # t(1) = 1 regardless of lag
 
     def test_constant_lag_two_index_arithmetic(self):
         # with L = 2, t(4) = 1 + 2 + (S_1 - C_1)
         p = [0.3, 0.3, 0.3, 0.3, 0.3]  # selected, not candidate at (1/2, 1/4)
-        proc = AddisLocalSpending(0.2, Q2, lags=LagSchedule.constant(2))
+        proc = AddisLocalSpending(0.2, Q2, lags=LagSchedule(constant=2))
         decisions = proc.run(p)
         assert decisions[3].alpha == 0.2 * 0.25 * Q2.weight(1 + 2 + 1)
 
@@ -191,12 +191,12 @@ class TestAddisLocal:
         rng = np.random.default_rng(52)
         lag = 4
         p = rng.random(60)
-        base = AddisLocalSpending(0.2, Q2, lags=LagSchedule.constant(lag)).run(p)
+        base = AddisLocalSpending(0.2, Q2, lags=LagSchedule(constant=lag)).run(p)
         for i in (10, 25, 59):
             for j in range(max(0, i - lag), i):  # indices i-L..i-1 (0-based j)
                 altered = p.copy()
                 altered[j] = rng.random()
-                re_run = AddisLocalSpending(0.2, Q2, lags=LagSchedule.constant(lag)).run(altered)
+                re_run = AddisLocalSpending(0.2, Q2, lags=LagSchedule(constant=lag)).run(altered)
                 assert re_run[i].alpha == base[i].alpha
                 assert re_run[i].tau == base[i].tau
                 assert re_run[i].lam == base[i].lam
@@ -211,13 +211,13 @@ class TestAddisLocal:
 
     def test_inadmissible_lag_list(self):
         with pytest.raises(ConfigError):
-            LagSchedule.from_list([0, 2, 0])
-        LagSchedule.from_list([0, 1, 2, 0, 1])  # admissible
+            LagSchedule(values=[0, 2, 0])
+        LagSchedule(values=[0, 1, 2, 0, 1])  # admissible
 
     def test_lag_schedule_reads_like_a_schedule(self):
-        const, listed = LagSchedule.constant(2), LagSchedule.from_list([0, 1, 2, 0])
+        const, listed = LagSchedule(constant=2), LagSchedule(values=[0, 1, 2, 0])
         state = StreamState()  # the state's batch rule continues the open batch from one call to the next
-        batched = LagSchedule.from_list([lag for ids in (["a", "a"], ["b"]) for lag in state.batch_lags(ids)[0]])
+        batched = LagSchedule(values=[lag for ids in (["a", "a"], ["b"]) for lag in state.batch_lags(ids)[0]])
         assert [const.value(i) for i in (1, 5, 10**9)] == [2, 2, 2]
         assert const.values(3, 6) == [2, 2, 2] and listed.values(1, 4) == [1, 2, 0] == listed.seq[1:]
         assert [batched.value(i) for i in (1, 2, 3)] == [0, 1, 0] == batched.values(0, 3)
@@ -229,7 +229,7 @@ class TestAddisLocal:
                 read()
 
     def test_lag_list_shorter_than_stream(self):
-        proc = AddisLocalSpending(0.2, Q2, lags=LagSchedule.from_list([0, 1]))
+        proc = AddisLocalSpending(0.2, Q2, lags=LagSchedule(values=[0, 1]))
         proc.step(0.4)
         proc.step(0.4)
         with pytest.raises(ConfigError):

@@ -1,6 +1,8 @@
 """Procedure configs: the JSON round trip, and the configs that build refuses."""
 
 import json
+import re
+import sys
 
 import numpy as np
 import pytest
@@ -42,8 +44,8 @@ def _options(name, series):
     if spec.lagged:
         yield "lags", {"lags": {"kind": "constant", "value": 3}}
         yield "lag-list", {"lags": {"kind": "list", "values": [0, 1, 2, 3, 0, 1] * (N // 6)}}
-        yield "built-lags", {"lags": LagSchedule.constant(2)}
-        yield "built-lag-list", {"lags": LagSchedule.from_list([0, 1, 2, 0] * (N // 4))}
+        yield "built-lags", {"lags": LagSchedule(constant=2)}
+        yield "built-lag-list", {"lags": LagSchedule(values=[0, 1, 2, 0] * (N // 4))}
     if "weights" in spec.options:
         yield "one-step", {"weights": {"kind": "one-step"}}
         yield "lagged-gamma", {"weights": {"kind": "lagged-gamma"}}
@@ -254,11 +256,13 @@ def test_a_kind_config_with_a_key_missing_or_unknown_is_refused_naming_the_key(t
 def test_decide_refuses_batch_ids_on_a_list_lag_schedule():
     # a lag list is never empty, so an empty lag sequence is always one built from no batch ids
     with pytest.raises(ConfigError, match=r"^lag 'values' must be a nonempty list, got \[\]$"):
-        LagSchedule.from_list([])
+        LagSchedule(values=[])
     listed = ProcedureConfig(procedure="addis-spending-local", alpha=0.2, lags={"kind": "list", "values": [0, 1]})
     with pytest.raises(ConfigError, match="batch ids give the lags of a schedule built from none"):
         fast.decide(listed.build(), np.full(2, 0.5), ["a", "a"])
 
+
+HUGE = f"[0, {sys.maxsize}], got {2**63}"  # no runner can index a lag past sys.maxsize
 
 # each lag schedule its constructor refuses: (id, its keywords, what the refusal names, the same lags as a config,
 # or None where no config spells it: a lags config names one kind and that kind's one key)
@@ -267,6 +271,9 @@ BAD_LAGS = [
     ("fractional-constant", {"constant": 2.5}, "got 2.5", {"kind": "constant", "value": 2.5}),
     ("jump", {"values": [0, 5]}, "L_2 = 5", {"kind": "list", "values": [0, 5]}),
     ("jump-after-200", {"values": [0] * 200 + [2, 3]}, "L_201 = 2", {"kind": "list", "values": [0] * 200 + [2, 3]}),
+    ("huge-constant", {"constant": 2**63}, HUGE, {"kind": "constant", "value": 2**63}),
+    ("huge-listed", {"values": [2**63]}, HUGE, {"kind": "list", "values": [2**63]}),
+    ("empty-list", {"values": []}, "nonempty list, got []", {"kind": "list", "values": []}),
     ("neither", {}, "constant=None, values=None", None),
     ("both", {"constant": 1, "values": [0]}, "constant=1, values=[0]", None),
 ]
@@ -280,3 +287,58 @@ def test_every_lag_schedule_is_checked_however_it_is_built(kwargs, named, config
     if config is not None:
         cfg = ProcedureConfig(procedure="addis-spending-local", alpha=0.2, lags=config)
         assert cfg.validate() == [str(refused.value)]
+
+
+@pytest.mark.parametrize("lags", [{"kind": "constant", "value": 2**63}, {"kind": "list", "values": [2**63]}],
+                         ids=["constant", "list"])
+def test_a_lag_no_runner_can_index_is_refused_before_a_stream_starts(tmp_path, capsys, lags):
+    config = {"procedure": "addis-spending-local", "alpha": 0.2, "lags": lags}
+    path, inp, out = tmp_path / "c.json", tmp_path / "in.csv", tmp_path / "out.csv"
+    path.write_text(json.dumps(config))
+    inp.write_text("p\n0.3\n0.3\n")
+    assert main(["validate", "--config", str(path)]) == 3
+    printed = capsys.readouterr().out
+    assert printed.startswith("FAIL addis-spending-local: ") and HUGE in printed
+    assert main(["run", "--input", str(inp), "--out", str(out), "--config", str(path)]) == 3
+    assert HUGE in capsys.readouterr().err
+    assert not out.exists()
+    with pytest.raises(ConfigError, match=re.escape(HUGE)):
+        run_stream(ProcedureConfig.from_dict(config), np.full(2, 0.3))
+    flags = ["--procedure", "addis-spending-local", "--alpha", "0.2", "--lags", str(2**63)]
+    assert main(["run", "--input", str(inp), "--out", str(out), *flags]) == 3
+    assert HUGE in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_the_largest_lag_decides_alike_on_every_path():
+    cfg = ProcedureConfig(procedure="addis-spending-local", alpha=0.2, lags={"kind": "constant", "value": sys.maxsize})
+    steps = [d.alpha for d in cfg.build().run(P)]
+    proc = cfg.build()
+    chunks = [fast.decide(proc, part) for part in (P[:N // 3], P[N // 3:])]
+    assert [error for _, error in chunks] == [None, None]
+    for levels in (run_stream(cfg, P).levels, np.concatenate([rows.levels for rows, _ in chunks])):
+        assert [x.hex() for x in levels.tolist()] == [x.hex() for x in steps]
+    # no step sees a decision: every level is that of the step's own lag, i - 1
+    assert steps == [d.alpha for d in cfg.build().run(np.ones(N))]
+
+
+def test_a_fed_lag_schedule_is_written_as_read():
+    # a from-batch-ids schedule built without ids takes its lags from the stream's batch ids
+    cfg = ProcedureConfig(procedure="addis-spending-local", alpha=0.2, lags=LagSchedule.from_batch_ids([]))
+    assert cfg.to_dict()["lags"] == {"kind": "from-batch-ids"}
+    back = ProcedureConfig.from_dict(json.loads(json.dumps(cfg.to_dict())))
+    assert back.wants_batch_lags() and back.build().lags.seq == []
+    ids = [i // 5 for i in range(N)]
+    batched = ProcedureConfig(procedure="addis-spending-local", alpha=0.2, lags=LagSchedule.from_batch_ids(ids))
+    want = run_stream(batched, P)
+    fed, error = fast.decide(cfg.build(), P, ids)
+    assert error is None and want.rejected.any()
+    for got in (run_stream(back, P, batch_ids=ids), fed):
+        assert [x.hex() for x in got.levels.tolist()] == [x.hex() for x in want.levels.tolist()]
+
+
+def test_a_config_without_its_procedure_or_alpha_is_refused_naming_them():
+    with pytest.raises(ConfigError, match=r"^procedure config needs 'procedure', 'alpha'$"):
+        ProcedureConfig.from_dict({})
+    with pytest.raises(ConfigError, match=r"^procedure config needs 'alpha'$"):
+        ProcedureConfig.from_dict({"procedure": "alpha-spending", "series": {"kind": "q", "q": 2.0}})

@@ -513,3 +513,25 @@ def test_a_block_with_no_elements_gives_columns_of_its_shape(name):
     for shape in [(0, 50), (3, 0), (0,), (0, 0)]:
         res = run(np.empty(shape))
         assert {c: getattr(res, c).shape for c in _COLUMNS} == dict.fromkeys(_COLUMNS, shape), shape
+
+
+def test_a_block_builds_no_recycling_buffer(monkeypatch):
+    # _recycle reads the weights, not a buffer: only the build and a 1-d stream make one
+    built = []
+
+    class Counted(RecycleBuffer):
+        def __init__(self, weights):
+            built.append(weights)
+            super().__init__(weights)
+
+    monkeypatch.setattr("fwerstream.core.RecycleBuffer", Counted)
+    cfg = ProcedureConfig(procedure="online-fallback", alpha=0.2)
+    run = make_runner(cfg)
+    assert len(built) == 1
+    block = np.random.default_rng(3).random((100, 1000)) ** 4  # rejections in every row
+    results = [run(block) for _ in range(5)]
+    assert len(built) == 1
+    single = run(block[7])
+    assert len(built) == 2
+    assert all(r.levels.tolist() == results[0].levels.tolist() for r in results)
+    assert single.levels.tolist() == results[0].levels[7].tolist()

@@ -137,6 +137,12 @@ class TestOptimalQ:
         with pytest.raises(ConfigError):
             optimal_q(1, 4.0, 0.2)
 
+    @pytest.mark.parametrize("flag", [True, False])
+    def test_boolean_n_rejected(self, flag):
+        # True is not n = 1: a boolean is refused as no integer, as by the other solvers
+        with pytest.raises(ConfigError, match=rf"^n must be a positive integer, got {flag}$"):
+            optimal_q(flag, 4.0, 0.2)
+
     def test_alpha_domain(self):
         with pytest.raises(ConfigError):
             optimal_q(10, 4.0, 0.6)
