@@ -23,8 +23,9 @@ prefix decides the check, so a term that is not finite fails it at its own
 index; a stream's chunks carry the last one on as ``audit_sum`` (rounded to
 a float) and ``audit_err`` (what that rounding dropped).  Every trace is
 additionally checked for level sanity: 0 <= level < min(tau, 1), since a
-negative term would offset an overspend in the sum, and rejections only at
-p <= level on selected steps.
+negative term would offset an overspend in the sum, rejections only at
+p <= level on selected steps, and the flags the sum reads: selected at
+p <= tau, candidate at p <= lambda on rows that adapt.
 """
 
 from __future__ import annotations
@@ -100,6 +101,8 @@ def audit_trace(trace, config: ProcedureConfig | None = None, state=None) -> Aud
         AuditCheck("levels in [0, min(tau, 1))", *_ok((0.0 <= levels) & (levels < np.minimum(r.tau, 1.0)), start)),
         AuditCheck("rejections at p <= level", *_ok(~rej | (r.p <= levels), start)),
         AuditCheck("rejections only on selected steps", *_ok(~rej | r.selected, start)),
+        AuditCheck("selected = p <= tau, candidate = p <= lambda on rows that adapt",
+                   *_ok((r.selected == (r.p <= r.tau)) & (r.candidate == (spec.adapts & (r.p <= r.lam))), start)),
     ]
 
     tau, selected = (r.tau, r.selected) if spec.discards else (1.0, np.ones(n, dtype=bool))

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, fields, replace
 
-from .core import BATCH_KIND, SCHEDULERS, lags_from_config
+from .core import BATCH_KIND, SCHEDULERS, LagSchedule, lags_from_config
 from .errors import ConfigError
 from .series import config_object, series_from_config
 from .spec import PROCEDURES
@@ -50,8 +50,9 @@ class ProcedureConfig:
                                           weights=self.weights, k=self.k)
 
     def wants_batch_lags(self) -> bool:
-        """True when the lags come from the stream's batch ids."""
-        return isinstance(self.lags, dict) and self.lags.get("kind") == BATCH_KIND
+        """True when the lags come from the stream's batch ids: the from-batch-ids kind, or the fed schedule."""
+        lags = self.lags.config() if isinstance(self.lags, LagSchedule) and self.lags.seq == [] else self.lags
+        return isinstance(lags, dict) and lags.get("kind") == BATCH_KIND
 
     def validate(self) -> list[str]:
         """Return a list of human-readable findings; empty means valid."""

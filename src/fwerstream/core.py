@@ -189,9 +189,12 @@ class LagSchedule(Schedule):
 
 
 def lags_from_config(cfg, batch_ids=None) -> LagSchedule:
-    """Build a lag schedule (None: constant lag 0); the from-batch-ids kind takes the stream's ``batch_ids``."""
+    """Build a lag schedule (None: constant lag 0); the from-batch-ids kind, and the fed schedule, which is
+    read as that kind, take the stream's ``batch_ids``."""
     if isinstance(cfg, LagSchedule):
-        return cfg
+        if cfg.seq != []:
+            return cfg
+        cfg = cfg.config()
     if cfg is None:
         return LagSchedule(constant=0)
     return from_kind(cfg, "lags", {
@@ -202,11 +205,11 @@ def lags_from_config(cfg, batch_ids=None) -> LagSchedule:
 class StreamState:
     """The running state of one scheduler over one stream.
 
-    The scalar step, the runners of :func:`fwerstream.fast.make_runner`,
-    :func:`fwerstream.fast.decide` and the chunked audit all advance this one
-    object, so a stream can be decided a step or a chunk at a time, by either
-    path, from where the last one stopped.  It holds the steps taken; the
-    window of counted-step prefix sums that the index rule of
+    The scalar step, :func:`fwerstream.fast.decide` (which decides each
+    fresh stream of :func:`fwerstream.fast.make_runner` too) and the chunked
+    audit all advance this one object, so a stream can be decided a step or
+    a chunk at a time, from where the last one stopped.  It holds the steps
+    taken; the window of counted-step prefix sums that the index rule of
     :data:`fwerstream.spec.SPECS` reads (lag 0 on rows that are not lagged;
     ``window[-1]`` counts every step); the :class:`RecycleBuffer` of the
     fallback ``weights`` it is given; the audit's last compensated prefix

@@ -2,13 +2,13 @@
 
 ``make_runner`` builds a :class:`ProcedureConfig` once into a function
 that maps p-values, a fresh stream or a block of them, to a
-:class:`StreamResult`; :func:`decide` decides a scheduler's next chunk on
-its state (t counts from the start of the stream), audits it and cuts it
-at its first error.  The runner computes the index rule of
-:mod:`fwerstream.spec`, with tau and lambda constant or by step, with the
-same operations as the step scheduler, and its level through
-:func:`fwerstream.spec.level_map`, so both give bit-identical traces; only
-a callable tau or lambda takes the step-by-step scheduler, row by row.
+:class:`StreamResult`; :func:`decide`, the one decider of a 1-d stream,
+decides a scheduler's next chunk on its state (t counts from the start of
+the stream), audits it and cuts it at its first error.  The runner
+computes the index rule of :mod:`fwerstream.spec`, with tau and lambda
+constant or by step, with the same operations as the step scheduler, and
+its level through :func:`fwerstream.spec.level_map`, so both give
+bit-identical traces; :func:`decide` steps a callable tau or lambda.
 Each call builds the counted-step prefix sums of its chunk or block once,
 continuing the state's window (a fresh stream starts from ``[0]``), and
 reads t - 1 from them: the counted steps before i - L_i, plus min(L_i,
@@ -44,7 +44,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .config import ProcedureConfig
-from .core import Decision, OneStepWeights, StreamState
+from .core import Decision, OneStepWeights, OnlineProcedure, StreamState
 from .errors import AuditError, ConfigError, StreamError
 from .spec import level_map
 
@@ -85,11 +85,12 @@ class StreamResult:
         return [Decision(i, *row) for i, row in enumerate(zip(*columns), start=1)]
 
 
-def from_decisions(cfg: ProcedureConfig, decisions) -> StreamResult:
+def from_decisions(source, decisions) -> StreamResult:
     def column(field, dtype=np.float64):
         return np.array([getattr(d, field) for d in decisions], dtype=dtype)
 
-    return StreamResult(cfg.procedure, cfg.alpha, cfg.k, column("p"), column("alpha"), column("rejected", bool),
+    name = source.kind if isinstance(source, OnlineProcedure) else source.procedure
+    return StreamResult(name, source.alpha, source.k, column("p"), column("alpha"), column("rejected", bool),
                         column("selected", bool), column("candidate", bool), column("tau"), column("lam"))
 
 
@@ -113,32 +114,30 @@ def make_runner(cfg: ProcedureConfig, batch_ids=None):
     """Compile ``cfg`` into a reusable ``run(p) -> StreamResult`` function.
 
     ``p`` is one fresh stream (T,) or a block of them (rows, T), and every
-    column of the result takes its shape.  The next chunk of a stream goes,
-    on its scheduler's state, to :func:`decide`.
+    column of the result takes its shape.  A fresh stream, and each row of a
+    callable's block, is the audited first chunk of :func:`decide`, whose error is raised.
     """
     proc = cfg.build(batch_ids=batch_ids)  # full validation + k*alpha warning happen once
-    if not proc.reads_trace:
-        return lambda p: _run(proc, p)
 
-    def run_slow(p):
-        p, decisions = _check_p_array(p), []
-        for row in np.atleast_2d(p):  # each row a fresh stream of the one build
+    def run(p):
+        p, rows = _check_p_array(p), []
+        if p.ndim == 2 and not proc.reads_trace:  # rows of fresh streams, whose _recycle reads no buffer
+            return _run(proc, p, StreamState())
+        for row in np.atleast_2d(p):  # each a fresh stream of the one build: the first chunk of decide
             proc.state, proc.trace = StreamState(proc.weights), []
-            decisions += proc.run(row)
-        res = from_decisions(cfg, decisions)
+            res, error = decide(proc, row)
+            if error is not None:
+                raise error
+            rows.append(res)
+        res = rows[0] if p.ndim == 1 else from_decisions(proc, [d for r in rows for d in r.decisions()])
         return replace(res, **{c: getattr(res, c).reshape(p.shape) for c in _COLUMNS})
 
-    return run_slow
+    return run
 
 
-def _run(proc, p, state=None, lags=None):
-    """The runner of :func:`make_runner` on ``proc``, or, given ``state``, that of :func:`decide`, which continues
-    it by one 1-d chunk; ``lags``, from batch ids, replace the empty ones of ``proc``."""
-    p = _check_p_array(p)
-    if state is None:  # one fresh stream, or rows of fresh streams, whose _recycle reads no buffer
-        state = StreamState(proc.weights if p.ndim == 1 else None)
-    elif p.ndim != 1:
-        raise StreamError("a carried state continues one stream: pass a 1-d chunk")
+def _run(proc, p, state, lags=None):
+    """Decide the checked p-values ``p`` of ``proc``: one chunk of a stream, continued from its ``state``, or
+    rows of fresh streams on ``StreamState()``; ``lags``, from batch ids, replace the empty ones of ``proc``."""
     spec, block = proc.spec, np.atleast_2d(p)  # a single stream is a block of one row
     rows, n = block.shape
     i0, window, start = state.i, state.window, state.window_start
@@ -187,24 +186,24 @@ def _run(proc, p, state=None, lags=None):
 
 
 def decide(proc, p, batch_ids=None):
-    """Decide and audit the next chunk ``p`` of the scheduler ``proc``'s stream, and return the
-    :class:`StreamResult` of the steps that may be kept with the error that stopped the chunk, or
-    None: the step past a sequence's end (:class:`ConfigError`), the first index failing the audit
-    (:class:`AuditError`) or the first id of a closed batch (:class:`StreamError`).  ``batch_ids``,
-    one per p-value (any past ``p`` are checked too), give the lags of a schedule built from none."""
+    """Decide and audit the next chunk ``p`` of the scheduler ``proc``'s stream (a callable tau or lambda by its
+    ``step``, which raises what it refuses), and return the :class:`StreamResult` of the steps that may be kept with
+    the error that stopped the chunk, or None: the step past a sequence's end (:class:`ConfigError`), the first
+    index failing the audit (:class:`AuditError`) or the first id of a closed batch (:class:`StreamError`).
+    ``batch_ids``, one per p-value (any past ``p`` are checked too), give the lags of a schedule built from none."""
     from .audit import audit_trace  # audit imports this module
 
-    if proc.reads_trace:
-        raise ConfigError("a callable tau or lambda: decide its stream with the scheduler's step")
     p, state, start, lags, error = _check_p_array(p), proc.state, proc.state.i, None, None
-    if batch_ids is not None:
-        if proc.lags is None or proc.lags.seq != [] or len(batch_ids) < p.size:
+    if p.ndim != 1:
+        raise StreamError("a carried state continues one stream: pass a 1-d chunk")
+    if batch_ids is not None:  # a callable's step reads its lags from the schedule
+        if proc.reads_trace or proc.lags is None or proc.lags.seq != [] or len(batch_ids) < p.size:
             raise ConfigError(f"{proc.kind}: batch ids give the lags of a schedule built from none, one per p-value")
         lags, error = state.batch_lags(batch_ids)
         p = p[: len(lags)]
     sequences = [s for s in proc.sequences() if s.seq or s is not proc.lags]  # lags built from no batch ids take them
     n = min([p.size, *(len(s.seq) - start for s in sequences)])  # the steps every sequence defines
-    rows = _run(proc, p[:n], state, lags)
+    rows = from_decisions(proc, proc.run(p[:n].tolist())) if proc.reads_trace else _run(proc, p[:n], state, lags)
     report = audit_trace(rows, state=state)
     if not report.passed:  # the rows from the first failing index on go
         rows = replace(rows, **{c: getattr(rows, c)[: report.first_bad_index - 1 - start] for c in _COLUMNS})

@@ -99,9 +99,12 @@ class PowerLawSeries(WeightSeries):
     midpoint (``_tail_hi``) bounds on the tail sum_{i>m} u_i.
     """
 
+    Q_MAX = math.inf  # the largest q whose terms stay finite
+
     def __init__(self, q: float):
-        message = f"{self.kind}-series requires q > 1, got {q!r}"
-        if not (math.isfinite(q := real(q, message)) and q > 1.0):
+        bound = "" if self.Q_MAX == math.inf else f" and q <= {self.Q_MAX:g}"
+        message = f"{self.kind}-series requires q > 1{bound}, got {q!r}"
+        if not (math.isfinite(q := real(q, message)) and 1.0 < q <= self.Q_MAX):
             raise ConfigError(message)
         super().__init__()
         self.q = q
@@ -155,6 +158,8 @@ class LogQSeries(PowerLawSeries):
     """gamma_i = u_i / Z with u_i = 1 / ((i+1) * log(i+1)^q), q > 1."""
 
     kind = "log-q"
+    # ln((i+1) log(i+1)^q) <= ln 2^63 + q ln ln 2^63 < ln(max float) up to q ~ 176, for every index below 2^63
+    Q_MAX = 100.0
 
     def _unnormalized(self, idx: np.ndarray) -> np.ndarray:
         y = idx + 1.0

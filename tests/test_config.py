@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from fwerstream import (PROCEDURES, ConfigError, ExplicitSeries, ExplicitWeights, LaggedSeriesWeights, LagSchedule,
-                        LogQSeries, OneStepWeights, ProcedureConfig, QSeries, fast, run_stream)
+                        LogQSeries, OneStepWeights, ProcedureConfig, QSeries, fast, make_runner, run_stream)
 from fwerstream.cli import main
 from fwerstream.spec import SPECS
 
@@ -205,6 +205,24 @@ def test_an_integer_too_large_for_a_float_is_refused_naming_its_key(tmp_path, ca
     assert not out.exists()
 
 
+@pytest.mark.parametrize("q", [100.5, 400, 1e300])
+def test_a_log_q_exponent_whose_terms_overflow_is_refused(tmp_path, capsys, q):
+    # log(i+1)^q overflowed a float past q ~ 176 (an OverflowError traceback at q = 400); q <= 100 is safe
+    path, inp, out = tmp_path / "proc.json", tmp_path / "in.csv", tmp_path / "o.csv"
+    path.write_text(json.dumps({"procedure": "alpha-spending", "alpha": 0.2, "series": {"kind": "log-q", "q": q}}))
+    inp.write_text("p\n0.5\n0.1\n")
+    named = "log-q-series requires q > 1 and q <= 100, got"
+    assert main(["validate", "--config", str(path)]) == 3
+    assert named in capsys.readouterr().out
+    for flags in (["--config", str(path)], ["--procedure", "alpha-spending", "--alpha", "0.2", "--series", "logq",
+                                           "--q", repr(q)]):
+        assert main(["run", "--input", str(inp), "--out", str(out), *flags]) == 3
+        err = capsys.readouterr().err
+        assert named in err and "Traceback" not in err
+        assert not out.exists()
+    assert np.isfinite(LogQSeries(100).weights_upto(10**5)).all()  # the bound itself decides
+
+
 # every kind of series, lags and fallback weights: (option, a procedure that takes it, a valid config of the kind,
 # a key the kind does not take)
 KINDS = {
@@ -335,6 +353,19 @@ def test_a_fed_lag_schedule_is_written_as_read():
     assert error is None and want.rejected.any()
     for got in (run_stream(back, P, batch_ids=ids), fed):
         assert [x.hex() for x in got.levels.tolist()] == [x.hex() for x in want.levels.tolist()]
+
+
+def test_a_fed_lag_schedule_object_decides_as_its_config():
+    # the object reads as {"kind": "from-batch-ids"}: it takes the batch ids given with the stream
+    cfg = ProcedureConfig(procedure="addis-spending-local", alpha=0.2, lags=LagSchedule.from_batch_ids([]))
+    back = ProcedureConfig.from_dict(json.loads(json.dumps(cfg.to_dict())))
+    ids, p = list("aabb"), [0.3] * 4
+    want = run_stream(back, p, batch_ids=ids).levels.tolist()
+    assert [round(x, 4) for x in want] == [0.0247, 0.0065, 0.0031, 0.0018]
+    assert cfg.wants_batch_lags()
+    assert [x.hex() for x in run_stream(cfg, p, batch_ids=ids).levels.tolist()] == [x.hex() for x in want]
+    block = make_runner(cfg, batch_ids=ids)(np.full((2, 4), 0.3)).levels.tolist()
+    assert [[x.hex() for x in row] for row in block] == [[x.hex() for x in want]] * 2
 
 
 def test_a_config_without_its_procedure_or_alpha_is_refused_naming_them():

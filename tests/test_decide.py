@@ -6,9 +6,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from fwerstream import PROCEDURES, AuditError, ConfigError, LagSchedule, ProcedureConfig, StreamError, fast, run_stream
+from fwerstream import (PROCEDURES, AuditError, ConfigError, LagSchedule, ProcedureConfig, StreamError, core, fast,
+                        make_runner, run_stream)
 from fwerstream.cli import main
 from fwerstream.core import OnlineProcedure, StreamState
+from fwerstream.spec import level_map
 
 
 def _write(path, ps, batch_ids):
@@ -86,6 +88,22 @@ def test_an_audit_failure_keeps_the_rows_before_it(monkeypatch, size, bad):
     assert _levels(parts) == want
 
 
+@pytest.mark.parametrize("tau", [0.5, lambda prefix: 0.5], ids=["runner", "callable"])
+def test_a_fresh_stream_is_audited(monkeypatch, tau):
+    # levels twice those of the level map overspend the budget; the audit keeps its own sums
+    cfg = ProcedureConfig(procedure="discard-spending", alpha=0.2, tau=tau)
+    p = np.random.default_rng(8).random(1000)
+    terms = 2 * run_stream(cfg, p).levels / 0.5
+    bad = int(np.flatnonzero(np.cumsum(np.where(p <= 0.5, terms, 0.0)) > 0.2 + 1e-9)[0]) + 1
+    for module in (fast, core):  # the runner's level map, and the step's
+        monkeypatch.setattr(module, "level_map", lambda *args: 2 * level_map(*args))
+    with pytest.raises(AuditError, match=f"FAIL at index {bad}$"):
+        run_stream(cfg, p)
+    if callable(tau):  # each row of a callable's block is a fresh stream too
+        with pytest.raises(AuditError, match=f"FAIL at index {bad}$"):
+            make_runner(cfg)(np.stack([p, p]))
+
+
 @pytest.mark.parametrize("size", [1, 100, 1000])
 def test_a_tau_list_that_ends_inside_a_chunk_keeps_the_rows_up_to_its_end(size):
     tau = ([0.3, 0.6, 0.9] * 1000)[:1234]
@@ -125,8 +143,10 @@ def test_decide_refuses_what_it_cannot_decide():
     fed = ProcedureConfig(procedure="addis-spending-local", alpha=0.2, lags={"kind": "from-batch-ids"}).build()
     with pytest.raises(ConfigError, match="one per p-value"):
         fast.decide(fed, p, list("abc"))
-    with pytest.raises(ConfigError, match="callable tau or lambda"):
-        fast.decide(ProcedureConfig(procedure="discard-spending", alpha=0.2, tau=lambda prefix: 0.5).build(), p)
+    fed_callable = ProcedureConfig(procedure="addis-spending-local", alpha=0.2, tau=lambda prefix: 0.5,
+                                   lags={"kind": "from-batch-ids"}).build()
+    with pytest.raises(ConfigError, match="batch ids give the lags"):  # a callable's step reads its lags itself
+        fast.decide(fed_callable, p, list("abcde"))
     for step in (1, 6):  # without batch ids a schedule built from none holds no lag for the next step
         with pytest.raises(ConfigError, match=f"^lag schedule has 0 entries; step {step} requested$"):
             fast.decide(fed, p)

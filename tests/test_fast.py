@@ -10,7 +10,7 @@ import pytest
 
 from fwerstream import PROCEDURES, LogQSeries, ProcedureConfig, make_runner, run_stream
 from fwerstream.core import RecycleBuffer, StreamState
-from fwerstream.errors import ConfigError, StreamError
+from fwerstream.errors import StreamError
 from fwerstream.fast import _COLUMNS, _run, decide, from_decisions
 
 # tau and lambda by step, lambda < tau at every step; no tau reaches the 0.9 that
@@ -133,16 +133,25 @@ def test_callable_schedule_falls_back_to_step_path(cfg=None):
         procedure="addis-spending",
         alpha=0.2,
         series={"kind": "q", "q": 2.0},
-        tau=lambda prefix: 0.5,
+        tau=lambda prefix: 0.6 if len(prefix) and prefix[-1].rejected else 0.5,  # reads the trace
         lam=0.25,
     )
     rng = np.random.default_rng(0)
-    p = rng.random(50)
+    p = rng.random(1000)
+    p[::10] *= 1e-3
     fast = make_runner(cfg)(p)
     slow = from_decisions(cfg, cfg.build().run(p))
     np.testing.assert_array_equal(fast.levels, slow.levels)
-    with pytest.raises(ConfigError, match="^a callable tau or lambda: decide its stream with the scheduler"):
-        decide(cfg.build(), p)
+    assert slow.rejected.any() and set(slow.tau.tolist()) == {0.5, 0.6}
+    for size in (1, 37, 400):  # decide continues a callable's stream chunk by chunk, audited
+        proc, parts = cfg.build(), []
+        for i in range(0, p.size, size):
+            rows, error = decide(proc, p[i : i + size])
+            assert error is None
+            parts.append(rows)
+        got = {c: np.concatenate([getattr(r, c) for r in parts]).tolist() for c in ("levels", "rejected", "tau")}
+        assert [x.hex() for x in got["levels"]] == [x.hex() for x in slow.levels.tolist()]
+        assert got["rejected"] == slow.rejected.tolist() and got["tau"] == slow.tau.tolist()
 
 
 def test_decisions_roundtrip():

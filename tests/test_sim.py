@@ -308,6 +308,16 @@ class TestAuditTrace:
         with pytest.raises(AuditError):
             report.raise_if_failed()
 
+    @pytest.mark.parametrize("name,flag,threshold", [("addis-spending", "candidate", "lam"),
+                                                     ("discard-spending", "selected", "tau")])
+    def test_flags_off_their_threshold_flagged_at_the_first(self, name, flag, threshold):
+        result, cfg = self._trace(name)
+        flags = result.p <= 1.2 * getattr(result, threshold)  # the flag at a threshold 20% too high
+        first = int(np.flatnonzero(flags != getattr(result, flag))[0]) + 1
+        report = audit_trace(replace(result, **{flag: flags}), cfg)
+        assert not report.passed and report.first_bad_index == first
+        assert [c.first_bad_index for c in report.checks if not c.passed] == [first]
+
     def test_decision_list_accepted(self):
         cfg = ProcedureConfig(procedure="addis-spending", alpha=0.2, series=LOG2)
         scheduler = cfg.build()
